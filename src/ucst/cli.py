@@ -6,7 +6,7 @@ import sys
 
 from .errors import FragmentError, InputError, OracleInconclusive
 from .explore import Bound, bounded_reach
-from .fileformat import parse_pep, parse_ucst, print_pep, print_ucst
+from .fileformat import parse_ucst, print_pep, print_ucst
 from .generators import (
     SemiThueSystem,
     gen_queue_head,
@@ -15,7 +15,7 @@ from .generators import (
     gen_writelossy_queue,
     linear_queue_automaton,
 )
-from .model import LOSSY, RELIABLE, WRITE_LOSSY, ReachInstance, classify_tests, format_run
+from .model import LOSSY, MODES, ReachInstance, format_run
 from .pep import bounded_solve, postpone_stabilize, run_from_postpone_stable
 from .reductions import (
     bounded_oracle,
@@ -29,8 +29,6 @@ from .validate import run_validation
 EXIT_REACHABLE = 0
 EXIT_NOT_WITHIN_BOUND = 1
 EXIT_ERROR = 2
-
-MODES = {"lossy": LOSSY, "reliable": RELIABLE, "write-lossy": WRITE_LOSSY}
 
 
 def _read_instance(path):
@@ -49,16 +47,15 @@ def _emit(text, out):
 
 def cmd_reach(args):
     inst, _ = _read_instance(args.file)
-    mode = MODES[args.mode]
     bound = Bound(args.bound, args.steps)
     if args.method == "explore":
-        verdict = bounded_reach(inst, bound, mode)
+        verdict = bounded_reach(inst, bound, args.mode)
         print(verdict)
         if verdict.reachable:
             print(format_run(inst.system, verdict.witness))
             return EXIT_REACHABLE
         return EXIT_NOT_WITHIN_BOUND
-    if mode != LOSSY:
+    if args.mode != LOSSY:
         raise InputError("the pipeline method answers the lossy semantics")
     return run_pipeline_maybe_z1r(inst, args)
 
@@ -182,7 +179,7 @@ def build_parser():
 
     p = sub.add_parser("reach", help="decide a reachability instance")
     p.add_argument("file")
-    p.add_argument("--mode", choices=sorted(MODES), default="lossy")
+    p.add_argument("--mode", choices=sorted(MODES), default=LOSSY)
     p.add_argument("--method", choices=["explore", "pipeline"], default="explore")
     p.add_argument("--bound", type=int, default=4,
                    help="channel length bound for the explorer/oracle")

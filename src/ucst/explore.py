@@ -14,7 +14,6 @@ from itertools import product
 from .errors import InputError
 from .model import (
     LOSSY,
-    SENDER,
     Configuration,
     Run,
     successors,

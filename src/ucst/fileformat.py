@@ -9,9 +9,9 @@ carry a `stage:` header, which lifts that restriction on re-parsing.
 from .errors import InputError
 from .model import Action, ReachInstance, Rule, Ucst, classify_tests
 from .pep import PepInstance
-from .regdata import EPSILON, Nfa, language_equal, parse_regex, symkey
+from .reductions import RESERVED_SYMBOLS
+from .regdata import EPSILON, Nfa, language_equal, parse_regex
 
-RESERVED = ("z", "n", "#")
 _BAD_SYMBOL_CHARS = set("()|*+:!?=")
 
 
@@ -121,7 +121,7 @@ def _check_symbols(symbols, stage):
     for sym in symbols:
         if any(ch in _BAD_SYMBOL_CHARS or ch.isspace() for ch in sym):
             raise InputError(f"alphabet symbol {sym!r} uses reserved characters")
-        if stage is None and sym in RESERVED:
+        if stage is None and sym in RESERVED_SYMBOLS:
             raise InputError(
                 f"alphabet symbol {sym!r} is reserved for the reductions; rename it")
 

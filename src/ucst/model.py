@@ -10,6 +10,7 @@ for a write that loses its message at the moment of writing.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import FragmentError, InputError
 from .regdata import (
@@ -82,8 +83,7 @@ class Rule:
         return f"{self.source} -> {self.target} : {self.channel}{self.action}"
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     p: str
     q: str
     u: tuple  # contents of r
@@ -91,6 +91,11 @@ class Configuration:
 
     def __str__(self):
         return f"({self.p}, {self.q}, r={word_str(self.u)}, l={word_str(self.v)})"
+
+
+# builds a Configuration from a 4-tuple without NamedTuple's Python-level
+# __new__; `successors` makes millions of them
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,8 @@ class Run:
 class Ucst:
     """A system: alphabet, disjoint Sender/Receiver state sets, and rules.
 
-    Immutable by convention; successor indexes are precomputed.
+    Immutable by convention; compiled once into a move table per source
+    state, in rule-id order, for `successors`.
     """
 
     def __init__(self, alphabet, sender_states, receiver_states,
@@ -130,13 +136,19 @@ class Ucst:
         self.rules = self.sender_rules + self.receiver_rules
         self.n_sender_rules = len(self.sender_rules)
         self._check()
-        self._sender_by_source = {}
-        self._receiver_by_source = {}
-        for i, rule in enumerate(self.sender_rules):
-            self._sender_by_source.setdefault(rule.source, []).append((i, rule))
-        for j, rule in enumerate(self.receiver_rules):
-            rid = self.n_sender_rules + j
-            self._receiver_by_source.setdefault(rule.source, []).append((rid, rule))
+        self._sender_set = frozenset(self.sender_states)
+        self._receiver_set = frozenset(self.receiver_states)
+        # entries (rule id, kind, acts on r, letter or test membership,
+        # target); Sender reads and Receiver writes never fire and are left out
+        moves = {state: [] for state in self.sender_states + self.receiver_states}
+        for rid, rule in enumerate(self.rules):
+            act = rule.action
+            if act.kind == ("read" if rid < self.n_sender_rules else "write"):
+                continue
+            arg = act.lang.accepts if act.kind == "test" else act.msg
+            moves[rule.source].append(
+                (rid, act.kind, rule.channel == R, arg, rule.target))
+        self._moves = {state: tuple(entries) for state, entries in moves.items()}
 
     def _check(self):
         senders, receivers = set(self.sender_states), set(self.receiver_states)
@@ -284,50 +296,9 @@ def classify_tests(s):
 
 # -- step semantics ------------------------------------------------------------
 
-def _fire(rule, agent, c):
-    """Resulting configuration if `rule` is enabled at `c`, else None."""
-    if agent == SENDER:
-        if rule.source != c.p:
-            return None
-        p2, q2 = rule.target, c.q
-    else:
-        if rule.source != c.q:
-            return None
-        p2, q2 = c.p, rule.target
-    act = rule.action
-    u, v = c.u, c.v
-    if act.kind == "nop":
-        return Configuration(p2, q2, u, v)
-    content = u if rule.channel == R else v
-    if act.kind == "test":
-        if not act.lang.accepts(content):
-            return None
-        return Configuration(p2, q2, u, v)
-    if act.kind == "write":
-        if agent != SENDER:
-            return None
-        new = content + (act.msg,)
-    else:  # read
-        if agent != RECEIVER:
-            return None
-        if not content or content[0] != act.msg:
-            return None
-        new = content[1:]
-    if rule.channel == R:
-        return Configuration(p2, q2, new, v)
-    return Configuration(p2, q2, u, new)
-
-
 def loss_results(v):
     """Distinct single-symbol losses of v, ordered by deleted position."""
-    seen = []
-    out = []
-    for i in range(len(v)):
-        smaller = v[:i] + v[i + 1:]
-        if smaller not in seen:
-            seen.append(smaller)
-            out.append(smaller)
-    return out
+    return list(dict.fromkeys(v[:i] + v[i + 1:] for i in range(len(v))))
 
 
 def successors(s, c, mode=LOSSY):
@@ -339,30 +310,39 @@ def successors(s, c, mode=LOSSY):
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    if c.p not in s.sender_states or c.q not in s.receiver_states:
+    p, q, u, v = c
+    if p not in s._sender_set or q not in s._receiver_set:
         raise InputError("configuration states not in system")
+    drop_writes = mode == WRITE_LOSSY
     out = []
-    for rid, rule in s._sender_by_source.get(c.p, ()):
-        nxt = _fire(rule, SENDER, c)
-        if nxt is not None:
-            out.append((rid, nxt))
-            if (mode == WRITE_LOSSY and rule.action.kind == "write"
-                    and rule.channel == L):
-                out.append((("wrlo", rid), Configuration(rule.target, c.q, c.u, c.v)))
-    for rid, rule in s._receiver_by_source.get(c.q, ()):
-        nxt = _fire(rule, RECEIVER, c)
-        if nxt is not None:
-            out.append((rid, nxt))
+    for rid, kind, on_r, arg, target in s._moves[p]:
+        if kind == "write":
+            if on_r:
+                out.append((rid, _new(Configuration, (target, q, u + (arg,), v))))
+            else:
+                out.append((rid, _new(Configuration, (target, q, u, v + (arg,)))))
+                if drop_writes:
+                    out.append((("wrlo", rid), _new(Configuration, (target, q, u, v))))
+        elif kind == "nop" or arg(u if on_r else v):
+            out.append((rid, _new(Configuration, (target, q, u, v))))
+    for rid, kind, on_r, arg, target in s._moves[q]:
+        if kind == "read":
+            content = u if on_r else v
+            if content and content[0] == arg:
+                rest = content[1:]
+                out.append((rid, _new(Configuration, (p, target, rest, v) if on_r
+                                      else (p, target, u, rest))))
+        elif kind == "nop" or arg(u if on_r else v):
+            out.append((rid, _new(Configuration, (p, target, u, v))))
     if mode == LOSSY:
-        for smaller in loss_results(c.v):
-            out.append((LOSS, Configuration(c.p, c.q, c.u, smaller)))
+        out += [(LOSS, _new(Configuration, (p, q, u, w))) for w in loss_results(v)]
     return out
 
 
 def first_invalid_step(s, run, mode=LOSSY):
     """Index of the first step not generated by `successors`, or None."""
     cur = run.start
-    if cur.p not in s.sender_states or cur.q not in s.receiver_states:
+    if cur.p not in s._sender_set or cur.q not in s._receiver_set:
         return 0
     for i, (label, nxt) in enumerate(run.steps):
         if (label, nxt) not in successors(s, cur, mode):

@@ -206,7 +206,7 @@ class PreSolutionContext:
         return out
 
 
-def _path_ok(system, rules_word, start, goal, sender_side):
+def _path_ok(rules_word, start, goal):
     cur = start
     for rule in rules_word:
         if rule.source != cur:
@@ -217,15 +217,14 @@ def _path_ok(system, rules_word, start, goal, sender_side):
 
 def is_pre_solution(ctx, word):
     """(ok, first violated condition tag or None)."""
-    system = ctx.instance.system
     for a in word:
         if a not in ctx.rule_ids:
             raise InputError(f"letter {a!r} not in this context")
     sender_rules = [ctx.rule(a) for a in word if ctx.agent(a) == SENDER]
     receiver_rules = [ctx.rule(a) for a in word if ctx.agent(a) != SENDER]
-    if not _path_ok(system, sender_rules, ctx.instance.p_in, ctx.instance.p_fi, True):
+    if not _path_ok(sender_rules, ctx.instance.p_in, ctx.instance.p_fi):
         return False, "c1"
-    if not _path_ok(system, receiver_rules, ctx.instance.q_in, ctx.instance.q_fi, False):
+    if not _path_ok(receiver_rules, ctx.instance.q_in, ctx.instance.q_fi):
         return False, "c1"
     if ctx.project(ctx.read_r, word) != ctx.project(ctx.write_r, word):
         return False, "c2"

@@ -26,14 +26,21 @@ def test_language(label, alphabet, sym=None):
     if label == "Odd":
         return odd_length_test(alphabet)
     if label == "H":
+        if sym is None:
+            raise ValueError("a head test needs its head letter")
         return head_test(sym, alphabet)
     raise ValueError(f"unknown test label {label!r}")
 
 
+def _test_action(rng, alphabet, tests):
+    label, channel = rng.choice(tests)
+    sym = rng.choice(alphabet) if label == "H" else None
+    return channel, Action.test(test_language(label, alphabet, sym))
+
+
 def _sender_action(rng, alphabet, tests, test_weight):
     if tests and rng.random() < test_weight:
-        label, channel = rng.choice(tests)
-        return channel, Action.test(test_language(label, alphabet))
+        return _test_action(rng, alphabet, tests)
     if rng.random() < 0.8:
         return rng.choice((R, L)), Action.write(rng.choice(alphabet))
     return R, Action.nop()
@@ -41,8 +48,7 @@ def _sender_action(rng, alphabet, tests, test_weight):
 
 def _receiver_action(rng, alphabet, tests, test_weight):
     if tests and rng.random() < test_weight:
-        label, channel = rng.choice(tests)
-        return channel, Action.test(test_language(label, alphabet))
+        return _test_action(rng, alphabet, tests)
     if rng.random() < 0.85:
         return rng.choice((R, L)), Action.read(rng.choice(alphabet))
     return R, Action.nop()

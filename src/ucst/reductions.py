@@ -26,7 +26,7 @@ from .model import (
     nonemptiness_test,
 )
 from .pep import PepInstance, PreSolutionContext
-from .regdata import Dfa, Nfa, language_equal, subword, symkey
+from .regdata import Dfa, Nfa, subword, symkey
 
 RESERVED_SYMBOLS = ("z", "n", "#")
 
@@ -46,7 +46,8 @@ class _Names:
 
 
 def _is_eps_language(nfa):
-    return language_equal(nfa, Nfa.literal((), nfa.alphabet))
+    """L(nfa) is exactly {ε}: ε is accepted and no longer word is."""
+    return nfa.accepts(()) and not nfa.has_word_longer_than(0)
 
 
 def _require_reserved_free(alphabet, symbols):

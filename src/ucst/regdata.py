@@ -30,7 +30,8 @@ def word_str(word):
 class Nfa:
     """Nondeterministic finite automaton with optional epsilon moves."""
 
-    __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions")
+    __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions",
+                 "_steps")
 
     def __init__(self, alphabet, n_states, initial, accepting, transitions):
         alphabet = tuple(dict.fromkeys(alphabet))
@@ -50,6 +51,7 @@ class Nfa:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", accepting)
         object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "_steps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Nfa is immutable")
@@ -111,17 +113,25 @@ class Nfa:
         return out
 
     def accepts(self, word):
-        """Membership test; symbols outside the alphabet are an input error."""
-        sigma = set(self.alphabet)
+        """Membership test; symbols outside the alphabet are an input error.
+
+        Subset steps are memoized on the automaton as they are first taken:
+        (state set, letter) -> next state set.  A letter is checked against
+        the alphabet when its step is first computed, so the whole word is
+        always checked, even past a dead state set.
+        """
+        if self._steps is None:
+            object.__setattr__(self, "_steps", (self._eps_closure(self.initial), {}))
+        cur, steps = self._steps
         for sym in word:
-            if sym not in sigma:
-                raise InputError(f"word symbol {sym!r} not in alphabet")
-        cur = self._eps_closure(self.initial)
-        for sym in word:
-            cur = self._eps_closure(self._move(cur, sym))
-            if not cur:
-                return False
-        return bool(cur & self.accepting)
+            key = (cur, sym)
+            nxt = steps.get(key)
+            if nxt is None:
+                if sym not in self.alphabet:
+                    raise InputError(f"word symbol {sym!r} not in alphabet")
+                nxt = steps[key] = self._eps_closure(self._move(cur, sym))
+            cur = nxt
+        return not cur.isdisjoint(self.accepting)
 
     def is_empty(self):
         adj = {}

@@ -88,3 +88,21 @@ def make_fig1_system():
 @pytest.fixture(scope="session")
 def fig1():
     return make_fig1_system()
+
+
+def _random_nfa(rng, alphabet, max_states=4):
+    """Small random automaton with epsilon moves (symbol None)."""
+    n = rng.randint(1, max_states)
+    symbols = tuple(alphabet) + (None,)
+    trans = [(rng.randrange(n), rng.choice(symbols), rng.randrange(n))
+             for _ in range(rng.randint(0, 2 * n + 1))]
+    initial = {rng.randrange(n)}
+    accepting = {s for s in range(n) if rng.random() < 0.4}
+    return Nfa(alphabet, n, initial, accepting, trans)
+
+
+@pytest.fixture(scope="session")
+def random_nfa():
+    """Factory: random_nfa(rng, alphabet) draws a small automaton with
+    epsilon moves."""
+    return _random_nfa

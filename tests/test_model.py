@@ -27,6 +27,7 @@ from ucst.model import (
     to_head_lossy,
     validate_run,
 )
+from ucst import randomgen
 from ucst.randomgen import random_lossy_run, random_ucst
 from ucst.regdata import Nfa, parse_regex
 
@@ -72,6 +73,126 @@ class TestSuccessors:
             successors(fig6, Configuration("nope", "q_in", (), ()), LOSSY)
 
 
+def make_every_kind_system():
+    """Every rule kind on both channels for both agents, tests included.
+
+    Sender ids: 0 l!a, 1 r?a, 2 r!b, 3 l=head(a), 4 r=empty, 5 l?b, 6 nop
+    (all from p0), 7 p1 l!b.  Receiver ids: 8 r?a, 9 l!a, 10 l?a,
+    11 r=nonempty, 12 l=even, 13 nop, 14 r!b (all from q0), 15 q1 r?b.
+    The Sender reads (1, 5) and Receiver writes (9, 14) never fire.
+    """
+    m = ("a", "b")
+    srules = [
+        Rule("p0", "l", Action.write("a"), "p1"),
+        Rule("p0", "r", Action.read("a"), "p1"),
+        Rule("p0", "r", Action.write("b"), "p1"),
+        Rule("p0", "l", Action.test(head_test("a", m)), "p1"),
+        Rule("p0", "r", Action.test(emptiness_test(m)), "p0"),
+        Rule("p0", "l", Action.read("b"), "p1"),
+        Rule("p0", "r", Action.nop(), "p1"),
+        Rule("p1", "l", Action.write("b"), "p0"),
+    ]
+    rrules = [
+        Rule("q0", "r", Action.read("a"), "q1"),
+        Rule("q0", "l", Action.write("a"), "q1"),
+        Rule("q0", "l", Action.read("a"), "q1"),
+        Rule("q0", "r", Action.test(nonemptiness_test(m)), "q1"),
+        Rule("q0", "l", Action.test(even_length_test(m)), "q0"),
+        Rule("q0", "r", Action.nop(), "q1"),
+        Rule("q0", "r", Action.write("b"), "q1"),
+        Rule("q1", "r", Action.read("b"), "q0"),
+    ]
+    return Ucst(m, ("p0", "p1"), ("q0", "q1"), srules, rrules)
+
+
+def w(text):
+    return tuple(text)
+
+
+C = Configuration
+
+
+class TestSuccessorKernel:
+    """Exact successor lists (labels, configurations, order) per mode."""
+
+    def succ(self, c, mode):
+        return successors(make_every_kind_system(), c, mode)
+
+    def test_empty_channels(self):
+        c = C("p0", "q0", (), ())
+        rules = [
+            (0, C("p1", "q0", (), w("a"))),
+            (2, C("p1", "q0", w("b"), ())),
+            (4, C("p0", "q0", (), ())),
+            (6, C("p1", "q0", (), ())),
+            (12, C("p0", "q0", (), ())),
+            (13, C("p0", "q1", (), ())),
+        ]
+        assert self.succ(c, RELIABLE) == rules
+        assert self.succ(c, LOSSY) == rules
+        assert self.succ(c, WRITE_LOSSY) == (
+            rules[:1] + [(("wrlo", 0), C("p1", "q0", (), ()))] + rules[1:])
+
+    def test_full_channels(self):
+        c = C("p0", "q0", w("ab"), w("abb"))
+        rules = [
+            (0, C("p1", "q0", w("ab"), w("abba"))),
+            (2, C("p1", "q0", w("abb"), w("abb"))),
+            (3, C("p1", "q0", w("ab"), w("abb"))),
+            (6, C("p1", "q0", w("ab"), w("abb"))),
+            (8, C("p0", "q1", w("b"), w("abb"))),
+            (10, C("p0", "q1", w("ab"), w("bb"))),
+            (11, C("p0", "q1", w("ab"), w("abb"))),
+            (13, C("p0", "q1", w("ab"), w("abb"))),
+        ]
+        assert self.succ(c, RELIABLE) == rules
+        # deleting either b gives the same word: one loss step for both
+        assert self.succ(c, LOSSY) == rules + [
+            (LOSS, C("p0", "q0", w("ab"), w("bb"))),
+            (LOSS, C("p0", "q0", w("ab"), w("ab"))),
+        ]
+        assert self.succ(c, WRITE_LOSSY) == (
+            rules[:1] + [(("wrlo", 0), C("p1", "q0", w("ab"), w("abb")))]
+            + rules[1:])
+
+    def test_second_states(self):
+        c = C("p1", "q1", w("b"), w("b"))
+        rules = [
+            (7, C("p0", "q1", w("b"), w("bb"))),
+            (15, C("p1", "q0", (), w("b"))),
+        ]
+        assert self.succ(c, RELIABLE) == rules
+        assert self.succ(c, LOSSY) == rules + [(LOSS, C("p1", "q1", w("b"), ()))]
+        assert self.succ(c, WRITE_LOSSY) == (
+            rules[:1] + [(("wrlo", 7), C("p0", "q1", w("b"), w("b")))] + rules[1:])
+
+    def test_tests_that_fail(self):
+        # head(a) fails on l = b, r-empty fails, r-nonempty fails on r = eps,
+        # even fails on |l| = 1
+        c = C("p0", "q0", (), w("b"))
+        assert self.succ(c, RELIABLE) == [
+            (0, C("p1", "q0", (), w("ba"))),
+            (2, C("p1", "q0", w("b"), w("b"))),
+            (4, C("p0", "q0", (), w("b"))),
+            (6, C("p1", "q0", (), w("b"))),
+            (13, C("p0", "q1", (), w("b"))),
+        ]
+
+    def test_bad_mode_and_states(self):
+        s = make_every_kind_system()
+        with pytest.raises(InputError):
+            successors(s, C("p0", "q0", (), ()), "sometimes-lossy")
+        with pytest.raises(InputError):
+            successors(s, C("q0", "p0", (), ()), LOSSY)
+
+    def test_configuration_fields_and_str(self):
+        c = C("p0", "q1", w("ab"), ())
+        assert Configuration._fields == ("p", "q", "u", "v")
+        assert (c.p, c.q, c.u, c.v) == ("p0", "q1", w("ab"), ())
+        assert c == Configuration(p="p0", q="q1", u=w("ab"), v=())
+        assert str(c) == "(p0, q1, r=a.b, l=<eps>)"
+
+
 class TestClassify:
     def test_standard_labels(self):
         m = ("a", "b")
@@ -100,6 +221,23 @@ class TestClassify:
         assert report.only_z1l() and report.only_z1()
         assert not report.has_receiver_tests()
         assert report.within({"Z"})
+
+
+class TestRandomHeadTests:
+    def test_drawn_head_tests_classify_as_head(self):
+        rng = random.Random(29)
+        heads = set()
+        for _ in range(10):
+            s = random_ucst(rng, sender_tests=(("H", "l"),), test_weight=0.6)
+            for test in classify_tests(s).tests:
+                assert test.label == "H" and test.channel == "l"
+                heads.add(test.head_sym)
+        assert heads == {"a", "b"}
+
+    def test_head_language_needs_its_letter(self):
+        with pytest.raises(ValueError):
+            randomgen.test_language("H", ("a", "b"))
+        assert randomgen.test_language("H", ("a", "b"), "b").accepts(("b", "a"))
 
 
 class TestValidateRun:

@@ -19,6 +19,7 @@ from ucst.pep import PepInstance, enumerate_solutions, is_pre_solution
 from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import (
     UpwardClosedSet,
+    _is_eps_language,
     bounded_oracle,
     bridge_context,
     decide_eereach_z1,
@@ -63,6 +64,22 @@ class TestUpwardClosedSet:
     def test_rejects_nonempty_r(self):
         with pytest.raises(InputError):
             UpwardClosedSet.of([Configuration("p", "q", ("a",), ())])
+
+
+class TestIsEpsLanguage:
+    def test_against_language_equal(self, random_nfa):
+        m = ("a", "b")
+        rng = random.Random(3301)
+        langs = [eps(m), Nfa(m, 3, {0}, {0}, [(0, "a", 1), (1, None, 2)]),
+                 Nfa.nothing(m).star(), parse_regex("EPS | EPS EPS", m),
+                 parse_regex("a*", m), Nfa.nothing(m), Nfa.all_words(m)]
+        langs += [random_nfa(rng, m) for _ in range(400)]
+        positives = 0
+        for lang in langs:
+            expected = language_equal(lang, Nfa.literal((), m))
+            assert _is_eps_language(lang) == expected, lang
+            positives += expected
+        assert 20 <= positives <= len(langs) - 20
 
 
 def zn_system():

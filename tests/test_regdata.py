@@ -1,8 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from ucst.errors import InputError
+from ucst.model import (
+    emptiness_test,
+    even_length_test,
+    head_test,
+    nonemptiness_test,
+    odd_length_test,
+)
 from ucst.regdata import (
     Nfa,
     language_equal,
@@ -65,6 +73,42 @@ class TestMembership:
         eps = parse_regex("EPS", AB)
         with pytest.raises(InputError):
             eps.accepts(t("x"))
+
+
+class TestMembershipMemo:
+    """`accepts` memoizes subset steps on the automaton."""
+
+    def test_agrees_with_determinized(self, random_nfa):
+        langs = [emptiness_test(AB), nonemptiness_test(AB),
+                 even_length_test(AB), odd_length_test(AB),
+                 head_test("a", AB), head_test("b", AB)]
+        rng = random.Random(4417)
+        langs += [random_nfa(rng, AB) for _ in range(60)]
+        assert sum(any(sym is None for _, sym, _ in lang.transitions)
+                   for lang in langs[6:]) >= 20
+        for lang in langs:
+            dfa = lang.determinize()
+            for word in words_over(AB, 6):
+                assert lang.accepts(word) == dfa.accepts(word), (lang, word)
+            # a second pass answers from the warm memo
+            for word in words_over(AB, 6):
+                assert lang.accepts(word) == dfa.accepts(word), (lang, word)
+
+    def test_symbol_outside_alphabet_cold_and_warm(self):
+        lang = parse_regex("a b*", AB)
+        with pytest.raises(InputError):
+            lang.accepts(t("c"))
+        for word in words_over(AB, 4):
+            lang.accepts(word)
+        for bad in [t("c"), t("ac"), t("abc"), t("bc"), t("bbc"), (None,)]:
+            with pytest.raises(InputError):
+                lang.accepts(bad)
+
+    def test_symbol_outside_alphabet_after_dead_prefix(self):
+        lang = Nfa.literal(t("a"), AB)
+        assert not lang.accepts(t("bb"))  # warms the dead state set on b
+        with pytest.raises(InputError):
+            lang.accepts(t("bbc"))
 
 
 class TestBooleanOps:
