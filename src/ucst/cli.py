@@ -221,6 +221,11 @@ def main(argv=None):
     except (InputError, OracleInconclusive, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RuntimeError as exc:
+        # a failed replay or stabilization is a fault of the toolkit, not of
+        # the input; it still ends in exit code 2, not a traceback
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

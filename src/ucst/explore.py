@@ -1,13 +1,12 @@
 """Bounded explicit-state oracle: forward/backward reachability and lassos.
 
-All searches prune configurations whose channel contents exceed the bound
-(pruned successors are discarded, never truncated, so every witness is a
-genuine run).  A certified "unreachable" verdict is only produced when the
-closure finished without pruning anything, including the enumeration of
-initial words.
+All searches run one breadth-first core, `_bfs`, which prunes configurations
+whose channel contents exceed the bound (pruned successors are discarded,
+never truncated, so every witness is a genuine run).  A certified
+"unreachable" verdict is only produced when the closure finished without
+pruning anything, including the enumeration of initial words.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -73,83 +72,83 @@ def _initial_configs(inst, bound):
     return configs, dropped
 
 
-def _rebuild_run(parents, start_set, final):
+def _bfs(starts, step, k, goal=None, max_depth=0, max_nodes=None):
+    """Layered breadth-first search over configurations whose channels fit in `k`.
+
+    `step(c)` yields (label, successor) pairs; successors beyond the bound are
+    discarded.  Returns (parents, hit, stop).  `parents` maps each configuration
+    found, in discovery order, to (label, predecessor), or to None for a start;
+    `hit` is the first configuration satisfying `goal`, else None.  `stop` is
+    "target", "closure" (nothing new and nothing discarded), "length-bound"
+    (nothing new, but some successor was discarded), "step-bound" (a layer
+    remains after `max_depth` expansions; 0 = no limit) or "budget" (a new
+    configuration found with `max_nodes` already known).
+    """
+    parents = {}
+    for c in starts:
+        if len(c.u) <= k and len(c.v) <= k and c not in parents:
+            parents[c] = None
+            if goal is not None and goal(c):
+                return parents, c, "target"
+    frontier = list(parents)
+    pruned = False
+    depth = 0
+    while frontier:
+        if max_depth and depth == max_depth:
+            return parents, None, "step-bound"
+        depth += 1
+        nxt = []
+        for c in frontier:
+            for label, succ in step(c):
+                if len(succ.u) > k or len(succ.v) > k:
+                    pruned = True
+                    continue
+                if succ in parents:
+                    continue
+                if max_nodes is not None and len(parents) >= max_nodes:
+                    return parents, None, "budget"
+                parents[succ] = (label, c)
+                if goal is not None and goal(succ):
+                    return parents, succ, "target"
+                nxt.append(succ)
+        frontier = nxt
+    return parents, None, "length-bound" if pruned else "closure"
+
+
+def _path(parents, end):
+    """The run from a start of `_bfs` to `end`, along the recorded parents."""
     steps = []
-    cur = final
-    while cur not in start_set:
-        label, prev = parents[cur]
-        steps.append((label, cur))
-        cur = prev
+    while parents[end] is not None:
+        label, prev = parents[end]
+        steps.append((label, end))
+        end = prev
     steps.reverse()
-    return Run(cur, tuple(steps))
+    return Run(end, tuple(steps))
 
 
 def bounded_reach(inst, bound, mode=LOSSY):
     """Layer-synchronous BFS from the initial constraint to the final one."""
-    k = bound.max_channel_len
+    s = inst.system
     initials, dropped = _initial_configs(inst, bound)
-    pruned = dropped
 
     def is_target(c):
         return (c.p == inst.p_fi and c.q == inst.q_fi
                 and inst.Up.accepts(c.u) and inst.Vp.accepts(c.v))
 
-    start_set = set(initials)
-    parents = {}
-    frontier = list(dict.fromkeys(initials))
-    seen = set(frontier)
-    for c in frontier:
-        if is_target(c):
-            return Verdict(REACHABLE, Run(c))
-    depth = 0
-    truncated = False
-    while frontier:
-        depth += 1
-        if bound.max_steps and depth > bound.max_steps:
-            truncated = True
-            break
-        nxt = []
-        for c in frontier:
-            for label, succ in successors(inst.system, c, mode):
-                if len(succ.u) > k or len(succ.v) > k:
-                    pruned = True
-                    continue
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                parents[succ] = (label, c)
-                if is_target(succ):
-                    return Verdict(REACHABLE, _rebuild_run(parents, start_set, succ))
-                nxt.append(succ)
-        frontier = nxt
-    if pruned or truncated:
+    parents, hit, stop = _bfs(initials, lambda c: successors(s, c, mode),
+                              bound.max_channel_len, is_target, bound.max_steps)
+    if hit is not None:
+        return Verdict(REACHABLE, _path(parents, hit))
+    if dropped or stop != "closure":
         return Verdict(NOT_WITHIN_BOUND)
     return Verdict(UNREACHABLE)
 
 
 def reachable_set(s, starts, bound, mode=LOSSY):
     """All configurations reachable from `starts` within the channel bound."""
-    k = bound.max_channel_len
-    seen = set()
-    frontier = []
-    for c in starts:
-        if len(c.u) <= k and len(c.v) <= k and c not in seen:
-            seen.add(c)
-            frontier.append(c)
-    depth = 0
-    while frontier:
-        depth += 1
-        if bound.max_steps and depth > bound.max_steps:
-            break
-        nxt = []
-        for c in frontier:
-            for _, succ in successors(s, c, mode):
-                if len(succ.u) > k or len(succ.v) > k or succ in seen:
-                    continue
-                seen.add(succ)
-                nxt.append(succ)
-        frontier = nxt
-    return seen
+    parents, _, _ = _bfs(starts, lambda c: successors(s, c, mode),
+                         bound.max_channel_len, max_depth=bound.max_steps)
+    return set(parents)
 
 
 def all_bounded_configs(s, bound):
@@ -175,22 +174,16 @@ def bounded_coreach(s, targets, bound, mode=LOSSY):
     space = all_bounded_configs(s, bound)
     rev = {}
     for c in space:
-        for _, succ in successors(s, c, mode):
-            if len(succ.u) <= bound.max_channel_len and len(succ.v) <= bound.max_channel_len:
-                rev.setdefault(succ, []).append(c)
-    result = set(c for c in space if targets(c))
-    frontier = deque(result)
-    while frontier:
-        c = frontier.popleft()
-        for prev in rev.get(c, ()):
-            if prev not in result:
-                result.add(prev)
-                frontier.append(prev)
-    return result
+        for label, succ in successors(s, c, mode):
+            rev.setdefault(succ, []).append((label, c))
+    parents, _, _ = _bfs([c for c in space if targets(c)],
+                         lambda c: rev.get(c, ()), bound.max_channel_len)
+    return set(parents)
 
 
 def _tarjan_sccs(nodes, adj):
-    """Iterative Tarjan; returns list of SCCs in a deterministic order."""
+    """Iterative Tarjan over `adj`: node -> (label, successor) pairs; returns
+    the list of SCCs in a deterministic order."""
     index = {}
     low = {}
     on_stack = set()
@@ -208,7 +201,7 @@ def _tarjan_sccs(nodes, adj):
         while work:
             node, it = work[-1]
             advanced = False
-            for succ in it:
+            for _, succ in it:
                 if succ not in index:
                     index[succ] = low[succ] = counter[0]
                     counter[0] += 1
@@ -241,87 +234,35 @@ def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):
     """Search for a stem plus a cycle through a configuration with control
     pair (p, q) inside the bounded graph; None when not found."""
     k = bound.max_channel_len
-    start = Configuration(p_in, q_in, (), ())
-    seen = {start}
-    order = [start]
     adj = {}
-    edge_label = {}
-    frontier = deque([start])
-    capped = False
-    while frontier:
-        c = frontier.popleft()
-        outs = []
-        for label, succ in successors(s, c, mode):
-            if len(succ.u) > k or len(succ.v) > k:
-                continue
-            outs.append(succ)
-            edge_label[(c, succ)] = label
-            if succ not in seen:
-                if max_states is not None and len(seen) >= max_states:
-                    capped = True
-                    continue
-                seen.add(succ)
-                order.append(succ)
-                frontier.append(succ)
-        adj[c] = outs
-    if capped:
+
+    def step(c):
+        adj[c] = [(label, succ) for label, succ in successors(s, c, mode)
+                  if len(succ.u) <= k and len(succ.v) <= k]
+        return adj[c]
+
+    start = Configuration(p_in, q_in, (), ())
+    parents, _, stop = _bfs([start], step, k, max_nodes=max_states)
+    if stop == "budget":
         return None
-    for scc in _tarjan_sccs(order, adj):
+    for scc in _tarjan_sccs(parents, adj):
+        if len(scc) == 1 and all(succ != scc[0] for _, succ in adj[scc[0]]):
+            continue
+        anchor = next((c for c in scc if c.p == p and c.q == q), None)
+        if anchor is None:
+            continue
+        # shortest cycle: the nearest of the anchor's successors in its SCC
         members = set(scc)
-        has_cycle = len(scc) > 1 or any(c in adj.get(c, ()) for c in scc)
-        if not has_cycle:
-            continue
-        anchors = [c for c in scc if c.p == p and c.q == q]
-        if not anchors:
-            continue
-        anchor = anchors[0]
-        stem = _bfs_path(adj, edge_label, start, anchor, within=None)
-        cycle = _cycle_through(adj, edge_label, anchor, members)
-        return LassoWitness(stem, cycle)
+        found, hit, _ = _bfs([succ for _, succ in adj[anchor] if succ in members],
+                             lambda c: [e for e in adj[c] if e[1] in members],
+                             k, goal=lambda c: c == anchor)
+        if hit is None:
+            raise RuntimeError("anchor has no cycle inside its SCC")
+        back = _path(found, anchor)
+        label = next(lab for lab, succ in adj[anchor] if succ == back.start)
+        return LassoWitness(_path(parents, anchor),
+                            Run(anchor, ((label, back.start),) + back.steps))
     return None
-
-
-def _bfs_path(adj, edge_label, start, goal, within):
-    if start == goal:
-        return Run(start)
-    parents = {start: None}
-    frontier = deque([start])
-    while frontier:
-        c = frontier.popleft()
-        for succ in adj.get(c, ()):
-            if within is not None and succ not in within:
-                continue
-            if succ in parents:
-                continue
-            parents[succ] = c
-            if succ == goal:
-                steps = []
-                cur = succ
-                while parents[cur] is not None:
-                    prev = parents[cur]
-                    steps.append((edge_label[(prev, cur)], cur))
-                    cur = prev
-                steps.reverse()
-                return Run(start, tuple(steps))
-            frontier.append(succ)
-    raise RuntimeError("path requested between unconnected configurations")
-
-
-def _cycle_through(adj, edge_label, anchor, members):
-    """Shortest nonempty cycle anchor -> ... -> anchor inside one SCC."""
-    best = None
-    for succ in adj.get(anchor, ()):
-        if succ not in members:
-            continue
-        if succ == anchor:
-            return Run(anchor, ((edge_label[(anchor, anchor)], anchor),))
-        back = _bfs_path(adj, edge_label, succ, anchor, within=members)
-        candidate = Run(anchor, ((edge_label[(anchor, succ)], succ),) + back.steps)
-        if best is None or len(candidate) < len(best):
-            best = candidate
-    if best is None:
-        raise RuntimeError("anchor has no cycle inside its SCC")
-    return best
 
 
 def ucs_recurrent_decide(s, p_in, q_in, p, q, reach_oracle):

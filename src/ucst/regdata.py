@@ -90,13 +90,18 @@ class Nfa:
 
     # -- basic queries ---------------------------------------------------------
 
-    def _eps_closure(self, states):
-        seen = set(states)
-        stack = list(states)
+    def _eps_map(self):
+        """state -> targets of its epsilon moves, for `_eps_closure`."""
         eps = {}
         for src, sym, dst in self.transitions:
             if sym is EPSILON:
                 eps.setdefault(src, []).append(dst)
+        return eps
+
+    @staticmethod
+    def _eps_closure(states, eps):
+        seen = set(states)
+        stack = list(states)
         while stack:
             s = stack.pop()
             for t in eps.get(s, ()):
@@ -121,7 +126,8 @@ class Nfa:
         always checked, even past a dead state set.
         """
         if self._steps is None:
-            object.__setattr__(self, "_steps", (self._eps_closure(self.initial), {}))
+            object.__setattr__(self, "_steps",
+                               (self._eps_closure(self.initial, self._eps_map()), {}))
         cur, steps = self._steps
         for sym in word:
             key = (cur, sym)
@@ -129,7 +135,8 @@ class Nfa:
             if nxt is None:
                 if sym not in self.alphabet:
                     raise InputError(f"word symbol {sym!r} not in alphabet")
-                nxt = steps[key] = self._eps_closure(self._move(cur, sym))
+                nxt = steps[key] = self._eps_closure(self._move(cur, sym),
+                                                     self._eps_map())
             cur = nxt
         return not cur.isdisjoint(self.accepting)
 
@@ -149,7 +156,8 @@ class Nfa:
 
     def normalize(self):
         """Epsilon-free, reachable-only copy with BFS state numbering."""
-        closure = {s: self._eps_closure({s}) for s in range(self.n_states)}
+        eps = self._eps_map()
+        closure = {s: self._eps_closure({s}, eps) for s in range(self.n_states)}
         by_src = {}
         for src, sym, dst in self.transitions:
             if sym is not EPSILON:
@@ -306,7 +314,9 @@ class Nfa:
 
     def quotient(self, sym):
         """Left quotient sym⁻¹L: the words w with sym.w in L."""
-        after = self._eps_closure(self._move(self._eps_closure(self.initial), sym))
+        eps = self._eps_map()
+        start = self._eps_closure(self.initial, eps)
+        after = self._eps_closure(self._move(start, sym), eps)
         return Nfa(self.alphabet, self.n_states, after, self.accepting, self.transitions)
 
     def upward_closure(self):

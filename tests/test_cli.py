@@ -1,6 +1,7 @@
 import pytest
 
 from ucst.cli import main
+from ucst.errors import ReplayError
 from ucst.fileformat import parse_pep, parse_ucst
 from ucst.model import LOSSY, validate_run
 from tests.test_fileformat import FIG6_TEXT
@@ -59,6 +60,16 @@ class TestReach:
         path.write_text("alphabet: a\n")
         assert main(["reach", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_internal_replay_failure_exits_2(self, fig6_file, capsys, monkeypatch):
+        def fail(ctx, word):
+            raise ReplayError(3, "rule 4 not enabled")
+
+        monkeypatch.setattr("ucst.cli.run_from_postpone_stable", fail)
+        code = main(["reach", fig6_file, "--method", "pipeline", "--pep-len", "6"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal: replay failed at position 3")
 
     def test_saturation_fallback_for_r_tests(self, tmp_path, capsys):
         text = """\

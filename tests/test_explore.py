@@ -17,6 +17,7 @@ from ucst.explore import (
     reachable_set,
     ucs_recurrent_decide,
 )
+from ucst.generators import SemiThueSystem, gen_thue_recurrent
 from ucst.model import (
     LOSS,
     LOSSY,
@@ -33,6 +34,30 @@ from ucst.regdata import Nfa, parse_regex
 
 def eps(m):
     return Nfa.literal((), m)
+
+
+def chain(n):
+    """Sender p0 -> p1 -> ... -> pn by nops: the closure from p0 has its last
+    new configuration n steps away, and a step from pn finds nothing."""
+    m = ("a",)
+    states = tuple(f"p{i}" for i in range(n + 1)) + ("dead",)
+    rules = [Rule(f"p{i}", "r", Action.nop(), f"p{i + 1}") for i in range(n)]
+    return Ucst(m, states, ("q0",), rules, [])
+
+
+def l_writer():
+    """Sender p0 looping on l!a: l holds a^i after i steps, and no sooner."""
+    m = ("a",)
+    return Ucst(m, ("p0",), ("q0",), [Rule("p0", "l", Action.write("a"), "p0")], [])
+
+
+def self_loop_sender():
+    # a self-loop writing on l recycles configurations (write, then lose);
+    # a self-loop writing on r cannot, since r only grows
+    m = ("a",)
+    return Ucst(m, ("p0", "p"), ("q",),
+                [Rule("p0", "r", Action.nop(), "p"),
+                 Rule("p", "l", Action.write("a"), "p")], [])
 
 
 class TestBoundedReach:
@@ -93,6 +118,32 @@ class TestBoundedReach:
         verdict = bounded_reach(inst, Bound(2, 0), LOSSY)
         assert verdict.status == NOT_WITHIN_BOUND
 
+    def test_step_bound_counts_the_step_that_finds_nothing_new(self):
+        # the chain's closure ends at p2, two steps away; its third step
+        # expands p2 and finds nothing, and that step must fit in max_steps
+        s = chain(2)
+        m = s.alphabet
+        inst = ReachInstance(s, "p0", "dead", "q0", "q0",
+                             eps(m), eps(m), eps(m), eps(m))
+        assert bounded_reach(inst, Bound(2, 3), LOSSY).status == UNREACHABLE
+        assert bounded_reach(inst, Bound(2, 0), LOSSY).status == UNREACHABLE
+
+    def test_closure_needing_one_more_step_is_not_within_bound(self):
+        s = chain(2)
+        m = s.alphabet
+        inst = ReachInstance(s, "p0", "dead", "q0", "q0",
+                             eps(m), eps(m), eps(m), eps(m))
+        assert bounded_reach(inst, Bound(2, 2), LOSSY).status == NOT_WITHIN_BOUND
+
+    def test_target_on_the_last_allowed_step(self):
+        s = chain(3)
+        m = s.alphabet
+        inst = ReachInstance(s, "p0", "p3", "q0", "q0",
+                             eps(m), eps(m), eps(m), eps(m))
+        verdict = bounded_reach(inst, Bound(2, 3), LOSSY)
+        assert verdict.reachable and len(verdict.witness) == 3
+        assert bounded_reach(inst, Bound(2, 2), LOSSY).status == NOT_WITHIN_BOUND
+
     def test_monotone_in_bound(self):
         rng = random.Random(99)
         for _ in range(25):
@@ -115,6 +166,31 @@ class TestBoundedReach:
                 hits += 1
                 assert validate_run(s, verdict.witness, LOSSY)
         assert hits > 3
+
+
+class TestReachableSet:
+    def test_drops_starts_beyond_the_channel_bound(self):
+        s = l_writer()
+        far = Configuration("p0", "q0", (), ("a", "a", "a"))
+        near = Configuration("p0", "q0", (), ("a",))
+        # `far` is dropped, not shortened by losses into the bound
+        assert reachable_set(s, [far], Bound(2, 0), LOSSY) == set()
+        assert reachable_set(s, [far, near], Bound(2, 0), LOSSY) == {
+            Configuration("p0", "q0", (), ()),
+            Configuration("p0", "q0", (), ("a",)),
+            Configuration("p0", "q0", (), ("a", "a")),
+        }
+
+    def test_step_bound_keeps_exactly_the_configurations_within_n_steps(self):
+        s = l_writer()
+        start = Configuration("p0", "q0", (), ())
+
+        def within(n):
+            return {Configuration("p0", "q0", (), ("a",) * i) for i in range(n + 1)}
+
+        for n in range(4):
+            assert reachable_set(s, [start], Bound(5, n + 1), LOSSY) == within(n + 1)
+        assert reachable_set(s, [start], Bound(5, 0), LOSSY) == within(5)
 
 
 class TestBoundedCoreach:
@@ -151,12 +227,7 @@ class TestBoundedCoreach:
 
 class TestBoundedRecurrent:
     def test_sender_self_loop_lasso(self):
-        # a self-loop writing on l recycles configurations (write, then lose);
-        # a self-loop writing on r cannot, since r only grows
-        m = ("a",)
-        s = Ucst(m, ("p0", "p"), ("q",),
-                 [Rule("p0", "r", Action.nop(), "p"),
-                  Rule("p", "l", Action.write("a"), "p")], [])
+        s = self_loop_sender()
         lasso = bounded_recurrent(s, "p0", "q", "p", "q", Bound(2, 0))
         assert lasso is not None
         assert lasso.anchor.p == "p" and lasso.anchor.q == "q"
@@ -164,6 +235,25 @@ class TestBoundedRecurrent:
         assert validate_run(s, lasso.cycle, LOSSY)
         assert len(lasso.cycle) >= 1
         assert lasso.cycle.start == lasso.cycle.end == lasso.anchor
+
+    def test_state_cap_gives_up(self):
+        s = self_loop_sender()
+        bound = Bound(2, 0)
+        assert bounded_recurrent(s, "p0", "q", "p", "q", bound) is not None
+        assert bounded_recurrent(s, "p0", "q", "p", "q", bound, max_states=1) is None
+        # the cap counts configurations: the whole bounded graph fits in n
+        n = len(reachable_set(s, [Configuration("p0", "q", (), ())], bound, LOSSY))
+        assert bounded_recurrent(s, "p0", "q", "p", "q", bound, max_states=n) is not None
+        assert bounded_recurrent(s, "p0", "q", "p", "q", bound, max_states=n - 1) is None
+
+    def test_swap_rewriting_lasso_is_shortest(self):
+        swap = SemiThueSystem(("a", "b"), (("ab", "ba"), ("ba", "ab")))
+        s, p_in, q_in, p_loop, q_loop = gen_thue_recurrent(swap)
+        lasso = bounded_recurrent(s, p_in, q_in, p_loop, q_loop, Bound(4, 0))
+        assert (lasso.anchor.p, lasso.anchor.q) == (p_loop, q_loop)
+        assert len(lasso.stem) == 3 and len(lasso.cycle) == 26
+        assert validate_run(s, lasso.stem, LOSSY)
+        assert validate_run(s, lasso.cycle, LOSSY)
 
     def test_acyclic_system_has_no_lasso(self):
         m = ("a",)
