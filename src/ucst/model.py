@@ -9,12 +9,12 @@ for a write that loses its message at the moment of writing.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import FragmentError, InputError
 from .regdata import (
     Nfa,
+    cached_on_nfa,
     is_downward_closed,
     is_upward_closed,
     language_equal,
@@ -268,30 +268,27 @@ class FragmentReport:
                    for t in self.tests)
 
 
+@cached_on_nfa
+def _test_label(lang):
+    """(label, head letter) of one test language.  The references are built
+    over `lang.alphabet`, which is the system's alphabet as a set, so the
+    label holds in every system that shares the automaton."""
+    alphabet = lang.alphabet
+    for name, reference in (("Z", emptiness_test), ("N", nonemptiness_test),
+                            ("Even", even_length_test), ("Odd", odd_length_test)):
+        if language_equal(lang, reference(alphabet)):
+            return name, None
+    for a in alphabet:
+        if language_equal(lang, head_test(a, alphabet)):
+            return "H", a
+    return "other", None
+
+
 def classify_tests(s):
     """Decide, per test rule, which standard test language it carries."""
-    alphabet = s.alphabet
-    references = [("Z", emptiness_test(alphabet)),
-                  ("N", nonemptiness_test(alphabet)),
-                  ("Even", even_length_test(alphabet)),
-                  ("Odd", odd_length_test(alphabet))]
-    found = []
-    for rid, rule in enumerate(s.rules):
-        if rule.action.kind != "test":
-            continue
-        agent = s.agent_of(rid)
-        label, head_sym = "other", None
-        for name, ref in references:
-            if language_equal(rule.action.lang, ref):
-                label = name
-                break
-        if label == "other":
-            for a in alphabet:
-                if language_equal(rule.action.lang, head_test(a, alphabet)):
-                    label, head_sym = "H", a
-                    break
-        found.append(TestClass(rid, agent, rule.channel, label, head_sym))
-    return FragmentReport(tuple(found))
+    return FragmentReport(tuple(
+        TestClass(rid, s.agent_of(rid), rule.channel, *_test_label(rule.action.lang))
+        for rid, rule in enumerate(s.rules) if rule.action.kind == "test"))
 
 
 # -- step semantics ------------------------------------------------------------
@@ -398,7 +395,7 @@ def _case_no_contact(i1, i2):
     return ch2 is not None and agent1 != agent2 and ch1 != ch2
 
 
-@lru_cache(maxsize=None)
+@cached_on_nfa
 def _stable_behind_head(lang):
     """Inserting a letter behind the head never leaves `lang`: a⁻¹L is
     upward-closed for every letter a.  True of Z, N and head tests."""

@@ -8,7 +8,7 @@ tokens), so every deterministic enumeration sorts them with `symkey`.
 """
 
 from collections import deque
-from functools import lru_cache
+from functools import wraps
 
 from .errors import InputError
 
@@ -27,11 +27,26 @@ def word_str(word):
     return ".".join(str(s) for s in word)
 
 
+def cached_on_nfa(fn):
+    """Compute `fn(nfa)` once per automaton and keep it on the automaton.
+
+    Automata are immutable, so the answer never goes stale, and it dies with
+    the automaton; a cache keyed by automata would keep every one alive.
+    """
+    @wraps(fn)
+    def cached(nfa):
+        memo = nfa._memo
+        if fn not in memo:
+            memo[fn] = fn(nfa)
+        return memo[fn]
+    return cached
+
+
 class Nfa:
     """Nondeterministic finite automaton with optional epsilon moves."""
 
     __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions",
-                 "_steps")
+                 "_steps", "_memo")
 
     def __init__(self, alphabet, n_states, initial, accepting, transitions):
         alphabet = tuple(dict.fromkeys(alphabet))
@@ -52,6 +67,7 @@ class Nfa:
         object.__setattr__(self, "accepting", accepting)
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "_steps", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Nfa is immutable")
@@ -154,8 +170,13 @@ class Nfa:
                     frontier.append(t)
         return not (reach & self.accepting)
 
+    @cached_on_nfa
     def normalize(self):
-        """Epsilon-free, reachable-only copy with BFS state numbering."""
+        """Epsilon-free, reachable-only copy with BFS state numbering.
+
+        The copy is built once; it caches its own normal form in turn, which
+        need not be itself (renumbering a normal form can move states).
+        """
         eps = self._eps_map()
         closure = {s: self._eps_closure({s}, eps) for s in range(self.n_states)}
         by_src = {}
@@ -507,12 +528,12 @@ def language_subset(a, b):
     return a.intersect(b.complement()).is_empty()
 
 
-@lru_cache(maxsize=None)
+@cached_on_nfa
 def is_upward_closed(nfa):
     return language_equal(nfa.upward_closure(), nfa)
 
 
-@lru_cache(maxsize=None)
+@cached_on_nfa
 def is_downward_closed(nfa):
     return language_equal(nfa.downward_closure(), nfa)
 

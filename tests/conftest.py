@@ -1,7 +1,7 @@
 import pytest
 
 from ucst.model import Action, Configuration, ReachInstance, Rule, Run, Ucst
-from ucst.regdata import Nfa
+from ucst.regdata import Nfa, language_equal
 
 
 def eps(alphabet):
@@ -106,3 +106,19 @@ def random_nfa():
     """Factory: random_nfa(rng, alphabet) draws a small automaton with
     epsilon moves."""
     return _random_nfa
+
+
+@pytest.fixture
+def count_language_equal(monkeypatch):
+    """count_language_equal(module) swaps that module's `language_equal` for
+    a counting wrapper and returns the list of calls it records."""
+    def install(owner):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return language_equal(a, b)
+
+        monkeypatch.setattr(owner, "language_equal", counting)
+        return calls
+    return install

@@ -12,7 +12,7 @@ from ucst.fileformat import (
     print_pep,
     print_ucst,
 )
-from ucst.randomgen import random_instance, random_ucst
+from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import run_pipeline, ucst_to_pep
 from ucst.regdata import Nfa, language_equal, parse_regex
 
@@ -128,3 +128,71 @@ class TestPepFormat:
     def test_parse_errors(self):
         with pytest.raises(InputError):
             parse_pep("sigma: a\ngamma: g\nR: a\n")
+
+
+class TestRandomPepRoundTrip:
+    def test_random_z1l_instances(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            pep = ucst_to_pep(random_z1l_instance(rng))
+            text = print_pep(pep)
+            back = parse_pep(text)
+            assert pep_equal(back, pep)
+            assert print_pep(back) == text
+
+
+# characters that mean something to the line or regex syntax, plus letters
+FUZZ_CHARS = " \t\n:|()*+!?=-></#acz0"
+
+
+def mutate(rng, text):
+    """`text` with one character or one line deleted, inserted, duplicated
+    or cut."""
+    kind = rng.randrange(5)
+    if kind < 2:
+        pos = rng.randrange(len(text) + 1)
+        if kind == 0:
+            return text[:pos] + text[pos + 1:]
+        return text[:pos] + rng.choice(FUZZ_CHARS) + text[pos:]
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    if kind == 2:
+        del lines[i]
+    elif kind == 3:
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    return "\n".join(lines)
+
+
+def fuzz(parse, texts, seed, n):
+    """Parse `n` mutants of `texts`; the parser may only reject them with
+    `InputError`.  Returns how many it rejected."""
+    rng = random.Random(seed)
+    rejected = 0
+    for _ in range(n):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = mutate(rng, text)
+        try:
+            parse(text)
+        except InputError:
+            rejected += 1
+    return rejected
+
+
+class TestParserFuzz:
+    def test_parse_ucst_mutants(self):
+        rng = random.Random(41)
+        texts = [FIG6_TEXT]
+        for _ in range(4):
+            s = random_ucst(rng, sender_tests=(("Z", "l"), ("N", "r")),
+                            receiver_tests=(("Z", "r"),))
+            texts.append(print_ucst(random_instance(rng, s)))
+        assert 0 < fuzz(parse_ucst, texts, 43, 1500) < 1500
+
+    def test_parse_pep_mutants(self, fig6_instance):
+        rng = random.Random(47)
+        texts = [print_pep(ucst_to_pep(fig6_instance))]
+        texts += [print_pep(ucst_to_pep(random_z1l_instance(rng))) for _ in range(3)]
+        assert 0 < fuzz(parse_pep, texts, 53, 1500) < 1500

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ucst import model, regdata
 from ucst.errors import FragmentError, InputError
 from ucst.model import (
     LOSS,
@@ -29,7 +30,7 @@ from ucst.model import (
 )
 from ucst import randomgen
 from ucst.randomgen import random_lossy_run, random_ucst
-from ucst.regdata import Nfa, parse_regex
+from ucst.regdata import Nfa, language_equal, parse_regex
 
 
 class TestSuccessors:
@@ -238,6 +239,84 @@ class TestRandomHeadTests:
         with pytest.raises(ValueError):
             randomgen.test_language("H", ("a", "b"))
         assert randomgen.test_language("H", ("a", "b"), "b").accepts(("b", "a"))
+
+
+REFERENCES = (("Z", emptiness_test), ("N", nonemptiness_test),
+              ("Even", even_length_test), ("Odd", odd_length_test))
+
+
+def direct_label(lang, alphabet):
+    """Label by comparing against every reference over `alphabet`, uncached:
+    the first matching reference in Z, N, Even, Odd order, else the head
+    test that matches, else "other"."""
+    matches = [(name, None) for name, make in REFERENCES
+               if language_equal(lang, make(alphabet))]
+    matches += [("H", a) for a in alphabet
+                if language_equal(lang, head_test(a, alphabet))]
+    return matches[0] if matches else ("other", None)
+
+
+def one_test_system(lang, alphabet):
+    """One-rule system whose Sender tests `l` against `lang`."""
+    return Ucst(alphabet, ("p",), ("q",),
+                [Rule("p", "l", Action.test(lang), "p")], [])
+
+
+def cached_label(lang, alphabet):
+    (test,) = classify_tests(one_test_system(lang, alphabet)).tests
+    return test.label, test.head_sym
+
+
+class TestTestLabelCache:
+    def test_standard_languages(self):
+        for m in [("a", "b"), ("a", "b", "c")]:
+            langs = [make(m) for _, make in REFERENCES]
+            langs += [head_test(a, m) for a in m]
+            langs += [parse_regex(rex, m) for rex in ["a ANY*", "ANY ANY ANY*"]]
+            for lang in langs:
+                assert cached_label(lang, m) == direct_label(lang, m)
+            assert [cached_label(lang, m)[0] for lang in langs[:4]] == \
+                ["Z", "N", "Even", "Odd"]
+
+    def test_random_languages(self, random_nfa):
+        rng = random.Random(97)
+        m = ("a", "b")
+        for _ in range(60):
+            lang = random_nfa(rng, m)
+            for _ in range(2):
+                assert cached_label(lang, m) == direct_label(lang, m)
+
+    def test_one_language_shared_by_differently_ordered_alphabets(self):
+        lang = head_test("b", ("a", "b"))
+        for m in [("a", "b"), ("b", "a")]:
+            assert cached_label(lang, m) == direct_label(lang, m) == ("H", "b")
+        n = nonemptiness_test(("b", "a"))
+        assert cached_label(n, ("a", "b")) == ("N", None)
+
+    def test_one_letter_nonemptiness_is_n_not_head(self):
+        m = ("a",)
+        assert language_equal(nonemptiness_test(m), head_test("a", m))
+        for lang in [nonemptiness_test(m), head_test("a", m)]:
+            assert cached_label(lang, m) == direct_label(lang, m) == ("N", None)
+
+    def test_second_classification_compares_nothing(self, count_language_equal):
+        calls = count_language_equal(model)
+        s = make_every_kind_system()
+        first = classify_tests(s)
+        assert calls
+        calls.clear()
+        assert classify_tests(s) == first
+        assert calls == []
+
+    def test_stability_behind_the_head_is_computed_once(self, count_language_equal):
+        calls = count_language_equal(regdata)
+        m = ("a", "b")
+        for lang in [nonemptiness_test(m), even_length_test(m)]:
+            answer = model._stable_behind_head(lang)
+            assert calls
+            calls.clear()
+            assert model._stable_behind_head(lang) == answer
+            assert calls == []
 
 
 class TestValidateRun:

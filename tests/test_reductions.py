@@ -384,6 +384,29 @@ class TestDecideEeReach:
             positives += want
         assert checked >= 4
 
+    def test_saturation_normalizes_each_automaton_once(self, monkeypatch):
+        rng = random.Random(71)
+        while True:
+            s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                            n_sender_rules=4, n_receiver_rules=2,
+                            sender_tests=(("Z", "l"), ("Z", "r")),
+                            test_weight=0.4, forward_sender=True)
+            if any(t.channel == "r" for t in classify_tests(s).tests):
+                break
+        inst = random_instance(rng, s, empty_initial=True, empty_final=True)
+        normalize = Nfa.normalize
+        copies = {}  # automaton -> every copy its normalize() returned
+
+        def recording(nfa):
+            copies.setdefault(nfa, []).append(normalize(nfa))
+            return copies[nfa][-1]
+
+        monkeypatch.setattr(Nfa, "normalize", recording)
+        decide_eereach_z1(inst, bounded_oracle(Bound(4, 0)), max_candidate_len=4)
+        assert max(len(c) for c in copies.values()) > 1
+        for nfa, returned in copies.items():
+            assert all(copy is returned[0] for copy in returned), nfa
+
 
 class TestPepBridges:
     def test_round_trip_reachability(self, fig6_instance):

@@ -1,8 +1,11 @@
+import gc
 import itertools
 import random
+import types
 
 import pytest
 
+from ucst import regdata
 from ucst.errors import InputError
 from ucst.model import (
     emptiness_test,
@@ -13,6 +16,8 @@ from ucst.model import (
 )
 from ucst.regdata import (
     Nfa,
+    is_downward_closed,
+    is_upward_closed,
     language_equal,
     language_subset,
     parse_regex,
@@ -323,3 +328,59 @@ class TestEnumeration:
     def test_normalize_invariants(self):
         lang = parse_regex("(a | EPS) b*", AB).normalize()
         assert all(sym is not None for _, sym, _ in lang.transitions)
+
+
+def fields(nfa):
+    return nfa.alphabet, nfa.n_states, nfa.initial, nfa.accepting, nfa.transitions
+
+
+class TestCachedNormalize:
+    def test_second_call_returns_the_same_copy(self, random_nfa):
+        rng = random.Random(89)
+        for _ in range(400):
+            nfa = random_nfa(rng, AB)
+            once = nfa.normalize()
+            assert nfa.normalize() is once
+            assert fields(once) == fields(Nfa(*fields(nfa)).normalize())
+
+    def test_normal_form_of_a_normal_form(self, random_nfa):
+        # normalize is not idempotent on the numbering, so a copy must not
+        # stand for its own normal form
+        uncached = Nfa.normalize.__wrapped__
+        rng = random.Random(89)
+        renumbered = 0
+        for _ in range(3000):
+            nfa = random_nfa(rng, AB)
+            once, twice = nfa.normalize(), nfa.normalize().normalize()
+            if fields(twice) != fields(once):
+                renumbered += 1
+                assert fields(twice) == fields(uncached(uncached(nfa)))
+        assert renumbered >= 10
+
+
+class TestClosureCaches:
+    def test_each_answer_is_computed_once(self, count_language_equal):
+        calls = count_language_equal(regdata)
+        for rex, up, down in [("ANY+", True, False), ("EPS", False, True),
+                              ("a b*", False, False), ("ANY*", True, True)]:
+            lang = parse_regex(rex, AB)
+            assert (is_upward_closed(lang), is_downward_closed(lang)) == (up, down)
+            assert len(calls) == 2
+            calls.clear()
+            assert (is_upward_closed(lang), is_downward_closed(lang)) == (up, down)
+            assert calls == [], rex
+
+    def test_no_automaton_outlives_its_last_reference(self):
+        def live_automata():
+            gc.collect()
+            return sum(isinstance(o, Nfa) for o in gc.get_objects())
+
+        before = live_automata()
+        lang = parse_regex("(a | b) a*", AB)
+        lang.normalize()
+        is_upward_closed(lang)
+        is_downward_closed(lang)
+        assert [r for r in gc.get_referrers(lang)
+                if not isinstance(r, types.FrameType)] == []
+        del lang
+        assert live_automata() == before
