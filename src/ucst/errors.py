@@ -10,7 +10,7 @@ class FragmentError(InputError):
 
 
 class OracleInconclusive(Exception):
-    """A saturation loop could not make progress with the oracle it was given."""
+    """Backward saturation did not stabilize within its round budget."""
 
 
 class ReplayError(RuntimeError):

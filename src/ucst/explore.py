@@ -14,10 +14,11 @@ from .errors import InputError
 from .model import (
     LOSSY,
     Configuration,
+    ReachInstance,
     Run,
     successors,
 )
-from .regdata import symkey
+from .regdata import Nfa
 
 REACHABLE = "reachable"
 NOT_WITHIN_BOUND = "not-within-bound"
@@ -151,33 +152,26 @@ def reachable_set(s, starts, bound, mode=LOSSY):
     return set(parents)
 
 
-def all_bounded_configs(s, bound):
-    """The full bounded configuration space (desk scale only)."""
-    k = bound.max_channel_len
-    words = [()]
-    syms = sorted(set(s.alphabet), key=symkey)
-    layer = [()]
-    for _ in range(k):
-        layer = [w + (a,) for w in layer for a in syms]
-        words.extend(layer)
-    return [Configuration(p, q, u, v)
-            for p in s.sender_states for q in s.receiver_states
-            for u in words for v in words]
+def bounded_coreach(s, starts, targets, bound, mode=LOSSY):
+    """Configurations reachable from `starts` within the channel bound from
+    which a configuration satisfying the predicate `targets` is reachable in
+    at most `bound.max_steps` steps (0 = no limit).
 
-
-def bounded_coreach(s, targets, bound, mode=LOSSY):
-    """Backward closure: configurations from which `targets` is reachable.
-
-    `targets` is a predicate on configurations.  Built as a reverse BFS
-    over the induced bounded state graph on the full bounded space.
+    One forward `_bfs` from `starts` records the reverse edges of the bounded
+    graph it explores; one backward `_bfs` from its targets runs over them.
     """
-    space = all_bounded_configs(s, bound)
     rev = {}
-    for c in space:
-        for label, succ in successors(s, c, mode):
+
+    def step(c):
+        out = successors(s, c, mode)
+        for label, succ in out:
             rev.setdefault(succ, []).append((label, c))
-    parents, _, _ = _bfs([c for c in space if targets(c)],
-                         lambda c: rev.get(c, ()), bound.max_channel_len)
+        return out
+
+    k = bound.max_channel_len
+    graph, _, _ = _bfs(starts, step, k)
+    parents, _, _ = _bfs([c for c in graph if targets(c)],
+                         lambda c: rev.get(c, ()), k, max_depth=bound.max_steps)
     return set(parents)
 
 
@@ -303,9 +297,6 @@ def _on_cycle(state, edges):
 
 def control_pair_oracle(bound, mode=LOSSY):
     """Bounded realization of "some (p, q, ., .) is reachable"."""
-    from .model import ReachInstance
-    from .regdata import Nfa
-
     def oracle(s, p_in, q_in, p, q):
         anyw = Nfa.all_words(s.alphabet)
         eps = Nfa.literal((), s.alphabet)

@@ -11,7 +11,7 @@ maps to a Post embedding instance and back.
 from dataclasses import dataclass
 
 from .errors import FragmentError, InputError, OracleInconclusive
-from .explore import bounded_reach
+from .explore import bounded_coreach
 from .model import (
     L,
     LOSSY,
@@ -389,107 +389,54 @@ def elim_final(inst):
 # -- backward saturation -----------------------------------------------------------
 
 def bounded_oracle(bound, mode=LOSSY):
-    """Reachability oracle backed by the bounded explorer; positive answers
-    are genuine, negative answers are bound-relative."""
-    def oracle(inst):
-        return bounded_reach(inst, bound, mode).reachable
+    """Saturation oracle backed by the bounded explorer: one bounded co-reach
+    from every r-empty configuration whose l fits the channel bound.  Every
+    configuration it gives reaches a target; a missing one is bound-relative.
+    """
+    def oracle(s, is_target):
+        words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
+        starts = [Configuration(p, q, (), v) for v in words
+                  for p in s.sender_states for q in s.receiver_states]
+        co = bounded_coreach(s, starts, is_target, bound, mode)
+        return UpwardClosedSet.of(c for c in co if c.u == ())
     return oracle
 
 
-def _normalize_target(s, target):
-    """Target W as a dict (p, q) -> Nfa over the system alphabet."""
-    if isinstance(target, dict):
-        return dict(target)
-    if isinstance(target, UpwardClosedSet):
-        out = {}
-        for c in target.minimal:
-            lang = Nfa.literal(c.v, s.alphabet).upward_closure()
-            key = (c.p, c.q)
-            out[key] = lang if key not in out else out[key].union(lang)
-        return out
-    out = {}
-    for c in target:
-        if c.u != ():
-            raise InputError("target configurations must have empty r")
-        lang = Nfa.literal(c.v, s.alphabet)
-        key = (c.p, c.q)
-        out[key] = lang if key not in out else out[key].union(lang)
-    return out
-
-
-def _all_words_of_length(alphabet, length):
-    syms = sorted(set(alphabet), key=symkey)
-    words = [()]
-    for _ in range(length):
-        words = [w + (a,) for w in words for a in syms]
-    return words
-
-
-def pre_star_z1l(s, target, oracle, max_candidate_len=8):
+def pre_star_z1l(s, target, oracle):
     """Minimal elements of the r-empty configurations from which `target` is
-    reachable; saturates an antichain with single-candidate oracle queries.
+    reachable.
+
+    `target` is either a list of r-empty configurations, each to be reached
+    exactly, or an `UpwardClosedSet`, reached anywhere above it.  The answer
+    is `oracle(s, is_target)`, which must give the `UpwardClosedSet` of
+    r-empty configurations from which some configuration satisfying the
+    predicate `is_target` is reachable.  `bounded_oracle` answers within a
+    channel and step bound; an exact oracle plugs in here unchanged.
 
     The system may only carry Sender emptiness tests on l (losses make the
     result upward-closed for exactly this fragment).
     """
     if not classify_tests(s).only_z1l():
         raise FragmentError("backward saturation expects Sender l-emptiness tests only")
-    wmap = {k: v for k, v in _normalize_target(s, target).items()
-            if not v.is_empty()}
-    eps = Nfa.literal((), s.alphabet)
-    anyw = Nfa.all_words(s.alphabet)
-    pairs = [(p, q) for p in s.sender_states for q in s.receiver_states]
-    found = UpwardClosedSet.empty()
-    while True:
-        wprime = {}
-        for (p, q) in pairs:
-            ups = [Nfa.literal(c.v, s.alphabet).upward_closure()
-                   for c in found.minimal if c.p == p and c.q == q]
-            if not ups:
-                wprime[(p, q)] = anyw
-                continue
-            union = ups[0]
-            for extra in ups[1:]:
-                union = union.union(extra)
-            wprime[(p, q)] = union.complement()
-        candidate = _find_candidate(s, oracle, pairs, wprime, wmap, eps,
-                                    max_candidate_len)
-        if candidate is None:
-            return found
-        found = found.insert(candidate)
+    if isinstance(target, UpwardClosedSet):
+        def is_target(c):
+            return c.u == () and target.contains(c)
+    else:
+        goals = set(target)
+        if any(c.u != () for c in goals):
+            raise InputError("target configurations must have empty r")
+
+        def is_target(c):
+            return c in goals
+    return oracle(s, is_target)
 
 
-def _find_candidate(s, oracle, pairs, wprime, wmap, eps, max_candidate_len):
-    hit = False
-    for (p, q) in pairs:
-        if wprime[(p, q)].is_empty():
-            continue
-        for (p2, q2), goal in wmap.items():
-            inst = ReachInstance(s, p, p2, q, q2, eps, wprime[(p, q)], eps, goal)
-            if oracle(inst):
-                hit = True
-                break
-        if hit:
-            break
-    if not hit:
-        return None
-    for length in range(max_candidate_len + 1):
-        for v in _all_words_of_length(s.alphabet, length):
-            for (p, q) in pairs:
-                if not wprime[(p, q)].accepts(v):
-                    continue
-                lit = Nfa.literal(v, s.alphabet)
-                for (p2, q2), goal in wmap.items():
-                    inst = ReachInstance(s, p, p2, q, q2, eps, lit, eps, goal)
-                    if oracle(inst):
-                        return Configuration(p, q, (), v)
-    raise OracleInconclusive(
-        f"no backward candidate of length <= {max_candidate_len} though one must exist")
-
-
-def decide_eereach_z1(inst, oracle, max_candidate_len=8, max_rounds=64):
+def decide_eereach_z1(inst, oracle, max_rounds=64):
     """Empty-to-empty reachability for Sender-emptiness-test systems, by
-    iterated backward saturation over the runs between r-emptiness tests."""
+    iterated backward saturation over the runs between r-emptiness tests.
+
+    Raises `OracleInconclusive` when the union of stages has not stabilized
+    after `max_rounds` rounds."""
     s = inst.system
     report = classify_tests(s)
     if not report.only_z1():
@@ -502,7 +449,7 @@ def decide_eereach_z1(inst, oracle, max_candidate_len=8, max_rounds=64):
                     [r for r in s.sender_rules if r not in zr_rules],
                     s.receiver_rules)
     goal = Configuration(inst.p_fi, inst.q_fi, (), ())
-    reached = pre_star_z1l(stripped, [goal], oracle, max_candidate_len)
+    reached = pre_star_z1l(stripped, [goal], oracle)
     for _ in range(max_rounds):
         hops = [Configuration(rule.source, c.q, (), c.v)
                 for rule in zr_rules for c in reached.minimal
@@ -510,8 +457,7 @@ def decide_eereach_z1(inst, oracle, max_candidate_len=8, max_rounds=64):
         if not hops:
             break
         nxt = reached.union(
-            pre_star_z1l(stripped, UpwardClosedSet.of(hops), oracle,
-                         max_candidate_len))
+            pre_star_z1l(stripped, UpwardClosedSet.of(hops), oracle))
         if nxt == reached:
             break
         reached = nxt

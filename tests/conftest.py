@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ucst.model import Action, Configuration, ReachInstance, Rule, Run, Ucst
@@ -88,6 +90,23 @@ def make_fig1_system():
 @pytest.fixture(scope="session")
 def fig1():
     return make_fig1_system()
+
+
+def _bounded_space(s, k):
+    """Every configuration of `s` whose channels each hold at most `k`
+    letters, words in length-lexicographic order."""
+    words = [w for n in range(k + 1)
+             for w in itertools.product(sorted(set(s.alphabet)), repeat=n)]
+    return [Configuration(p, q, u, v)
+            for p in s.sender_states for q in s.receiver_states
+            for u in words for v in words]
+
+
+@pytest.fixture(scope="session")
+def bounded_space():
+    """Factory: bounded_space(s, k) lists the full bounded configuration
+    space of `s`, the starts that make a co-reach cover every configuration."""
+    return _bounded_space
 
 
 def _random_nfa(rng, alphabet, max_states=4):

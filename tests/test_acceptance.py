@@ -132,15 +132,16 @@ def _bounded_content_system(rng):
                        sender_tests=(("Z", "l"),), forward_sender=True)
 
 
-def test_criterion_4_backward_saturation_agreement():
+def test_criterion_4_backward_saturation_agreement(bounded_space):
     rng = random.Random(4_2024)
     oracle = bounded_oracle(Bound(4, 0))
     mismatches = 0
     for _ in range(15):
         s = _bounded_content_system(rng)
         goal = Configuration(s.sender_states[-1], s.receiver_states[-1], (), ())
-        sat = pre_star_z1l(s, [goal], oracle, max_candidate_len=4)
-        co = bounded_coreach(s, lambda c: c == goal, Bound(4, 0), LOSSY)
+        sat = pre_star_z1l(s, [goal], oracle)
+        co = bounded_coreach(s, bounded_space(s, 4), lambda c: c == goal,
+                             Bound(4, 0), LOSSY)
         expected = UpwardClosedSet.of([c for c in co if c.u == ()])
         if sat != expected:
             mismatches += 1
@@ -156,7 +157,7 @@ def test_criterion_4_backward_saturation_agreement():
                                bias_reachable=0.5)
         decided += 1
         want = bounded_reach(inst, Bound(4, 0), LOSSY).reachable
-        got = decide_eereach_z1(inst, oracle, max_candidate_len=4)
+        got = decide_eereach_z1(inst, oracle)
         agreements += (want == got)
     ok = mismatches == 0 and agreements == 50
     _report(4, "backward saturation vs explicit search", ok,

@@ -93,6 +93,24 @@ Vp: EPS
         assert "saturation" in out
 
 
+    def test_saturation_finds_a_nine_letter_minimal_element(self, tmp_path, capsys):
+        # Sender writes a^9 on l, then tests r empty; Receiver reads a^9 from
+        # l, so (p9, q0, eps, a^9) is a minimal element of the backward set
+        writes = [f"rule s: p{i} -> p{i + 1} : l!a" for i in range(9)]
+        reads = [f"rule r: q{i} -> q{i + 1} : l?a" for i in range(9)]
+        text = "\n".join(
+            ["alphabet: a",
+             "sender: " + " ".join(f"p{i}" for i in range(11)),
+             "receiver: " + " ".join(f"q{i}" for i in range(10))]
+            + writes + ["rule s: p9 -> p10 : r=EPS"] + reads
+            + ["instance: p0 p10 q0 q9", "U: EPS", "V: EPS", "Up: EPS", "Vp: EPS"])
+        path = tmp_path / "long.ucst"
+        path.write_text(text + "\n")
+        code = main(["reach", str(path), "--method", "pipeline", "--bound", "9"])
+        assert code == 0
+        assert "REACHABLE (saturation" in capsys.readouterr().out
+
+
 class TestReduce:
     def test_reduce_to_pep(self, fig6_file, tmp_path, capsys):
         out_file = tmp_path / "fig6.pep"

@@ -9,7 +9,6 @@ from ucst.explore import (
     NOT_WITHIN_BOUND,
     REACHABLE,
     UNREACHABLE,
-    all_bounded_configs,
     bounded_coreach,
     bounded_reach,
     bounded_recurrent,
@@ -194,11 +193,12 @@ class TestReachableSet:
 
 
 class TestBoundedCoreach:
-    def test_loss_cone_with_no_rules(self):
+    def test_loss_cone_with_no_rules(self, bounded_space):
         m = ("a",)
         s = Ucst(m, ("p0",), ("q0",), [], [])
         target = Configuration("p0", "q0", (), ())
-        result = bounded_coreach(s, lambda c: c == target, Bound(2, 0), LOSSY)
+        result = bounded_coreach(s, bounded_space(s, 2), lambda c: c == target,
+                                 Bound(2, 0), LOSSY)
         # reachable-by-losses means: same states, same r, l above target's l
         assert result == {
             Configuration("p0", "q0", (), ()),
@@ -206,20 +206,39 @@ class TestBoundedCoreach:
             Configuration("p0", "q0", (), ("a", "a")),
         }
 
-    def test_fig6_start_is_in_coreach_of_goal(self, fig6):
+    def test_only_configurations_reachable_from_the_starts(self):
+        s = Ucst(("a",), ("p0",), ("q0",), [], [])
+        target = Configuration("p0", "q0", (), ())
+        one = Configuration("p0", "q0", (), ("a",))
+        assert bounded_coreach(s, [one], lambda c: c == target,
+                               Bound(3, 0), LOSSY) == {one, target}
+
+    def test_step_bound_keeps_exactly_the_configurations_within_n_steps(
+            self, bounded_space):
+        s = Ucst(("a",), ("p0",), ("q0",), [], [])
+        target = Configuration("p0", "q0", (), ())
+        for n in (1, 2, 3):
+            co = bounded_coreach(s, bounded_space(s, 4), lambda c: c == target,
+                                 Bound(4, n), LOSSY)
+            assert co == {Configuration("p0", "q0", (), ("a",) * i)
+                          for i in range(n + 1)}
+
+    def test_fig6_start_is_in_coreach_of_goal(self, fig6, bounded_space):
         goal = Configuration("p_fi", "q_fi", (), ())
-        result = bounded_coreach(fig6, lambda c: c == goal, Bound(2, 0), LOSSY)
+        result = bounded_coreach(fig6, bounded_space(fig6, 2),
+                                 lambda c: c == goal, Bound(2, 0), LOSSY)
         assert Configuration("p_in", "q_in", (), ()) in result
 
-    def test_empty_targets(self, fig6):
-        assert bounded_coreach(fig6, lambda c: False, Bound(1, 0), LOSSY) == set()
+    def test_empty_targets(self, fig6, bounded_space):
+        assert bounded_coreach(fig6, bounded_space(fig6, 1), lambda c: False,
+                               Bound(1, 0), LOSSY) == set()
 
-    def test_pointwise_agreement_with_forward_search(self, fig6):
+    def test_pointwise_agreement_with_forward_search(self, fig6, bounded_space):
         goal = Configuration("p_fi", "q_fi", (), ())
         bound = Bound(2, 0)
-        co = bounded_coreach(fig6, lambda c: c == goal, bound, LOSSY)
+        space = bounded_space(fig6, 2)
+        co = bounded_coreach(fig6, space, lambda c: c == goal, bound, LOSSY)
         rng = random.Random(5)
-        space = all_bounded_configs(fig6, bound)
         for c in rng.sample(space, 60):
             forward = goal in reachable_set(fig6, [c], bound, LOSSY)
             assert (c in co) == forward

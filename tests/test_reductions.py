@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ucst.errors import FragmentError, InputError
-from ucst.explore import Bound, bounded_coreach, bounded_reach
+from ucst.explore import UNREACHABLE, Bound, bounded_coreach, bounded_reach
 from ucst.model import (
     LOSSY,
     Action,
@@ -299,10 +299,10 @@ class TestElimFinal:
         assert positives >= 3
 
 
-def bounded_write_z1l_system(rng, alphabet=("a", "b")):
+def bounded_write_z1l_system(rng, alphabet=("a", "b"), forward_sender=True):
     return random_ucst(rng, alphabet=alphabet, n_sender=3, n_receiver=2,
                        n_sender_rules=3, n_receiver_rules=2,
-                       sender_tests=(("Z", "l"),), forward_sender=True)
+                       sender_tests=(("Z", "l"),), forward_sender=forward_sender)
 
 
 class TestPreStar:
@@ -314,10 +314,15 @@ class TestPreStar:
         assert result.minimal == (goal,)
         assert result.contains(Configuration("p", "q", (), ("a", "a")))
 
+    def test_minimal_element_longer_than_eight_letters(self):
+        s = Ucst(("a",), ("p",), ("q",), [], [])
+        goal = Configuration("p", "q", (), ("a",) * 9)
+        result = pre_star_z1l(s, [goal], bounded_oracle(Bound(9, 0)))
+        assert result.minimal == (goal,)
+
     def test_fig6_start_in_pre_star(self, fig6):
         goal = Configuration("p_fi", "q_fi", (), ())
-        result = pre_star_z1l(fig6, [goal], bounded_oracle(Bound(3, 2000)),
-                              max_candidate_len=3)
+        result = pre_star_z1l(fig6, [goal], bounded_oracle(Bound(3, 2000)))
         assert result.contains(Configuration("p_in", "q_in", (), ()))
         # antichain invariant
         from ucst.reductions import config_below
@@ -326,7 +331,7 @@ class TestPreStar:
                 if c is not d:
                     assert not config_below(c, d)
 
-    def test_matches_backward_bounded_search(self):
+    def test_matches_backward_bounded_search(self, bounded_space):
         rng = random.Random(61)
         bound = Bound(4, 0)
         for _ in range(8):
@@ -334,18 +339,65 @@ class TestPreStar:
             p_fi = s.sender_states[-1]
             q_fi = s.receiver_states[-1]
             goal = Configuration(p_fi, q_fi, (), ())
-            sat = pre_star_z1l(s, [goal], bounded_oracle(Bound(4, 0)),
-                               max_candidate_len=4)
-            co = bounded_coreach(s, lambda c: c == goal, bound, LOSSY)
+            sat = pre_star_z1l(s, [goal], bounded_oracle(Bound(4, 0)))
+            co = bounded_coreach(s, bounded_space(s, 4), lambda c: c == goal,
+                                 bound, LOSSY)
             co_empty_r = [c for c in co if c.u == ()]
             expected = UpwardClosedSet.of(co_empty_r)
             assert sat == expected
 
 
+def forward_pre_star(s, target, bound, starts):
+    """Reference for `bounded_oracle`: one forward `bounded_reach` per start
+    to the target as a final constraint (exact words for a list, upward
+    closures for an `UpwardClosedSet`), minimized over the starts that hit."""
+    m = s.alphabet
+    if isinstance(target, UpwardClosedSet):
+        langs = [(c, Nfa.literal(c.v, m).upward_closure()) for c in target.minimal]
+    else:
+        langs = [(c, Nfa.literal(c.v, m)) for c in target]
+    hits = [c for c in starts
+            if any(bounded_reach(ReachInstance(s, c.p, g.p, c.q, g.q, eps(m),
+                                               Nfa.literal(c.v, m), eps(m), lang),
+                                 bound, LOSSY).reachable
+                   for g, lang in langs)]
+    return UpwardClosedSet.of(hits)
+
+
+class TestBoundedOracle:
+    BOUNDS = (Bound(3, 0), Bound(3, 1), Bound(3, 2), Bound(2, 3))
+
+    @staticmethod
+    def random_targets(rng, s, max_len):
+        def config():
+            word = tuple(rng.choice(s.alphabet) for _ in range(rng.randint(0, max_len)))
+            return Configuration(rng.choice(s.sender_states),
+                                 rng.choice(s.receiver_states), (), word)
+        return [config() for _ in range(rng.randint(1, 2))]
+
+    def test_agrees_with_one_forward_search_per_start(self, bounded_space):
+        rng = random.Random(83)
+        nonempty = 0
+        for forward_sender in (True, False):
+            for _ in range(3):
+                s = bounded_write_z1l_system(rng, forward_sender=forward_sender)
+                exact = self.random_targets(rng, s, 2)
+                upward = UpwardClosedSet.of(self.random_targets(rng, s, 1))
+                for bound in self.BOUNDS:
+                    starts = [c for c in bounded_space(s, bound.max_channel_len)
+                              if c.u == ()]
+                    for target in (exact, upward):
+                        got = pre_star_z1l(s, target, bounded_oracle(bound))
+                        assert got == forward_pre_star(s, target, bound, starts), \
+                            (s, target, bound)
+                        nonempty += len(got) > 0
+        assert nonempty >= 24
+
+
 class TestDecideEeReach:
     def test_without_r_tests_matches_t0(self, fig6, fig6_instance):
         oracle = bounded_oracle(Bound(3, 2000))
-        assert decide_eereach_z1(fig6_instance, oracle, max_candidate_len=3)
+        assert decide_eereach_z1(fig6_instance, oracle)
 
     def test_r_test_gated_path(self):
         m = ("a",)
@@ -356,13 +408,13 @@ class TestDecideEeReach:
         inst = ReachInstance(s, "p0", "p2", "q0", "q1",
                              eps(m), eps(m), eps(m), eps(m))
         oracle = bounded_oracle(Bound(3, 500))
-        assert decide_eereach_z1(inst, oracle, max_candidate_len=3)
+        assert decide_eereach_z1(inst, oracle)
         assert bounded_reach(inst, Bound(3, 500), LOSSY).reachable
         # starve the Receiver: r can never be drained, so the gate never opens
         s2 = Ucst(m, ("p0", "p1", "p2"), ("q0", "q1"), srules, [])
         inst2 = ReachInstance(s2, "p0", "p2", "q0", "q0",
                               eps(m), eps(m), eps(m), eps(m))
-        assert not decide_eereach_z1(inst2, oracle, max_candidate_len=3)
+        assert not decide_eereach_z1(inst2, oracle)
         assert not bounded_reach(inst2, Bound(3, 500), LOSSY).reachable
 
     def test_agreement_on_random_systems(self):
@@ -378,11 +430,36 @@ class TestDecideEeReach:
                 continue
             inst = random_instance(rng, s, empty_initial=True, empty_final=True)
             want = bounded_reach(inst, Bound(4, 0), LOSSY).reachable
-            got = decide_eereach_z1(inst, oracle, max_candidate_len=4)
+            got = decide_eereach_z1(inst, oracle)
             assert got == want
             checked += 1
             positives += want
         assert checked >= 4
+
+    def test_receiver_test_fallback_is_sound(self):
+        # Receiver Z/N tests leave Sender r-emptiness tests after the
+        # reductions, so the pipeline answers these by saturation
+        rng = random.Random(5)
+        outcomes = []
+        while len(outcomes) < 6:
+            s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                            n_sender_rules=3, n_receiver_rules=3,
+                            receiver_tests=(("Z", "l"), ("N", "l"),
+                                            ("Z", "r"), ("N", "r")),
+                            test_weight=0.4, forward_sender=True)
+            inst = random_instance(rng, s, empty_initial=True, empty_final=True,
+                                   bias_reachable=0.5)
+            try:
+                run_pipeline(inst, to="pep")
+                continue
+            except FragmentError:
+                final = run_pipeline(inst, to="eez1").final_instance
+            got = decide_eereach_z1(final, bounded_oracle(Bound(3, 0)))
+            ref = bounded_reach(inst, Bound(4, 0), LOSSY).status
+            assert not (got and ref == UNREACHABLE)
+            outcomes.append((got, ref))
+        assert sum(got for got, _ in outcomes) >= 2
+        assert sum(ref == UNREACHABLE for _, ref in outcomes) >= 2
 
     def test_saturation_normalizes_each_automaton_once(self, monkeypatch):
         rng = random.Random(71)
@@ -402,7 +479,7 @@ class TestDecideEeReach:
             return copies[nfa][-1]
 
         monkeypatch.setattr(Nfa, "normalize", recording)
-        decide_eereach_z1(inst, bounded_oracle(Bound(4, 0)), max_candidate_len=4)
+        decide_eereach_z1(inst, bounded_oracle(Bound(4, 0)))
         assert max(len(c) for c in copies.values()) > 1
         for nfa, returned in copies.items():
             assert all(copy is returned[0] for copy in returned), nfa
