@@ -18,6 +18,7 @@ from .generators import (
 from .model import LOSSY, MODES, ReachInstance, format_run
 from .pep import bounded_solve, postpone_stabilize, run_from_postpone_stable
 from .reductions import (
+    STAGE_ORDER,
     bounded_oracle,
     bridge_context,
     decide_eereach_z1,
@@ -191,8 +192,7 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="run reduction stages and emit the result")
     p.add_argument("file")
-    p.add_argument("--to", required=True,
-                   choices=["z1n1", "eg", "egz1", "eez1", "eez1l", "pep"])
+    p.add_argument("--to", required=True, choices=STAGE_ORDER)
     p.add_argument("-o", "--output")
     p.set_defaults(run=cmd_reduce)
 

@@ -473,7 +473,11 @@ def commute(s, run, i, mode=LOSSY):
     configs = run.configs()
     lab1, lab2 = run.steps[i][0], run.steps[i + 1][0]
     target = configs[i + 2]
-    for labm, mid in successors(s, configs[i], mode):
+    # the unswapped middle goes last: after two losses it matches too, but
+    # choosing it would report a swap that did not happen
+    candidates = sorted(successors(s, configs[i], mode),
+                        key=lambda step: step[1] == configs[i + 1])
+    for labm, mid in candidates:
         if labm != lab2:
             continue
         for labe, end in successors(s, mid, mode):

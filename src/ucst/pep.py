@@ -71,23 +71,11 @@ def is_solution(inst, word):
         return False
     if not subword(inst.image_u(word), inst.image_v(word)):
         return False
-    # membership of every suffix in R', in one backward pass
-    rp = inst.Rp.normalize()
-    by_src = {}
-    for src, sym, dst in rp.transitions:
-        by_src.setdefault((src, sym), set()).add(dst)
-    can_accept = set(rp.accepting)
-    suffix_in_rp = [False] * (len(word) + 1)
-    suffix_in_rp[len(word)] = bool(rp.initial & can_accept)
-    for i in range(len(word) - 1, -1, -1):
-        can_accept = {s for s in range(rp.n_states)
-                      if by_src.get((s, word[i]), set()) & can_accept}
-        suffix_in_rp[i] = bool(rp.initial & can_accept)
     for i in range(len(word) + 1):
-        if suffix_in_rp[i]:
-            tail = word[i:]
-            if not subword(inst.image_u(tail), inst.image_v(tail)):
-                return False
+        tail = word[i:]
+        if inst.Rp.accepts(tail) and not subword(inst.image_u(tail),
+                                                 inst.image_v(tail)):
+            return False
     return True
 
 

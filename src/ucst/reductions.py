@@ -29,6 +29,7 @@ from .pep import PepInstance, PreSolutionContext
 from .regdata import Dfa, Nfa, subword, symkey
 
 RESERVED_SYMBOLS = ("z", "n", "#")
+SATURATION_ROUNDS = 64  # rounds `decide_eereach_z1` runs before giving up
 
 
 class _Names:
@@ -84,10 +85,6 @@ class UpwardClosedSet:
                     raise InputError("minimal elements must form an antichain")
 
     @staticmethod
-    def empty():
-        return UpwardClosedSet(())
-
-    @staticmethod
     def of(configs):
         mins = []
         for c in sorted(configs, key=_config_key):
@@ -97,11 +94,6 @@ class UpwardClosedSet:
 
     def contains(self, c):
         return any(config_below(m, c) for m in self.minimal)
-
-    def insert(self, c):
-        if self.contains(c):
-            return self
-        return UpwardClosedSet.of(self.minimal + (c,))
 
     def union(self, other):
         return UpwardClosedSet.of(self.minimal + other.minimal)
@@ -431,12 +423,12 @@ def pre_star_z1l(s, target, oracle):
     return oracle(s, is_target)
 
 
-def decide_eereach_z1(inst, oracle, max_rounds=64):
+def decide_eereach_z1(inst, oracle):
     """Empty-to-empty reachability for Sender-emptiness-test systems, by
     iterated backward saturation over the runs between r-emptiness tests.
 
     Raises `OracleInconclusive` when the union of stages has not stabilized
-    after `max_rounds` rounds."""
+    after `SATURATION_ROUNDS` rounds."""
     s = inst.system
     report = classify_tests(s)
     if not report.only_z1():
@@ -450,7 +442,7 @@ def decide_eereach_z1(inst, oracle, max_rounds=64):
                     s.receiver_rules)
     goal = Configuration(inst.p_fi, inst.q_fi, (), ())
     reached = pre_star_z1l(stripped, [goal], oracle)
-    for _ in range(max_rounds):
+    for _ in range(SATURATION_ROUNDS):
         hops = [Configuration(rule.source, c.q, (), c.v)
                 for rule in zr_rules for c in reached.minimal
                 if c.p == rule.target]
@@ -648,7 +640,32 @@ def _proxy_receiver(alphabet):
 
 # -- pipeline driver -----------------------------------------------------------------
 
-STAGE_ORDER = ("z1n1", "eg", "egz1", "eez1", "eez1l", "pep")
+# The elimination stages in order: (name, whether the instance still has the
+# feature the stage removes, the stage, its bound-inflation note).  Stages are
+# looked up by module name on each call, so a wrapper installed on the module
+# attribute (as perfbench's tracer does) sees them.
+STAGES = (
+    ("z1n1", lambda inst: classify_tests(inst.system).has_receiver_tests(),
+     lambda inst: elim_receiver_tests(inst),
+     "channel bound +1 for the signal message plus one per traded "
+     "nonemptiness test in a witness; reverse direction +0"),
+    ("eg", lambda inst: not (_is_eps_language(inst.U)
+                             and _is_eps_language(inst.V)),
+     lambda inst: elim_initial(inst),
+     "channel bound unchanged forward (initial words materialize in "
+     "place); reverse direction needs the generated words to fit"),
+    ("egz1", lambda inst: any(t.label == "N"
+                              for t in classify_tests(inst.system).tests),
+     lambda inst: elim_n1(inst),
+     "channel bound unchanged forward (buffers hold letters back); "
+     "reverse direction +1 per channel for the buffered letter"),
+    ("eez1", lambda inst: not (_is_eps_language(inst.Up)
+                               and _is_eps_language(inst.Vp)),
+     lambda inst: elim_final(inst),
+     "channel bound +1 for the marker; step bound +|final words|+2; "
+     "reverse direction +0"),
+)
+STAGE_ORDER = tuple(name for name, _, _, _ in STAGES) + ("eez1l", "pep")
 
 
 @dataclass
@@ -688,53 +705,22 @@ def run_pipeline(inst, to="pep"):
     already absent; the trace records each stage and its bound-inflation note."""
     if to not in STAGE_ORDER:
         raise InputError(f"unknown pipeline target {to!r}")
-    want = STAGE_ORDER.index(to)
     trace = PipelineTrace([PipelineStage("input", inst, "")])
-    cur = inst
-    report = classify_tests(cur.system)
-    if not report.within({"Z", "N"}):
+    if not classify_tests(inst.system).within({"Z", "N"}):
         raise FragmentError("pipeline expects emptiness/nonemptiness tests only")
-    if report.has_receiver_tests():
-        cur = elim_receiver_tests(cur)
-        trace.stages.append(PipelineStage(
-            "z1n1", cur,
-            "channel bound +1 for the signal message plus one per traded "
-            "nonemptiness test in a witness; reverse direction +0"))
-    if want < STAGE_ORDER.index("eg"):
-        return trace
-    if not (_is_eps_language(cur.U) and _is_eps_language(cur.V)):
-        cur = elim_initial(cur)
-        trace.stages.append(PipelineStage(
-            "eg", cur,
-            "channel bound unchanged forward (initial words materialize in "
-            "place); reverse direction needs the generated words to fit"))
-    if want < STAGE_ORDER.index("egz1"):
-        return trace
-    if any(t.label == "N" for t in classify_tests(cur.system).tests):
-        cur = elim_n1(cur)
-        trace.stages.append(PipelineStage(
-            "egz1", cur,
-            "channel bound unchanged forward (buffers hold letters back); "
-            "reverse direction +1 per channel for the buffered letter"))
-    if want < STAGE_ORDER.index("eez1"):
-        return trace
-    if not (_is_eps_language(cur.Up) and _is_eps_language(cur.Vp)):
-        cur = elim_final(cur)
-        trace.stages.append(PipelineStage(
-            "eez1", cur,
-            "channel bound +1 for the marker; step bound +|final words|+2; "
-            "reverse direction +0"))
-    if want < STAGE_ORDER.index("eez1l"):
-        return trace
+    cur = inst
+    for name, has_feature, stage, note in STAGES:
+        if has_feature(cur):
+            cur = stage(cur)
+            trace.stages.append(PipelineStage(name, cur, note))
+        if name == to:
+            return trace
     if not classify_tests(cur.system).only_z1l():
         raise FragmentError(
             "pipeline endpoint needs Sender emptiness tests on l only; "
             "r-emptiness tests require the saturation procedure instead")
-    if want == STAGE_ORDER.index("eez1l"):
-        if trace.stages[-1].instance is not cur:
-            trace.stages.append(PipelineStage("eez1l", cur, ""))
-        return trace
-    trace.pep = ucst_to_pep(cur)
+    if to == "pep":
+        trace.pep = ucst_to_pep(cur)
     if trace.stages[-1].instance is not cur:
         trace.stages.append(PipelineStage("eez1l", cur, ""))
     return trace

@@ -157,67 +157,39 @@ class Nfa:
         return not cur.isdisjoint(self.accepting)
 
     def is_empty(self):
-        adj = {}
-        for src, sym, dst in self.transitions:
-            adj.setdefault(src, []).append(dst)
-        reach = set(self.initial)
-        frontier = list(reach)
-        while frontier:
-            s = frontier.pop()
-            for t in adj.get(s, ()):
-                if t not in reach:
-                    reach.add(t)
-                    frontier.append(t)
-        return not (reach & self.accepting)
+        out = _out_index(self.transitions)
+        ids, _ = _explore(self.initial, lambda s: out.get(s, ()))
+        return self.accepting.isdisjoint(ids)
 
     @cached_on_nfa
     def normalize(self):
         """Epsilon-free, reachable-only copy with BFS state numbering.
 
+        States are numbered by `_explore` from the sorted initial states; a
+        state's moves are those of its epsilon closure, closure members in
+        increasing order, each member's moves in stored transition order.
         The copy is built once; it caches its own normal form in turn, which
         need not be itself (renumbering a normal form can move states).
         """
         eps = self._eps_map()
-        closure = {s: self._eps_closure({s}, eps) for s in range(self.n_states)}
-        by_src = {}
-        for src, sym, dst in self.transitions:
-            if sym is not EPSILON:
-                by_src.setdefault(src, []).append((sym, dst))
-        # numbering: BFS from initial states (sorted), alphabet in stored order
-        order = {}
-        queue = deque()
-        for s in sorted(self.initial):
-            if s not in order:
-                order[s] = len(order)
-                queue.append(s)
-        new_trans = []
-        accepting = set()
-        while queue:
-            s = queue.popleft()
-            if closure[s] & self.accepting:
-                accepting.add(s)
-            moves = []
-            for t in sorted(closure[s]):
-                moves.extend(by_src.get(t, ()))
-            for sym, dst in moves:
-                if dst not in order:
-                    order[dst] = len(order)
-                    queue.append(dst)
-                new_trans.append((s, sym, dst))
-        remap = [(order[a], sym, order[b]) for a, sym, b in new_trans]
-        remap.sort(key=lambda t: (t[0], symkey(t[1]), t[2]))
-        return Nfa(self.alphabet, max(len(order), 1),
-                   {order[s] for s in self.initial if s in order},
-                   {order[s] for s in accepting},
-                   remap)
+        out = _out_index(t for t in self.transitions if t[1] is not EPSILON)
+        closures = {}
+
+        def moves(s):
+            closures[s] = closure = self._eps_closure({s}, eps)
+            return [m for t in sorted(closure) for m in out.get(t, ())]
+
+        ids, trans = _explore(sorted(self.initial), moves)
+        trans.sort(key=lambda t: (t[0], symkey(t[1]), t[2]))
+        return Nfa(self.alphabet, max(len(ids), 1), range(len(self.initial)),
+                   {ids[s] for s, c in closures.items() if c & self.accepting},
+                   trans)
 
     def determinize(self):
         """Total DFA over this automaton's alphabet (subset construction)."""
         nfa = self.normalize()
         start = frozenset(nfa.initial)
-        by_src = {}
-        for src, sym, dst in nfa.transitions:
-            by_src.setdefault((src, sym), set()).add(dst)
+        step = _step_index(nfa.transitions)
         ids = {start: 0}
         queue = deque([start])
         trans = {}
@@ -230,7 +202,7 @@ class Nfa:
             for sym in nfa.alphabet:
                 nxt = set()
                 for s in cur:
-                    nxt |= by_src.get((s, sym), set())
+                    nxt.update(step.get((s, sym), ()))
                 nxt = frozenset(nxt)
                 if nxt not in ids:
                     ids[nxt] = len(ids)
@@ -277,7 +249,10 @@ class Nfa:
     def intersect(self, other):
         self._require_same_alphabet(other)
         a, b = self.normalize(), other.normalize()
-        return _product(a, b, a.alphabet)
+        a_out, b_step = _out_index(a.transitions), _step_index(b.transitions)
+        return _pair_nfa(a, b, a.alphabet, lambda p: [
+            (sym, (i, j)) for sym, i in a_out.get(p[0], ())
+            for j in b_step.get((p[1], sym), ())])
 
     def complement(self):
         dfa = self.determinize()
@@ -289,28 +264,10 @@ class Nfa:
         """All interleavings of one word of each language."""
         a, b = self.normalize(), other.normalize()
         alphabet = tuple(dict.fromkeys(self.alphabet + other.alphabet))
-        ids = {}
-
-        def sid(i, j):
-            if (i, j) not in ids:
-                ids[(i, j)] = len(ids)
-            return ids[(i, j)]
-
-        for i in range(a.n_states):
-            for j in range(b.n_states):
-                sid(i, j)
-        trans = []
-        for i in range(a.n_states):
-            for j in range(b.n_states):
-                for src, sym, dst in a.transitions:
-                    if src == i:
-                        trans.append((sid(i, j), sym, sid(dst, j)))
-                for src, sym, dst in b.transitions:
-                    if src == j:
-                        trans.append((sid(i, j), sym, sid(i, dst)))
-        initial = {sid(i, j) for i in a.initial for j in b.initial}
-        accepting = {sid(i, j) for i in a.accepting for j in b.accepting}
-        return Nfa(alphabet, max(len(ids), 1), initial, accepting, trans)
+        a_out, b_out = _out_index(a.transitions), _out_index(b.transitions)
+        return _pair_nfa(a, b, alphabet, lambda p: (
+            [(sym, (i, p[1])) for sym, i in a_out.get(p[0], ())]
+            + [(sym, (p[0], j)) for sym, j in b_out.get(p[1], ())]))
 
     def pad_closure(self, pad):
         """Language of all words of L with runs of `pad` inserted before letters.
@@ -362,9 +319,7 @@ class Nfa:
     def words_up_to(self, max_len):
         """Accepted words of length <= max_len, by length then lexicographic."""
         a = self.normalize()
-        by_src = {}
-        for src, sym, dst in a.transitions:
-            by_src.setdefault((src, sym), set()).add(dst)
+        step = _step_index(a.transitions)
         syms = sorted(set(a.alphabet), key=symkey)
         level = [((), frozenset(a.initial))]
         out = []
@@ -377,7 +332,7 @@ class Nfa:
                     for sym in syms:
                         moved = set()
                         for s in states:
-                            moved |= by_src.get((s, sym), set())
+                            moved.update(step.get((s, sym), ()))
                         if moved:
                             nxt.append((word + (sym,), frozenset(moved)))
             level = nxt
@@ -386,24 +341,15 @@ class Nfa:
     def has_word_longer_than(self, k):
         """True iff L contains a word of length strictly greater than k."""
         a = self.normalize()
-        adj = {}
-        for src, sym, dst in a.transitions:
-            adj.setdefault(src, set()).add(dst)
+        out = _out_index(a.transitions)
         layers = frozenset(a.initial)
         for _ in range(k + 1):
-            layers = frozenset(t for s in layers for t in adj.get(s, ()))
+            layers = frozenset(t for s in layers for _, t in out.get(s, ()))
             if not layers:
                 return False
         # states reachable by words of length exactly k+1; close forward
-        reach = set(layers)
-        stack = list(layers)
-        while stack:
-            s = stack.pop()
-            for t in adj.get(s, ()):
-                if t not in reach:
-                    reach.add(t)
-                    stack.append(t)
-        return bool(reach & a.accepting)
+        ids, _ = _explore(layers, lambda s: out.get(s, ()))
+        return not a.accepting.isdisjoint(ids)
 
 
 class Dfa:
@@ -470,46 +416,69 @@ class Dfa:
         raw = {}
         for (s, a), t in self.transitions.items():
             raw[(classes[s], a)] = classes[t]
-        # canonical numbering: breadth-first from the initial class
-        order = {classes[self.initial]: 0}
-        queue = deque([classes[self.initial]])
-        while queue:
-            c = queue.popleft()
-            for a in self.alphabet:
-                t = raw[(c, a)]
-                if t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        trans = {(order[c], a): order[t] for (c, a), t in raw.items()
-                 if c in order}
-        accepting = {order[classes[s]] for s in self.accepting
-                     if classes[s] in order}
-        return Dfa(self.alphabet, len(order), 0, accepting, trans)
+        ids, trans = _explore([classes[self.initial]],
+                              lambda c: [(a, raw[(c, a)]) for a in self.alphabet])
+        accepting = {ids[classes[s]] for s in self.accepting
+                     if classes[s] in ids}
+        return Dfa(self.alphabet, len(ids), 0, accepting,
+                   {(src, a): dst for src, a, dst in trans})
 
 
-def _product(a, b, alphabet):
-    """Intersection product of two epsilon-free automata."""
+def _explore(starts, moves):
+    """Number the states reachable from `starts` and list their transitions.
+
+    `moves(x)` lists the (letter, successor) pairs of state `x`.  The starts
+    get the numbers 0, 1, ... in the order given (a repeated start keeps its
+    first number); every other state gets the next number when it is first
+    reached, in breadth-first order, taking the states in number order and
+    each state's moves in the order listed.  `normalize` and `Dfa.minimize`
+    rely on this numbering for their canonical output.
+
+    Returns (ids, transitions): ids maps each reached state to its number,
+    and transitions lists every (number, letter, number) move in the order
+    taken.
+    """
     ids = {}
-
-    def sid(i, j):
-        if (i, j) not in ids:
-            ids[(i, j)] = len(ids)
-        return ids[(i, j)]
-
-    bt = {}
-    for src, sym, dst in b.transitions:
-        bt.setdefault((src, sym), []).append(dst)
-    for i in range(a.n_states):
-        for j in range(b.n_states):
-            sid(i, j)
+    for x in starts:
+        ids.setdefault(x, len(ids))
+    queue = deque(ids)
     trans = []
-    for src, sym, dst in a.transitions:
-        for j in range(b.n_states):
-            for j2 in bt.get((j, sym), ()):
-                trans.append((sid(src, j), sym, sid(dst, j2)))
-    initial = {sid(i, j) for i in a.initial for j in b.initial}
-    accepting = {sid(i, j) for i in a.accepting for j in b.accepting}
-    return Nfa(alphabet, max(len(ids), 1), initial, accepting, trans)
+    while queue:
+        x = queue.popleft()
+        src = ids[x]
+        for sym, y in moves(x):
+            dst = ids.get(y)
+            if dst is None:
+                dst = ids[y] = len(ids)
+                queue.append(y)
+            trans.append((src, sym, dst))
+    return ids, trans
+
+
+def _out_index(transitions):
+    """src -> [(letter, dst)], in transition order."""
+    out = {}
+    for src, sym, dst in transitions:
+        out.setdefault(src, []).append((sym, dst))
+    return out
+
+
+def _step_index(transitions):
+    """(src, letter) -> [dst], in transition order."""
+    step = {}
+    for src, sym, dst in transitions:
+        step.setdefault((src, sym), []).append(dst)
+    return step
+
+
+def _pair_nfa(a, b, alphabet, moves):
+    """Product of epsilon-free `a` and `b` over the pairs of states that
+    `moves` reaches from the initial pairs; a pair accepts when both do."""
+    starts = [(i, j) for i in sorted(a.initial) for j in sorted(b.initial)]
+    ids, trans = _explore(starts, moves)
+    accepting = {n for (i, j), n in ids.items()
+                 if i in a.accepting and j in b.accepting}
+    return Nfa(alphabet, max(len(ids), 1), range(len(starts)), accepting, trans)
 
 
 def language_equal(a, b):

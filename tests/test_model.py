@@ -426,6 +426,19 @@ class TestCommute:
         assert validate_run(fig6, run)
         assert commute(fig6, run, 0) is None
 
+    def test_two_losses_swap_their_middle(self):
+        # a.b.a -> b.a -> b also runs as a.b.a -> a.b -> b; the swap must
+        # take that middle, not hand back the original one
+        m = ("a", "b")
+        s = Ucst(m, ("p",), ("q",), [], [])
+        c0, c1, c2 = (Configuration("p", "q", (), w)
+                      for w in (("a", "b", "a"), ("b", "a"), ("b",)))
+        run = Run(c0, ((LOSS, c1), (LOSS, c2)))
+        swapped = commute(s, run, 0)
+        assert validate_run(s, swapped)
+        assert swapped.steps[0][1].v == ("a", "b")
+        assert swapped.end == run.end
+
     def test_loss_not_postponable_past_parity_test(self):
         # losing the b of a.b makes l odd; with the b still there it is even,
         # so the loss cannot move past the test

@@ -17,7 +17,7 @@ from ucst.pep import (
 )
 from ucst.randomgen import random_z1l_instance
 from ucst.reductions import bridge_context, ucst_to_pep
-from ucst.regdata import Nfa, parse_regex
+from ucst.regdata import Nfa, parse_regex, subword
 
 SOL = ("d0", "d4", "d1", "d5", "d2", "d3")       # writes interleaved with reads
 RUNW = ("d0", "d1", "d2", "d4", "d3", "d5")      # the witness run's rule order
@@ -60,6 +60,25 @@ class TestSolutionChecking:
         # whole word: u = x (from a), v = x (from t): embeds; suffix "a" is in
         # Rp and there u = x but v is empty
         assert not is_solution(inst, ("t", "a"))
+
+    def test_agrees_with_definition(self, random_nfa):
+        # the definition through the DFAs, which share nothing with the
+        # lazy membership steps `is_solution` takes
+        rng = random.Random(7406)
+        sigma, gammas = ("a", "b"), ("x", "y")
+        words = Nfa.all_words(sigma).words_up_to(4)
+        for _ in range(60):
+            u = {a: tuple(rng.choices(gammas, k=rng.randrange(0, 2))) for a in sigma}
+            v = {a: tuple(rng.choices(gammas, k=rng.randrange(0, 3))) for a in sigma}
+            inst = PepInstance(sigma, gammas, u, v, random_nfa(rng, sigma),
+                               random_nfa(rng, sigma))
+            rdfa, rpdfa = inst.R.determinize(), inst.Rp.determinize()
+            for word in words:
+                want = rdfa.accepts(word) and all(
+                    subword(inst.image_u(word[i:]), inst.image_v(word[i:]))
+                    for i in range(len(word) + 1)
+                    if i == 0 or rpdfa.accepts(word[i:]))
+                assert is_solution(inst, word) == want, word
 
 
 class TestBoundedSolve:

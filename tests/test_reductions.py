@@ -53,11 +53,11 @@ class TestUpwardClosedSet:
         assert s.contains(c2)
         assert not s.contains(Configuration("p", "q", (), ("b",)))
 
-    def test_insert_and_union(self):
+    def test_of_and_union(self):
         c1 = Configuration("p", "q", (), ("a", "a"))
         c2 = Configuration("p", "q", (), ("a",))
-        s = UpwardClosedSet.empty().insert(c1)
-        s2 = s.insert(c2)
+        s = UpwardClosedSet.of([c1])
+        s2 = UpwardClosedSet.of(s.minimal + (c2,))
         assert s2.minimal == (c2,)
         assert s.union(s2) == s2
 

@@ -14,6 +14,7 @@ from ucst.model import (
     nonemptiness_test,
     odd_length_test,
 )
+from ucst.reductions import ucst_to_pep
 from ucst.regdata import (
     Nfa,
     is_downward_closed,
@@ -328,6 +329,84 @@ class TestEnumeration:
     def test_normalize_invariants(self):
         lang = parse_regex("(a | EPS) b*", AB).normalize()
         assert all(sym is not None for _, sym, _ in lang.transitions)
+
+
+def reachable_states(nfa):
+    """States some path from an initial state reaches, by any move."""
+    seen = set(nfa.initial)
+    stack = list(seen)
+    while stack:
+        s = stack.pop()
+        for src, _, dst in nfa.transitions:
+            if src == s and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
+class TestProducts:
+    def test_against_definitions_and_reachable_only(self, random_nfa):
+        rng = random.Random(6047)
+        for _ in range(60):
+            a, b = random_nfa(rng, AB), random_nfa(rng, AB)
+            both = a.intersect(b)
+            for w in words_over(AB, 5):
+                assert both.accepts(w) == (a.accepts(w) and b.accepts(w)), w
+            mixed = a.shuffle(b)
+            want = set()
+            for w1 in a.words_up_to(4):
+                for w2 in b.words_up_to(4 - len(w1)):
+                    want |= brute_interleavings(w1, w2)
+            assert {w for w in words_over(AB, 4) if mixed.accepts(w)} == want
+            for product in (both, mixed):
+                assert reachable_states(product) == set(range(product.n_states))
+
+
+def pin(nfa):
+    return nfa.n_states, nfa.initial, nfa.accepting, nfa.transitions
+
+
+class TestCanonicalNumbering:
+    """Exact outputs of `normalize` and `determinize().minimize()`: instance
+    printing and the writer state names of the reductions depend on them."""
+
+    def test_standard_tests(self):
+        one, two = {0}, {1}
+        to_1 = [(0, "a", 1), (0, "b", 1)]
+        cases = [
+            (emptiness_test(AB), (1, one, one, ()),
+             (2, 0, one, {(0, "a"): 1, (0, "b"): 1, (1, "a"): 1, (1, "b"): 1})),
+            (nonemptiness_test(AB),
+             (3, one, {1, 2}, tuple(to_1 + [(1, "a", 2), (1, "b", 2),
+                                           (2, "a", 2), (2, "b", 2)])),
+             (2, 0, two, {(0, "a"): 1, (0, "b"): 1, (1, "a"): 1, (1, "b"): 1})),
+            (even_length_test(AB),
+             (3, one, {0, 2}, tuple(to_1 + [(1, "a", 2), (1, "b", 2),
+                                           (2, "a", 1), (2, "b", 1)])),
+             (2, 0, one, {(0, "a"): 1, (0, "b"): 1, (1, "a"): 0, (1, "b"): 0})),
+            (head_test("a", AB),
+             (3, one, {1, 2}, ((0, "a", 1), (1, "a", 2), (1, "b", 2),
+                               (2, "a", 2), (2, "b", 2))),
+             (3, 0, two, {(0, "a"): 1, (0, "b"): 2, (1, "a"): 1, (1, "b"): 1,
+                          (2, "a"): 2, (2, "b"): 2})),
+        ]
+        for lang, normal, minimal in cases:
+            assert pin(lang.normalize()) == normal
+            assert pin(lang.determinize().minimize()) == minimal
+
+    def test_fig6_constraint(self, fig6_instance):
+        big_r = ucst_to_pep(fig6_instance).R
+        path = [(0, "d0", 1), (0, "d4", 2), (1, "d1", 3), (1, "d4", 4),
+                (2, "d0", 4), (4, "d1", 5), (5, "d5", 6), (6, "d2", 7),
+                (7, "d3", 8)]
+        assert pin(big_r.normalize()) == (9, {0}, {8}, tuple(path))
+        # the minimal DFA: one path to the accepting state 8, everything
+        # else falls into the dead state 2
+        live = {(0, "d0"): 1, (0, "d4"): 3, (1, "d4"): 4, (3, "d0"): 4,
+                (4, "d1"): 5, (5, "d5"): 6, (6, "d2"): 7, (7, "d3"): 8}
+        letters = ("d0", "d1", "d2", "d3", "d4", "d5")
+        moves = {(s, a): live.get((s, a), 2) for s in range(9) for a in letters}
+        assert pin(big_r.determinize().minimize()) == (9, 0, {8}, moves)
 
 
 def fields(nfa):
