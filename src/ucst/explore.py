@@ -5,6 +5,10 @@ whose channel contents exceed the bound (pruned successors are discarded,
 never truncated, so every witness is a genuine run).  A certified
 "unreachable" verdict is only produced when the closure finished without
 pruning anything, including the enumeration of initial words.
+
+Co-reach comes in two parts: `bounded_graph` explores a system's bounded
+graph forward once, and `coreach_in` answers one target backward over it, so
+a caller asking many targets of one (immutable) system explores it once.
 """
 
 from dataclasses import dataclass
@@ -152,14 +156,10 @@ def reachable_set(s, starts, bound, mode=LOSSY):
     return set(parents)
 
 
-def bounded_coreach(s, starts, targets, bound, mode=LOSSY):
-    """Configurations reachable from `starts` within the channel bound from
-    which a configuration satisfying the predicate `targets` is reachable in
-    at most `bound.max_steps` steps (0 = no limit).
-
-    One forward `_bfs` from `starts` records the reverse edges of the bounded
-    graph it explores; one backward `_bfs` from its targets runs over them.
-    """
+def bounded_graph(s, starts, bound, mode=LOSSY):
+    """One forward `_bfs` from `starts` within the channel bound: returns the
+    configurations it found and the reverse edges between them, each
+    configuration mapped to its (label, predecessor) pairs."""
     rev = {}
 
     def step(c):
@@ -168,11 +168,26 @@ def bounded_coreach(s, starts, targets, bound, mode=LOSSY):
             rev.setdefault(succ, []).append((label, c))
         return out
 
-    k = bound.max_channel_len
-    graph, _, _ = _bfs(starts, step, k)
-    parents, _, _ = _bfs([c for c in graph if targets(c)],
-                         lambda c: rev.get(c, ()), k, max_depth=bound.max_steps)
+    configs, _, _ = _bfs(starts, step, bound.max_channel_len)
+    return configs, rev
+
+
+def coreach_in(graph, targets, bound):
+    """Configurations of a `bounded_graph` from which one satisfying the
+    predicate `targets` is reachable in at most `bound.max_steps` steps
+    (0 = no limit), by one backward `_bfs` over its reverse edges."""
+    configs, rev = graph
+    parents, _, _ = _bfs([c for c in configs if targets(c)],
+                         lambda c: rev.get(c, ()), bound.max_channel_len,
+                         max_depth=bound.max_steps)
     return set(parents)
+
+
+def bounded_coreach(s, starts, targets, bound, mode=LOSSY):
+    """Configurations reachable from `starts` within the channel bound from
+    which a configuration satisfying the predicate `targets` is reachable in
+    at most `bound.max_steps` steps (0 = no limit)."""
+    return coreach_in(bounded_graph(s, starts, bound, mode), targets, bound)
 
 
 def _tarjan_sccs(nodes, adj):

@@ -22,13 +22,10 @@ def _alt(x, y):
         return y
     if y is None:
         return x
-    branches = []
-    for node in (x, y):
-        parts = node[1] if node[0] == "alt" else (node,)
-        for part in parts:
-            if part not in branches:
-                branches.append(part)
-    return branches[0] if len(branches) == 1 else ("alt", tuple(branches))
+    branches = tuple(dict.fromkeys(
+        part for node in (x, y)
+        for part in (node[1] if node[0] == "alt" else (node,))))
+    return branches[0] if len(branches) == 1 else ("alt", branches)
 
 
 def _cat(x, y):

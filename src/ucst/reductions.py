@@ -11,7 +11,7 @@ maps to a Post embedding instance and back.
 from dataclasses import dataclass
 
 from .errors import FragmentError, InputError, OracleInconclusive
-from .explore import bounded_coreach
+from .explore import bounded_graph, coreach_in
 from .model import (
     L,
     LOSSY,
@@ -71,26 +71,33 @@ def config_below(c, d):
 
 @dataclass(frozen=True)
 class UpwardClosedSet:
-    """Finite antichain of minimal configurations, all with empty r."""
+    """Finite antichain of minimal configurations, all with empty r.
+
+    Configurations with different control pairs are incomparable, so only
+    elements with the same (p, q) are compared."""
 
     minimal: tuple = ()
 
     def __post_init__(self):
+        pairs = {}
         for c in self.minimal:
             if c.u != ():
                 raise InputError("upward-closed sets live in the r-empty slice")
-        for c in self.minimal:
-            for d in self.minimal:
-                if c is not d and config_below(c, d):
-                    raise InputError("minimal elements must form an antichain")
+            vs = pairs.setdefault((c.p, c.q), [])
+            if any(subword(v, c.v) or subword(c.v, v) for v in vs):
+                raise InputError("minimal elements must form an antichain")
+            vs.append(c.v)
 
     @staticmethod
     def of(configs):
-        mins = []
+        # in `_config_key` order nothing lies strictly below an earlier
+        # element, and each control pair's elements are contiguous
+        mins = {}
         for c in sorted(configs, key=_config_key):
-            if not any(config_below(m, c) for m in mins):
-                mins = [m for m in mins if not config_below(c, m)] + [c]
-        return UpwardClosedSet(tuple(sorted(mins, key=_config_key)))
+            kept = mins.setdefault((c.p, c.q), [])
+            if not any(subword(m.v, c.v) for m in kept):
+                kept.append(c)
+        return UpwardClosedSet(tuple(c for kept in mins.values() for c in kept))
 
     def contains(self, c):
         return any(config_below(m, c) for m in self.minimal)
@@ -381,15 +388,24 @@ def elim_final(inst):
 # -- backward saturation -----------------------------------------------------------
 
 def bounded_oracle(bound, mode=LOSSY):
-    """Saturation oracle backed by the bounded explorer: one bounded co-reach
+    """Saturation oracle backed by the bounded explorer: a bounded co-reach
     from every r-empty configuration whose l fits the channel bound.  Every
     configuration it gives reaches a target; a missing one is bound-relative.
+
+    The oracle explores a system's bounded graph forward once and answers
+    every later target on the same system backward over that graph.  It
+    keeps the graph of the latest system only, keyed by identity, so systems
+    must not change once asked about.
     """
+    latest = [None, None]  # system, its bounded graph
+
     def oracle(s, is_target):
-        words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
-        starts = [Configuration(p, q, (), v) for v in words
-                  for p in s.sender_states for q in s.receiver_states]
-        co = bounded_coreach(s, starts, is_target, bound, mode)
+        if latest[0] is not s:
+            words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
+            starts = [Configuration(p, q, (), v) for v in words
+                      for p in s.sender_states for q in s.receiver_states]
+            latest[:] = s, bounded_graph(s, starts, bound, mode)
+        co = coreach_in(latest[1], is_target, bound)
         return UpwardClosedSet.of(c for c in co if c.u == ())
     return oracle
 
@@ -403,7 +419,9 @@ def pre_star_z1l(s, target, oracle):
     is `oracle(s, is_target)`, which must give the `UpwardClosedSet` of
     r-empty configurations from which some configuration satisfying the
     predicate `is_target` is reachable.  `bounded_oracle` answers within a
-    channel and step bound; an exact oracle plugs in here unchanged.
+    channel and step bound, exploring each system's bounded graph once and
+    answering every target over it (so `s` must not change between calls);
+    an exact oracle plugs in here unchanged.
 
     The system may only carry Sender emptiness tests on l (losses make the
     result upward-closed for exactly this fragment).

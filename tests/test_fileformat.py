@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from ucst.errors import InputError
 from ucst.fileformat import (
+    _alt,
     instance_equal,
     nfa_to_regex,
     parse_pep,
@@ -52,6 +54,62 @@ class TestNfaToRegex:
         lang = parse_regex("a | a b", ("a", "b")).pad_closure("n")
         back = parse_regex(nfa_to_regex(lang), ("a", "b", "n"))
         assert language_equal(lang, back)
+
+
+def list_alt(x, y):
+    """`_alt` by its first definition: duplicates dropped by a list scan."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    branches = []
+    for node in (x, y):
+        for part in (node[1] if node[0] == "alt" else (node,)):
+            if part not in branches:
+                branches.append(part)
+    return branches[0] if len(branches) == 1 else ("alt", tuple(branches))
+
+
+def random_regex_tree(rng, depth):
+    kinds = ("eps", "sym", "sym", "star", "cat", "alt") if depth else ("eps", "sym")
+    kind = rng.choice(kinds)
+    if kind == "eps":
+        return ("eps",)
+    if kind == "sym":
+        return ("sym", rng.choice("ab"))
+    if kind == "star":
+        return ("star", random_regex_tree(rng, depth - 1))
+    return (kind, tuple(random_regex_tree(rng, depth - 1)
+                        for _ in range(rng.randint(2, 3))))
+
+
+def rebuilt(node):
+    """An equal copy of `node` that shares no tuple with it."""
+    if node[0] in ("cat", "alt"):
+        return (node[0], tuple([rebuilt(part) for part in node[1]]))
+    if node[0] == "star":
+        return ("star", rebuilt(node[1]))
+    return tuple(list(node))
+
+
+class TestAlt:
+    def test_agrees_with_list_definition(self):
+        rng = random.Random(89)
+        merged = 0
+        for _ in range(300):
+            got = want = None
+            trees = []
+            for _ in range(rng.randint(1, 8)):
+                if trees and rng.random() < 0.4:
+                    node = rebuilt(rng.choice(trees))
+                else:
+                    node = random_regex_tree(rng, rng.randint(0, 3))
+                trees.append(node)
+                merged += want is not None and list_alt(want, node) == want
+                got, want = _alt(got, node), list_alt(want, node)
+                assert got == want
+            assert _alt(got, None) == want and _alt(None, got) == want
+        assert merged >= 100  # duplicate branches were really dropped
 
 
 class TestUcstFormat:
@@ -128,6 +186,34 @@ class TestPepFormat:
     def test_parse_errors(self):
         with pytest.raises(InputError):
             parse_pep("sigma: a\ngamma: g\nR: a\n")
+
+
+class TestPrintPepPins:
+    # sha256 prefixes of `print_pep` on seeded Sender Z/N instances with
+    # regular constraints, reduced to PEP: (stages run, digest) per instance
+    PINS = {0: (("input", "eg", "eez1"), "367b1946ac50329b"),
+            2: (("input", "eg", "eez1"), "179e3ad142208ab5"),
+            6: (("input", "eg", "eez1"), "e0e348119625f185"),
+            7: (("input", "eg", "eez1"), "13e94883136a71ba"),
+            10: (("input", "eg", "egz1", "eez1"), "a9af956e4d3f8b8c"),
+            11: (("input", "eg", "eez1"), "9801682c63fca52a")}
+
+    def test_reduced_zn_instances(self):
+        rng = random.Random(43)
+        for i in range(max(self.PINS) + 1):
+            s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                            n_sender_rules=4, n_receiver_rules=3,
+                            sender_tests=(("Z", "l"), ("N", "l")),
+                            test_weight=0.4)
+            inst = random_instance(rng, s)
+            if i not in self.PINS:
+                continue
+            trace = run_pipeline(inst, to="pep")
+            text = print_pep(trace.pep)
+            stages, digest = self.PINS[i]
+            assert tuple(st.name for st in trace.stages) == stages
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, i
+            assert pep_equal(parse_pep(text), trace.pep)
 
 
 class TestRandomPepRoundTrip:

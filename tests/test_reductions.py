@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from ucst import explore, reductions
 from ucst.errors import FragmentError, InputError
 from ucst.explore import UNREACHABLE, Bound, bounded_coreach, bounded_reach
 from ucst.model import (
@@ -19,9 +21,11 @@ from ucst.pep import PepInstance, enumerate_solutions, is_pre_solution
 from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import (
     UpwardClosedSet,
+    _config_key,
     _is_eps_language,
     bounded_oracle,
     bridge_context,
+    config_below,
     decide_eereach_z1,
     elim_final,
     elim_initial,
@@ -64,6 +68,61 @@ class TestUpwardClosedSet:
     def test_rejects_nonempty_r(self):
         with pytest.raises(InputError):
             UpwardClosedSet.of([Configuration("p", "q", ("a",), ())])
+
+    def test_rejects_duplicates_whatever_their_identity(self):
+        c = Configuration("p", "q", (), ("a",))
+        for twin in (c, Configuration("p", "q", (), ("a",))):
+            with pytest.raises(InputError):
+                UpwardClosedSet((c, twin))
+            assert UpwardClosedSet.of([c, twin]) == UpwardClosedSet((c,))
+
+    def test_of_and_union_match_quadratic_definitions(self):
+        rng = random.Random(97)
+        for _ in range(300):
+            xs = random_r_empty_configs(rng, rng.randint(0, 12))
+            ys = random_r_empty_configs(rng, rng.randint(0, 12))
+            a, b = UpwardClosedSet.of(xs), UpwardClosedSet.of(ys)
+            assert a.minimal == quadratic_of(xs)
+            assert a.union(b).minimal == quadratic_of(a.minimal + b.minimal)
+            assert a.union(b).minimal == quadratic_of(xs + ys)
+
+    def test_antichain_check_raises_exactly_on_comparable_pairs(self):
+        rng = random.Random(101)
+        raised = 0
+        for _ in range(400):
+            cs = tuple(random_r_empty_configs(rng, rng.randint(0, 5)))
+            if any(config_below(c, d) or config_below(d, c)
+                   for i, c in enumerate(cs) for d in cs[i + 1:]):
+                with pytest.raises(InputError):
+                    UpwardClosedSet(cs)
+                raised += 1
+            else:
+                assert UpwardClosedSet(cs).minimal == cs
+        assert 100 <= raised <= 300
+
+
+def quadratic_of(configs):
+    """`UpwardClosedSet.of` by its first definition: every pair compared."""
+    mins = []
+    for c in sorted(configs, key=_config_key):
+        if not any(config_below(m, c) for m in mins):
+            mins = [m for m in mins if not config_below(c, m)] + [c]
+    return tuple(sorted(mins, key=_config_key))
+
+
+def random_r_empty_configs(rng, n):
+    """`n` r-empty configurations over six control pairs with l-words of up
+    to five letters; about a quarter are equal copies of earlier ones."""
+    configs = []
+    for _ in range(n):
+        if configs and rng.random() < 0.25:
+            c = rng.choice(configs)
+            configs.append(Configuration(c.p, c.q, (), tuple(list(c.v))))
+        else:
+            word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+            configs.append(Configuration(rng.choice(("p0", "p1", "p2")),
+                                         rng.choice(("q0", "q1")), (), word))
+    return configs
 
 
 class TestIsEpsLanguage:
@@ -393,6 +452,27 @@ class TestBoundedOracle:
                         nonempty += len(got) > 0
         assert nonempty >= 24
 
+    def test_shared_oracle_answers_as_fresh_ones(self):
+        # the oracle keeps the latest system's graph: asking A, B, then A
+        # again (and an equal copy of A) must not answer from a stale graph
+        rng = random.Random(73)
+        bound = Bound(3, 0)
+        a = bounded_write_z1l_system(rng)
+        b = bounded_write_z1l_system(rng, forward_sender=False)
+        a_copy = Ucst(a.alphabet, a.sender_states, a.receiver_states,
+                      a.sender_rules, a.receiver_rules)
+        shared = bounded_oracle(bound)
+        answers = {}
+        for _ in range(4):
+            exact = self.random_targets(rng, a, 2)
+            upward = UpwardClosedSet.of(self.random_targets(rng, a, 1))
+            for s in (a, b, a, a_copy, b):
+                for target in (exact, upward):
+                    got = pre_star_z1l(s, target, shared)
+                    assert got == pre_star_z1l(s, target, bounded_oracle(bound))
+                    answers.setdefault(s is b, set()).add((id(target), got))
+        assert answers[True] != answers[False]
+
 
 class TestDecideEeReach:
     def test_without_r_tests_matches_t0(self, fig6, fig6_instance):
@@ -435,6 +515,48 @@ class TestDecideEeReach:
             checked += 1
             positives += want
         assert checked >= 4
+
+    def test_explores_each_system_forward_once(self, monkeypatch):
+        build = reductions.bounded_graph
+        successors = explore.successors
+        builds, expanded = [], Counter()
+
+        def counting_build(s, *args):
+            builds.append(s)
+            return build(s, *args)
+
+        def counting_successors(s, c, mode):
+            expanded[s, c] += 1
+            return successors(s, c, mode)
+
+        monkeypatch.setattr(reductions, "bounded_graph", counting_build)
+        monkeypatch.setattr(explore, "successors", counting_successors)
+        rng = random.Random(71)
+        rounds = []
+        for _ in range(12):
+            s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                            n_sender_rules=4, n_receiver_rules=2,
+                            sender_tests=(("Z", "l"), ("Z", "r")),
+                            test_weight=0.4, forward_sender=True)
+            inst = random_instance(rng, s, empty_initial=True, empty_final=True)
+            if not any(t.channel == "r" for t in classify_tests(s).tests):
+                continue
+            oracle = bounded_oracle(Bound(4, 0))
+            asked = []
+
+            def counting_oracle(s, is_target):
+                asked.append(s)
+                return oracle(s, is_target)
+
+            builds.clear()
+            expanded.clear()
+            decide_eereach_z1(inst, counting_oracle)
+            stripped = asked[0]
+            assert stripped is not s and set(asked) == {stripped}
+            assert builds == [stripped]
+            assert set(expanded.values()) == {1}
+            rounds.append(len(asked))
+        assert max(rounds) >= 3 and sum(rounds) >= 12
 
     def test_receiver_test_fallback_is_sound(self):
         # Receiver Z/N tests leave Sender r-emptiness tests after the
