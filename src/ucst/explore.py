@@ -1,10 +1,14 @@
 """Bounded explicit-state oracle: forward/backward reachability and lassos.
 
-All searches run one breadth-first core, `_bfs`, which prunes configurations
-whose channel contents exceed the bound (pruned successors are discarded,
-never truncated, so every witness is a genuine run).  A certified
-"unreachable" verdict is only produced when the closure finished without
-pruning anything, including the enumeration of initial words.
+All searches run one breadth-first core, `_bfs`, over nodes (p, q, r word
+id, l word id) of the system's numbered words, stepped by `model.step`.  It
+prunes nodes whose channel words exceed the bound, reading their lengths
+from the word table (pruned successors are discarded, never truncated, so
+every witness is a genuine run).  Nodes become `Configuration` values only
+at the edges: witness runs, returned sets, and the targets a co-reach is
+asked about.  A certified "unreachable" verdict is only produced when the
+closure finished without pruning anything, including the enumeration of
+initial words.
 
 Co-reach comes in two parts: `bounded_graph` explores a system's bounded
 graph forward once, and `coreach_in` answers one target backward over it, so
@@ -17,10 +21,11 @@ from itertools import product
 from .errors import InputError
 from .model import (
     LOSSY,
+    MODES,
     Configuration,
     ReachInstance,
     Run,
-    successors,
+    step,
 )
 from .regdata import Nfa
 
@@ -41,8 +46,14 @@ class Bound:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A bounded answer and why its search stopped: `reason` is "target",
+    "closure" (finished, nothing pruned), "length-bound" (a successor was
+    longer than the channel bound), "step-bound" or "initial-truncation"
+    (an initial word was longer than the channel bound)."""
+
     status: str
     witness: Run = None
+    reason: str = None
 
     @property
     def reachable(self):
@@ -62,36 +73,46 @@ class LassoWitness:
         return self.stem.end
 
 
-def _initial_configs(inst, bound):
-    """Initial configurations by length-lexicographic word enumeration.
+def _initial_nodes(inst, bound):
+    """Initial nodes by length-lexicographic word enumeration.
 
     Second result is True when some admissible initial word was dropped
     because it is longer than the channel bound.
     """
     k = bound.max_channel_len
-    us = inst.U.words_up_to(k)
-    vs = inst.V.words_up_to(k)
+    number = inst.system.words.id
+    us = map(number, inst.U.words_up_to(k))
+    vs = map(number, inst.V.words_up_to(k))
     dropped = inst.U.has_word_longer_than(k) or inst.V.has_word_longer_than(k)
-    configs = [Configuration(inst.p_in, inst.q_in, u, v)
-               for u, v in product(us, vs)]
-    return configs, dropped
+    nodes = [(inst.p_in, inst.q_in, u, v) for u, v in product(us, vs)]
+    return nodes, dropped
 
 
-def _bfs(starts, step, k, goal=None, max_depth=0, max_nodes=None):
-    """Layered breadth-first search over configurations whose channels fit in `k`.
+def _stepper(s, mode):
+    """`model.step` of system `s` in `mode`, on one node."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    return lambda node: step(s, node, mode)
 
-    `step(c)` yields (label, successor) pairs; successors beyond the bound are
-    discarded.  Returns (parents, hit, stop).  `parents` maps each configuration
-    found, in discovery order, to (label, predecessor), or to None for a start;
-    `hit` is the first configuration satisfying `goal`, else None.  `stop` is
-    "target", "closure" (nothing new and nothing discarded), "length-bound"
-    (nothing new, but some successor was discarded), "step-bound" (a layer
-    remains after `max_depth` expansions; 0 = no limit) or "budget" (a new
-    configuration found with `max_nodes` already known).
+
+def _bfs(words, starts, expand, k, goal=None, max_depth=0, max_nodes=None):
+    """Layered breadth-first search over nodes whose channels fit in `k`.
+
+    Nodes are (p, q, r word id, l word id) of the word table `words`, which
+    gives their lengths.  `expand(node)` yields (label, successor) pairs;
+    successors beyond the bound are discarded.  Returns (parents, hit,
+    stop).  `parents` maps each node found, in discovery order, to (label,
+    predecessor), or to None for a start; `hit` is the first node satisfying
+    `goal`, else None.  `stop` is "target", "closure" (nothing new and
+    nothing discarded), "length-bound" (nothing new, but some successor was
+    discarded), "step-bound" (a layer remains after `max_depth` expansions;
+    0 = no limit) or "budget" (a new node found with `max_nodes` already
+    known).
     """
+    length = words.length
     parents = {}
     for c in starts:
-        if len(c.u) <= k and len(c.v) <= k and c not in parents:
+        if length[c[2]] <= k and length[c[3]] <= k and c not in parents:
             parents[c] = None
             if goal is not None and goal(c):
                 return parents, c, "target"
@@ -104,11 +125,11 @@ def _bfs(starts, step, k, goal=None, max_depth=0, max_nodes=None):
         depth += 1
         nxt = []
         for c in frontier:
-            for label, succ in step(c):
-                if len(succ.u) > k or len(succ.v) > k:
-                    pruned = True
-                    continue
+            for label, succ in expand(c):
                 if succ in parents:
+                    continue
+                if length[succ[2]] > k or length[succ[3]] > k:
+                    pruned = True
                     continue
                 if max_nodes is not None and len(parents) >= max_nodes:
                     return parents, None, "budget"
@@ -120,67 +141,80 @@ def _bfs(starts, step, k, goal=None, max_depth=0, max_nodes=None):
     return parents, None, "length-bound" if pruned else "closure"
 
 
-def _path(parents, end):
-    """The run from a start of `_bfs` to `end`, along the recorded parents."""
+def _path(s, parents, end):
+    """The run from a start of `_bfs` to node `end`, along the recorded
+    parents, decoded to configurations."""
     steps = []
     while parents[end] is not None:
         label, prev = parents[end]
-        steps.append((label, end))
+        steps.append((label, s.config(end)))
         end = prev
     steps.reverse()
-    return Run(end, tuple(steps))
+    return Run(s.config(end), tuple(steps))
 
 
 def bounded_reach(inst, bound, mode=LOSSY):
-    """Layer-synchronous BFS from the initial constraint to the final one."""
+    """Layer-synchronous BFS from the initial constraint to the final one.
+
+    The verdict's reason is the search's stop; a closure that dropped an
+    initial word longer than the bound gives "initial-truncation".
+    """
     s = inst.system
-    initials, dropped = _initial_configs(inst, bound)
+    expand = _stepper(s, mode)
+    initials, dropped = _initial_nodes(inst, bound)
+    p_fi, q_fi = inst.p_fi, inst.q_fi
+    up, vp = s.words.column(inst.Up), s.words.column(inst.Vp)
 
-    def is_target(c):
-        return (c.p == inst.p_fi and c.q == inst.q_fi
-                and inst.Up.accepts(c.u) and inst.Vp.accepts(c.v))
+    def is_target(n):
+        return n[0] == p_fi and n[1] == q_fi and up[n[2]] and vp[n[3]]
 
-    parents, hit, stop = _bfs(initials, lambda c: successors(s, c, mode),
-                              bound.max_channel_len, is_target, bound.max_steps)
+    parents, hit, stop = _bfs(s.words, initials, expand, bound.max_channel_len,
+                              is_target, bound.max_steps)
     if hit is not None:
-        return Verdict(REACHABLE, _path(parents, hit))
-    if dropped or stop != "closure":
-        return Verdict(NOT_WITHIN_BOUND)
-    return Verdict(UNREACHABLE)
+        return Verdict(REACHABLE, _path(s, parents, hit), stop)
+    if stop != "closure":
+        return Verdict(NOT_WITHIN_BOUND, reason=stop)
+    if dropped:
+        return Verdict(NOT_WITHIN_BOUND, reason="initial-truncation")
+    return Verdict(UNREACHABLE, reason=stop)
 
 
 def reachable_set(s, starts, bound, mode=LOSSY):
     """All configurations reachable from `starts` within the channel bound."""
-    parents, _, _ = _bfs(starts, lambda c: successors(s, c, mode),
-                         bound.max_channel_len, max_depth=bound.max_steps)
-    return set(parents)
+    parents, _, _ = _bfs(s.words, [s.node(c) for c in starts],
+                         _stepper(s, mode), bound.max_channel_len,
+                         max_depth=bound.max_steps)
+    return {s.config(n) for n in parents}
 
 
 def bounded_graph(s, starts, bound, mode=LOSSY):
-    """One forward `_bfs` from `starts` within the channel bound: returns the
-    configurations it found and the reverse edges between them, each
-    configuration mapped to its (label, predecessor) pairs."""
+    """One forward `_bfs` from the configurations `starts` within the
+    channel bound.  Returns the system's word table, each node found mapped
+    to its configuration in discovery order, and the reverse edges, each
+    node mapped to its (label, predecessor) pairs."""
+    forward = _stepper(s, mode)
     rev = {}
 
-    def step(c):
-        out = successors(s, c, mode)
+    def expand(n):
+        out = forward(n)
         for label, succ in out:
-            rev.setdefault(succ, []).append((label, c))
+            rev.setdefault(succ, []).append((label, n))
         return out
 
-    configs, _, _ = _bfs(starts, step, bound.max_channel_len)
-    return configs, rev
+    parents, _, _ = _bfs(s.words, [s.node(c) for c in starts], expand,
+                         bound.max_channel_len)
+    return s.words, {n: s.config(n) for n in parents}, rev
 
 
 def coreach_in(graph, targets, bound):
     """Configurations of a `bounded_graph` from which one satisfying the
     predicate `targets` is reachable in at most `bound.max_steps` steps
     (0 = no limit), by one backward `_bfs` over its reverse edges."""
-    configs, rev = graph
-    parents, _, _ = _bfs([c for c in configs if targets(c)],
-                         lambda c: rev.get(c, ()), bound.max_channel_len,
+    words, configs, rev = graph
+    parents, _, _ = _bfs(words, [n for n, c in configs.items() if targets(c)],
+                         lambda n: rev.get(n, ()), bound.max_channel_len,
                          max_depth=bound.max_steps)
-    return set(parents)
+    return {configs[n] for n in parents}
 
 
 def bounded_coreach(s, starts, targets, bound, mode=LOSSY):
@@ -243,34 +277,38 @@ def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):
     """Search for a stem plus a cycle through a configuration with control
     pair (p, q) inside the bounded graph; None when not found."""
     k = bound.max_channel_len
+    forward = _stepper(s, mode)
+    length = s.words.length
     adj = {}
 
-    def step(c):
-        adj[c] = [(label, succ) for label, succ in successors(s, c, mode)
-                  if len(succ.u) <= k and len(succ.v) <= k]
-        return adj[c]
+    def expand(n):
+        adj[n] = [(label, succ) for label, succ in forward(n)
+                  if length[succ[2]] <= k and length[succ[3]] <= k]
+        return adj[n]
 
-    start = Configuration(p_in, q_in, (), ())
-    parents, _, stop = _bfs([start], step, k, max_nodes=max_states)
+    start = s.node(Configuration(p_in, q_in, (), ()))
+    parents, _, stop = _bfs(s.words, [start], expand, k, max_nodes=max_states)
     if stop == "budget":
         return None
     for scc in _tarjan_sccs(parents, adj):
         if len(scc) == 1 and all(succ != scc[0] for _, succ in adj[scc[0]]):
             continue
-        anchor = next((c for c in scc if c.p == p and c.q == q), None)
+        anchor = next((n for n in scc if n[0] == p and n[1] == q), None)
         if anchor is None:
             continue
         # shortest cycle: the nearest of the anchor's successors in its SCC
         members = set(scc)
-        found, hit, _ = _bfs([succ for _, succ in adj[anchor] if succ in members],
-                             lambda c: [e for e in adj[c] if e[1] in members],
-                             k, goal=lambda c: c == anchor)
+        found, hit, _ = _bfs(s.words,
+                             [succ for _, succ in adj[anchor] if succ in members],
+                             lambda n: [e for e in adj[n] if e[1] in members],
+                             k, goal=lambda n: n == anchor)
         if hit is None:
             raise RuntimeError("anchor has no cycle inside its SCC")
-        back = _path(found, anchor)
-        label = next(lab for lab, succ in adj[anchor] if succ == back.start)
-        return LassoWitness(_path(parents, anchor),
-                            Run(anchor, ((label, back.start),) + back.steps))
+        back = _path(s, found, anchor)
+        first = s.node(back.start)
+        label = next(lab for lab, succ in adj[anchor] if succ == first)
+        cycle = Run(s.config(anchor), ((label, back.start),) + back.steps)
+        return LassoWitness(_path(s, parents, anchor), cycle)
     return None
 
 

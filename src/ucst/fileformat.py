@@ -17,15 +17,41 @@ _BAD_SYMBOL_CHARS = set("()|*+:!?=")
 
 # -- regular expressions back out of automata -----------------------------------
 
-def _alt(x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    branches = tuple(dict.fromkeys(
-        part for node in (x, y)
-        for part in (node[1] if node[0] == "alt" else (node,))))
-    return branches[0] if len(branches) == 1 else ("alt", branches)
+def _branches(node):
+    return node[1] if node[0] == "alt" else (node,)
+
+
+class _Alternation:
+    """An edge's expression, built up by alternation one node at a time.
+
+    `node` is the alternation of the nodes added so far: their branches
+    with duplicates dropped, or the lone branch itself.  The branches are
+    kept as an ordered set, so an addition hashes only the new node's
+    branches, not every branch the edge has gathered (tuples do not cache
+    their hash).
+    """
+
+    __slots__ = ("lone", "branches")
+
+    def __init__(self):
+        self.lone = None      # the node, while it is not an alternation
+        self.branches = None  # the ordered set of branches, once two
+
+    def add(self, node):
+        if self.lone is None and self.branches is None:
+            self.lone = node
+            return
+        if self.branches is None:
+            self.branches = dict.fromkeys(_branches(self.lone))
+        self.branches.update(dict.fromkeys(_branches(node)))
+        if len(self.branches) == 1:
+            (self.lone,), self.branches = self.branches, None
+        else:
+            self.lone = None
+
+    @property
+    def node(self):
+        return self.lone if self.branches is None else ("alt", tuple(self.branches))
 
 
 def _cat(x, y):
@@ -73,10 +99,12 @@ def nfa_to_regex(nfa):
     """
     a = nfa.determinize().minimize().as_nfa().normalize()
     start, end = -1, -2
-    edges = {}
+    edges = {}  # (i, j) -> _Alternation
 
     def add(i, j, node):
-        edges[(i, j)] = _alt(edges.get((i, j)), node)
+        if (i, j) not in edges:
+            edges[(i, j)] = _Alternation()
+        edges[(i, j)].add(node)
 
     for src, sym, dst in a.transitions:
         if sym is EPSILON:  # normalize() leaves none, but stay safe
@@ -96,10 +124,10 @@ def nfa_to_regex(nfa):
 
         k = min(remaining, key=degree)
         remaining.discard(k)
-        loop = _star(edges.pop((k, k), None))
-        into = [(i, node) for (i, j), node in list(edges.items())
+        loop = _star(edges.pop((k, k), _Alternation()).node)
+        into = [(i, alt.node) for (i, j), alt in edges.items()
                 if j == k and i != k]
-        out = [(j, node) for (i, j), node in list(edges.items())
+        out = [(j, alt.node) for (i, j), alt in edges.items()
                if i == k and j != k]
         for (i, _) in into:
             edges.pop((i, k))
@@ -108,7 +136,7 @@ def nfa_to_regex(nfa):
         for i, rin in into:
             for j, rout in out:
                 add(i, j, _cat(rin, _cat(loop, rout)))
-    result = edges.get((start, end))
+    result = edges.get((start, end), _Alternation()).node
     return "NONE" if result is None else _render(result)
 
 

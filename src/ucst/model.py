@@ -6,6 +6,13 @@ referenced everywhere by their stable integer id (position in the combined
 Sender-then-Receiver rule list), and run labels store those ids.  The extra
 labels are `LOSS` for a message-loss step on ``l`` and ``("wrlo", rule_id)``
 for a write that loses its message at the moment of writing.
+
+Each system numbers the channel words it meets in a `Words` table, grown on
+demand and kept for the system's lifetime.  The one step semantics, `step`,
+runs over nodes ``(p, q, r word id, l word id)``: a write, read or loss
+looks its result up by id, and a test reads the word's membership, so no
+channel tuple is built or hashed per step.  `successors` is the same step on
+`Configuration` values: it numbers the words, steps, and decodes.
 """
 
 from dataclasses import dataclass
@@ -94,7 +101,7 @@ class Configuration(NamedTuple):
 
 
 # builds a Configuration from a 4-tuple without NamedTuple's Python-level
-# __new__; `successors` makes millions of them
+# __new__; `Ucst.config` decodes every node that leaves a search with it
 _new = tuple.__new__
 
 
@@ -119,11 +126,86 @@ class Run:
         return len(self.steps)
 
 
+class _Column(dict):
+    """Membership of numbered words in one test language, by word id,
+    decided when first asked."""
+
+    def __init__(self, accepts, word):
+        self.accepts = accepts
+        self.word = word
+
+    def __missing__(self, i):
+        bit = self[i] = self.accepts(self.word[i])
+        return bit
+
+
+class Words:
+    """The channel words of one system, numbered in the order first met.
+
+    Word 0 is ε.  Per id, the table holds the word, its length, its head
+    (None for ε) and the id of its tail (None for ε); a word's suffixes are
+    numbered before it, so every tail has an id.  The id after pushing a
+    letter (`push`), the distinct single-loss ids (`losses`) and membership
+    in a language (a `column` of it) are filled on first use.
+    """
+
+    def __init__(self):
+        self._ids = {(): 0}
+        self.word = [()]
+        self.length = [0]
+        self.head = [None]
+        self.tail = [None]
+        self.pushed = [{}]  # id -> {letter: id of the word with it appended}
+        self.lost = [()]    # id -> distinct single-loss ids, None until asked
+
+    def column(self, lang):
+        """Membership of the numbered words in `lang`, by id, each decided
+        when first asked."""
+        return _Column(lang.accepts, self.word)
+
+    def id(self, w):
+        """The id of word `w`, numbering it and its new suffixes."""
+        i = self._ids.get(w)
+        if i is not None:
+            return i
+        known = 1  # the longest numbered suffix is w[known:]
+        while w[known:] not in self._ids:
+            known += 1
+        for start in range(known - 1, -1, -1):
+            suffix = w[start:]
+            i = self._ids[suffix] = len(self.word)
+            self.word.append(suffix)
+            self.length.append(len(suffix))
+            self.head.append(suffix[0])
+            self.tail.append(self._ids[suffix[1:]])
+            self.pushed.append({})
+            self.lost.append(None)
+        return i
+
+    def push(self, i, a):
+        """The id of word `i` with letter `a` appended."""
+        j = self.pushed[i].get(a)
+        if j is None:
+            j = self.pushed[i][a] = self.id(self.word[i] + (a,))
+        return j
+
+    def losses(self, i):
+        """Ids of the distinct words one loss makes of word `i`, ordered by
+        deleted position."""
+        out = self.lost[i]
+        if out is None:
+            w = self.word[i]
+            out = self.lost[i] = tuple(dict.fromkeys(
+                self.id(w[:j] + w[j + 1:]) for j in range(len(w))))
+        return out
+
+
 class Ucst:
     """A system: alphabet, disjoint Sender/Receiver state sets, and rules.
 
     Immutable by convention; compiled once into a move table per source
-    state, in rule-id order, for `successors`.
+    state, in rule-id order, for `step`, and given a table of numbered
+    channel words.
     """
 
     def __init__(self, alphabet, sender_states, receiver_states,
@@ -138,14 +220,21 @@ class Ucst:
         self._check()
         self._sender_set = frozenset(self.sender_states)
         self._receiver_set = frozenset(self.receiver_states)
-        # entries (rule id, kind, acts on r, letter or test membership,
-        # target); Sender reads and Receiver writes never fire and are left out
+        self.words = Words()
+        columns = {}  # test language -> its membership column
+        # entries (rule id, kind, acts on r, letter or test membership by
+        # word id, target); Sender reads and Receiver writes never fire and
+        # are left out
         moves = {state: [] for state in self.sender_states + self.receiver_states}
         for rid, rule in enumerate(self.rules):
             act = rule.action
             if act.kind == ("read" if rid < self.n_sender_rules else "write"):
                 continue
-            arg = act.lang.accepts if act.kind == "test" else act.msg
+            arg = act.msg
+            if act.kind == "test":
+                if act.lang not in columns:
+                    columns[act.lang] = self.words.column(act.lang)
+                arg = columns[act.lang]
             moves[rule.source].append(
                 (rid, act.kind, rule.channel == R, arg, rule.target))
         self._moves = {state: tuple(entries) for state, entries in moves.items()}
@@ -166,6 +255,19 @@ class Ucst:
                 raise InputError(f"rule message not in alphabet: {rule}")
             if act.kind == "test" and set(act.lang.alphabet) != sigma:
                 raise InputError(f"test alphabet differs from system alphabet: {rule}")
+
+    def node(self, c):
+        """The node of configuration `c`: its states and its word ids."""
+        p, q, u, v = c
+        if p not in self._sender_set or q not in self._receiver_set:
+            raise InputError("configuration states not in system")
+        return p, q, self.words.id(u), self.words.id(v)
+
+    def config(self, node):
+        """The configuration of a node."""
+        p, q, u, v = node
+        word = self.words.word
+        return _new(Configuration, (p, q, word[u], word[v]))
 
     def agent_of(self, rule_id):
         return SENDER if rule_id < self.n_sender_rules else RECEIVER
@@ -293,47 +395,53 @@ def classify_tests(s):
 
 # -- step semantics ------------------------------------------------------------
 
-def loss_results(v):
-    """Distinct single-symbol losses of v, ordered by deleted position."""
-    return list(dict.fromkeys(v[:i] + v[i + 1:] for i in range(len(v))))
-
-
-def successors(s, c, mode=LOSSY):
-    """Labelled successor list of configuration `c`, deterministically ordered.
+def step(s, node, mode):
+    """Labelled successor list of node (p, q, r word id, l word id).
 
     Order: Sender rules by id (in write-lossy mode each enabled l-write is
     immediately followed by its dropped-write variant), then Receiver rules
-    by id, then losses by deleted position.
+    by id, then losses by deleted position.  `mode` is not checked here.
     """
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    p, q, u, v = c
-    if p not in s._sender_set or q not in s._receiver_set:
-        raise InputError("configuration states not in system")
-    drop_writes = mode == WRITE_LOSSY
+    p, q, u, v = node
+    words = s.words
+    pushed = words.pushed  # a pushed word is never ε, whose id 0 is falsy
     out = []
     for rid, kind, on_r, arg, target in s._moves[p]:
         if kind == "write":
             if on_r:
-                out.append((rid, _new(Configuration, (target, q, u + (arg,), v))))
+                w = pushed[u].get(arg) or words.push(u, arg)
+                out.append((rid, (target, q, w, v)))
             else:
-                out.append((rid, _new(Configuration, (target, q, u, v + (arg,)))))
-                if drop_writes:
-                    out.append((("wrlo", rid), _new(Configuration, (target, q, u, v))))
-        elif kind == "nop" or arg(u if on_r else v):
-            out.append((rid, _new(Configuration, (target, q, u, v))))
+                w = pushed[v].get(arg) or words.push(v, arg)
+                out.append((rid, (target, q, u, w)))
+                if mode == WRITE_LOSSY:
+                    out.append((("wrlo", rid), (target, q, u, v)))
+        elif kind == "nop" or arg[u if on_r else v]:
+            out.append((rid, (target, q, u, v)))
     for rid, kind, on_r, arg, target in s._moves[q]:
         if kind == "read":
-            content = u if on_r else v
-            if content and content[0] == arg:
-                rest = content[1:]
-                out.append((rid, _new(Configuration, (p, target, rest, v) if on_r
-                                      else (p, target, u, rest))))
-        elif kind == "nop" or arg(u if on_r else v):
-            out.append((rid, _new(Configuration, (p, target, u, v))))
+            w = u if on_r else v
+            if words.head[w] == arg:
+                rest = words.tail[w]
+                out.append((rid, (p, target, rest, v) if on_r
+                            else (p, target, u, rest)))
+        elif kind == "nop" or arg[u if on_r else v]:
+            out.append((rid, (p, target, u, v)))
     if mode == LOSSY:
-        out += [(LOSS, _new(Configuration, (p, q, u, w))) for w in loss_results(v)]
+        lost = words.lost[v]
+        if lost is None:
+            lost = words.losses(v)
+        out += [(LOSS, (p, q, u, w)) for w in lost]
     return out
+
+
+def successors(s, c, mode=LOSSY):
+    """`step` on configuration `c`: same order and labels, successors as
+    `Configuration` values."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    config = s.config
+    return [(label, config(n)) for label, n in step(s, s.node(c), mode)]
 
 
 def first_invalid_step(s, run, mode=LOSSY):

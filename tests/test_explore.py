@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,11 +21,16 @@ from ucst.generators import SemiThueSystem, gen_thue_recurrent
 from ucst.model import (
     LOSS,
     LOSSY,
+    MODES,
+    WRITE_LOSSY,
     Action,
     Configuration,
     ReachInstance,
     Rule,
+    Run,
     Ucst,
+    classify_tests,
+    step,
     validate_run,
 )
 from ucst.randomgen import random_instance, random_ucst
@@ -165,6 +171,208 @@ class TestBoundedReach:
                 hits += 1
                 assert validate_run(s, verdict.witness, LOSSY)
         assert hits > 3
+
+
+class TestStopReason:
+    """Each verdict names why its search stopped; the printed verdict does
+    not change."""
+
+    def test_target(self, fig6_instance):
+        verdict = bounded_reach(fig6_instance, Bound(2, 0), LOSSY)
+        assert verdict.reachable and verdict.reason == "target"
+        assert str(verdict) == "REACHABLE"
+
+    def test_closure(self):
+        m = ("a",)
+        s = Ucst(m, ("p0", "p1"), ("q0",), [Rule("p0", "r", Action.nop(), "p0")], [])
+        inst = ReachInstance(s, "p0", "p1", "q0", "q0", eps(m), eps(m), eps(m), eps(m))
+        verdict = bounded_reach(inst, Bound(2, 0), LOSSY)
+        assert (verdict.status, verdict.reason) == (UNREACHABLE, "closure")
+        assert str(verdict) == "UNREACHABLE"
+
+    def test_length_bound(self):
+        m = ("a",)
+        s = Ucst(m, ("p0",), ("q0",), [Rule("p0", "r", Action.write("a"), "p0")], [])
+        inst = ReachInstance(s, "p0", "p0", "q0", "q0", eps(m), eps(m),
+                             parse_regex("a a a", m), eps(m))
+        verdict = bounded_reach(inst, Bound(2, 0), LOSSY)
+        assert (verdict.status, verdict.reason) == (NOT_WITHIN_BOUND, "length-bound")
+        assert str(verdict) == "NOT-WITHIN-BOUND"
+
+    def test_step_bound(self):
+        s = chain(2)
+        m = s.alphabet
+        inst = ReachInstance(s, "p0", "dead", "q0", "q0", eps(m), eps(m), eps(m), eps(m))
+        verdict = bounded_reach(inst, Bound(2, 2), LOSSY)
+        assert (verdict.status, verdict.reason) == (NOT_WITHIN_BOUND, "step-bound")
+        assert str(verdict) == "NOT-WITHIN-BOUND"
+
+    def test_initial_truncation(self):
+        # the closure from the words that fit finishes, but a longer
+        # initial word of r was never tried
+        m = ("a",)
+        s = Ucst(m, ("p0",), ("q0",), [], [])
+        inst = ReachInstance(s, "p0", "p0", "q0", "q0", parse_regex("a a a a", m),
+                             eps(m), eps(m), eps(m))
+        verdict = bounded_reach(inst, Bound(2, 0), LOSSY)
+        assert (verdict.status, verdict.reason) == (NOT_WITHIN_BOUND,
+                                                    "initial-truncation")
+        assert str(verdict) == "NOT-WITHIN-BOUND"
+
+
+# -- an independent step semantics on configurations ----------------------------
+
+def reference_successors(s, c, mode):
+    """The step relation read off the rules: the Sender writes, tests and
+    idles; the Receiver reads the head of a channel, tests and idles; in
+    lossy mode one letter of l may vanish, and in write-lossy mode a letter
+    written to l may be lost as it is written (label ("wrlo", rule id)).
+    Listed as the explorer lists them: rules by id, each dropped write right
+    after its write, then the distinct losses by deleted position."""
+    p, q, u, v = c
+    out = []
+    for rid, rule in enumerate(s.rules):
+        sender = rid < s.n_sender_rules
+        if rule.source != (p if sender else q):
+            continue
+
+        def to(u2, v2):
+            if sender:
+                return Configuration(rule.target, q, u2, v2)
+            return Configuration(p, rule.target, u2, v2)
+
+        act, on_r = rule.action, rule.channel == "r"
+        content = u if on_r else v
+        if act.kind == "nop" or (act.kind == "test" and act.lang.accepts(content)):
+            out.append((rid, to(u, v)))
+        elif act.kind == "write" and sender:
+            out.append((rid, to(u + (act.msg,), v) if on_r else to(u, v + (act.msg,))))
+            if mode == WRITE_LOSSY and not on_r:
+                out.append((("wrlo", rid), to(u, v)))
+        elif act.kind == "read" and not sender and content[:1] == (act.msg,):
+            out.append((rid, to(content[1:], v) if on_r else to(u, content[1:])))
+    if mode == LOSSY:
+        losses = []
+        for i in range(len(v)):
+            if v[:i] + v[i + 1:] not in losses:
+                losses.append(v[:i] + v[i + 1:])
+        out += [(LOSS, Configuration(p, q, u, w)) for w in losses]
+    return out
+
+
+def reference_search(s, starts, bound, mode, goal=lambda c: False):
+    """Layered breadth-first search with `reference_successors`: the
+    configurations found, in order, with their parents; the first one
+    satisfying `goal`; and whether the closure finished with nothing pruned."""
+    k, max_steps = bound.max_channel_len, bound.max_steps
+    parents = {}
+    for c in starts:
+        if len(c.u) <= k and len(c.v) <= k and c not in parents:
+            parents[c] = None
+            if goal(c):
+                return parents, c, False
+    layer, depth, pruned = list(parents), 0, False
+    while layer:
+        if max_steps and depth == max_steps:
+            return parents, None, False
+        depth += 1
+        nxt = []
+        for c in layer:
+            for label, d in reference_successors(s, c, mode):
+                if len(d.u) > k or len(d.v) > k:
+                    pruned = True
+                elif d not in parents:
+                    parents[d] = (label, c)
+                    if goal(d):
+                        return parents, d, False
+                    nxt.append(d)
+        layer = nxt
+    return parents, None, not pruned
+
+
+def reference_reach(inst, bound, mode):
+    """(status, witness) of the bounded reachability question `inst`."""
+    k = bound.max_channel_len
+    starts = [Configuration(inst.p_in, inst.q_in, u, v)
+              for u in inst.U.words_up_to(k) for v in inst.V.words_up_to(k)]
+
+    def goal(c):
+        return (c.p == inst.p_fi and c.q == inst.q_fi
+                and inst.Up.accepts(c.u) and inst.Vp.accepts(c.v))
+
+    parents, hit, finished = reference_search(inst.system, starts, bound, mode, goal)
+    if hit is not None:
+        steps = []
+        while parents[hit] is not None:
+            label, prev = parents[hit]
+            steps.append((label, hit))
+            hit = prev
+        return REACHABLE, Run(hit, tuple(reversed(steps)))
+    dropped = inst.U.has_word_longer_than(k) or inst.V.has_word_longer_than(k)
+    return (UNREACHABLE if finished and not dropped else NOT_WITHIN_BOUND), None
+
+
+TESTS = (("Z", "l"), ("Z", "r"), ("N", "l"), ("N", "r"), ("Even", "l"),
+         ("Odd", "r"), ("H", "l"), ("H", "r"))
+
+
+def random_tested_systems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        s = random_ucst(rng, sender_tests=TESTS, receiver_tests=TESTS,
+                        test_weight=0.4)
+        yield rng, s
+
+
+class TestAgainstReferenceSemantics:
+    def test_bounded_reach_verdicts_and_witnesses(self):
+        seen = Counter()
+        for rng, s in random_tested_systems(2024, 60):
+            inst = random_instance(rng, s, bias_reachable=0.7)
+            for mode in MODES:
+                for bound in (Bound(3, 0), Bound(3, 4)):
+                    verdict = bounded_reach(inst, bound, mode)
+                    status, witness = reference_reach(inst, bound, mode)
+                    assert (verdict.status, verdict.witness) == (status, witness)
+                    seen[status, len(witness or ()) > 2] += 1
+        assert set(seen) == {(REACHABLE, False), (REACHABLE, True),
+                             (UNREACHABLE, False), (NOT_WITHIN_BOUND, False)}
+        assert seen[REACHABLE, True] >= 20
+
+    def test_reachable_sets(self):
+        sizes = []
+        for rng, s in random_tested_systems(7, 20):
+            starts = [Configuration(rng.choice(s.sender_states),
+                                    rng.choice(s.receiver_states),
+                                    tuple(rng.choices(s.alphabet, k=rng.randrange(3))),
+                                    tuple(rng.choices(s.alphabet, k=rng.randrange(3))))
+                      for _ in range(2)]
+            for mode in MODES:
+                for bound in (Bound(3, 0), Bound(2, 3)):
+                    want, _, _ = reference_search(s, starts, bound, mode)
+                    assert reachable_set(s, starts, bound, mode) == set(want)
+                    sizes.append(len(want))
+        assert max(sizes) > 50
+
+    def test_step_order_and_labels(self):
+        for rng, s in random_tested_systems(7, 20):
+            start = Configuration(s.sender_states[0], s.receiver_states[0], (), ())
+            for mode in MODES:
+                for c in sorted(reachable_set(s, [start], Bound(2, 0), mode)):
+                    got = [(label, s.config(n)) for label, n in step(s, s.node(c), mode)]
+                    assert got == reference_successors(s, c, mode)
+
+    def test_the_battery_draws_every_test_kind(self):
+        labels = {t.label for _, s in random_tested_systems(2024, 60)
+                  for t in classify_tests(s).tests}
+        labels |= {t.label for _, s in random_tested_systems(7, 20)
+                   for t in classify_tests(s).tests}
+        assert labels == {"Z", "N", "Even", "Odd", "H"}
+
+    @pytest.mark.parametrize("mode,size", [(LOSSY, 9782), (WRITE_LOSSY, 10562)])
+    def test_fig1_closure_sizes(self, fig1, mode, size):
+        start = Configuration("p1", "q1", (), ())
+        assert len(reachable_set(fig1, [start], Bound(5, 0), mode)) == size
 
 
 class TestReachableSet:

@@ -5,7 +5,7 @@ import pytest
 
 from ucst.errors import InputError
 from ucst.fileformat import (
-    _alt,
+    _Alternation,
     instance_equal,
     nfa_to_regex,
     parse_pep,
@@ -57,7 +57,7 @@ class TestNfaToRegex:
 
 
 def list_alt(x, y):
-    """`_alt` by its first definition: duplicates dropped by a list scan."""
+    """Alternation by its first definition: duplicates dropped by a list scan."""
     if x is None:
         return y
     if y is None:
@@ -97,7 +97,7 @@ class TestAlt:
         rng = random.Random(89)
         merged = 0
         for _ in range(300):
-            got = want = None
+            got, want = _Alternation(), None
             trees = []
             for _ in range(rng.randint(1, 8)):
                 if trees and rng.random() < 0.4:
@@ -106,9 +106,12 @@ class TestAlt:
                     node = random_regex_tree(rng, rng.randint(0, 3))
                 trees.append(node)
                 merged += want is not None and list_alt(want, node) == want
-                got, want = _alt(got, node), list_alt(want, node)
-                assert got == want
-            assert _alt(got, None) == want and _alt(None, got) == want
+                got.add(node)
+                want = list_alt(want, node)
+                assert got.node == want
+            one = _Alternation()
+            one.add(want)
+            assert _Alternation().node is None and one.node == want
         assert merged >= 100  # duplicate branches were really dropped
 
 

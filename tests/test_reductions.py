@@ -518,19 +518,19 @@ class TestDecideEeReach:
 
     def test_explores_each_system_forward_once(self, monkeypatch):
         build = reductions.bounded_graph
-        successors = explore.successors
+        step = explore.step
         builds, expanded = [], Counter()
 
         def counting_build(s, *args):
             builds.append(s)
             return build(s, *args)
 
-        def counting_successors(s, c, mode):
-            expanded[s, c] += 1
-            return successors(s, c, mode)
+        def counting_step(s, node, mode):
+            expanded[s, node] += 1
+            return step(s, node, mode)
 
         monkeypatch.setattr(reductions, "bounded_graph", counting_build)
-        monkeypatch.setattr(explore, "successors", counting_successors)
+        monkeypatch.setattr(explore, "step", counting_step)
         rng = random.Random(71)
         rounds = []
         for _ in range(12):
