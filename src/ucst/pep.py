@@ -2,11 +2,15 @@
 
 An instance asks for a word in R whose image under `u` embeds (as a
 scattered subword) in its image under `v`, with the same embedding required
-of every suffix that falls in R'.  Rule words of a channel-system instance
-sit between runs and solutions: `is_pre_solution` checks the five path and
-channel conditions, the two stabilizers normalize a pre-solution by swapping
-adjacent Sender/Receiver letters, and the replay turns a postpone-stable
-word back into a validating run by inserting head losses lazily.
+of every suffix that falls in R'.  `bounded_solve` searches for one by
+stepping R and R' through their lazy subset memos (`Nfa.live_moves`), so it
+never builds a DFA over the rule alphabet.
+
+Rule words of a channel-system instance sit between runs and solutions:
+`is_pre_solution` checks the five path and channel conditions, the two
+stabilizers normalize a pre-solution by swapping adjacent Sender/Receiver
+letters, and the replay turns a postpone-stable word back into a validating
+run by inserting head losses lazily.
 """
 
 from dataclasses import dataclass
@@ -91,41 +95,42 @@ def _embed_residual(pending, written):
 def bounded_solve(inst, max_len):
     """Length-lexicographically least solution of length <= max_len, or None.
 
-    BFS over solver states (R-DFA state, unmatched u-residual, suffix
-    obligations); states reached by several prefixes are merged, keeping the
-    lexicographically least witness prefix.
+    BFS over solver states (R subset, unmatched u-residual, suffix
+    obligations), where an obligation is an (R' subset, residual) pair.  R
+    and R' are stepped through their lazy subset memos (`Nfa.live_moves`),
+    so only live letters are tried and only subsets within reach are built.
+    States reached by several prefixes are merged, keeping the
+    lexicographically least witness prefix: merged states have the same
+    future.
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
-    rdfa = inst.R.determinize()
-    rpdfa = inst.Rp.determinize()
-    rdist = rdfa.distances_to_accepting()
-    rp_alive = [d is not None for d in rpdfa.distances_to_accepting()]
-    letters = sorted(inst.sigma, key=symkey)
-    max_write = max((len(inst.v[a]) for a in letters), default=0)
+    R, Rp = inst.R, inst.Rp
+    max_write = max((len(w) for w in inst.v.values()), default=0)
+    rp_start = Rp.initial_subset()
 
     def accepted(state):
         rs, residual, obligations = state
-        if rs not in rdfa.accepting or residual != ():
+        if rs.isdisjoint(R.accepting) or residual != ():
             return False
         return all(res == () for st, res in obligations
-                   if st in rpdfa.accepting)
+                   if not st.isdisjoint(Rp.accepting))
 
-    init = (rdfa.initial, (), frozenset())
-    if rdist[rdfa.initial] is None:
+    init = (R.initial_subset(), (), frozenset())
+    if R.distance(init[0]) is None:
         return None
     frontier = [(init, ())]
     seen = {init}
     if accepted(init):
         return ()
     for length in range(1, max_len + 1):
+        remaining = max_len - length
         nxt = []
-        nxt_seen = {}
+        nxt_seen = set()
         for (rs, residual, obligations), word in frontier:
-            for a in letters:
-                rs2 = rdfa.step(rs, a)
-                remaining = max_len - length
-                if rdist[rs2] is None or rdist[rs2] > remaining:
+            for a, rs2 in R.live_moves(rs).items():
+                dist = R.distance(rs2)
+                if dist is None or dist > remaining:
                     continue
                 ua, va = tuple(inst.u[a]), tuple(inst.v[a])
                 res2 = _embed_residual(residual + ua, va)
@@ -133,16 +138,16 @@ def bounded_solve(inst, max_len):
                     continue
                 obl2 = set()
                 for st, res in obligations:
-                    st2 = rpdfa.step(st, a)
-                    if rp_alive[st2]:
+                    st2 = Rp.live_moves(st).get(a)
+                    if st2 is not None and Rp.distance(st2) is not None:
                         obl2.add((st2, _embed_residual(res + ua, va)))
-                st0 = rpdfa.step(rpdfa.initial, a)
-                if rp_alive[st0]:
+                st0 = Rp.live_moves(rp_start).get(a)
+                if st0 is not None and Rp.distance(st0) is not None:
                     obl2.add((st0, _embed_residual(ua, va)))
                 state2 = (rs2, res2, frozenset(obl2))
                 if state2 in seen or state2 in nxt_seen:
                     continue
-                nxt_seen[state2] = True
+                nxt_seen.add(state2)
                 nxt.append((state2, word + (a,)))
         for state2, word in nxt:
             if accepted(state2):

@@ -133,18 +133,57 @@ class Nfa:
                 out.add(dst)
         return out
 
+    def _subsets(self):
+        """The lazy subset memo: (initial subset, steps, live moves).
+
+        Subsets are epsilon-closed state sets.  `steps` maps (subset, letter)
+        to the next subset as each step is first taken, by `accepts` and
+        `live_moves` alike; `live_moves` keeps its answers per subset.
+        """
+        if self._steps is None:
+            object.__setattr__(self, "_steps", (
+                self._eps_closure(self.initial, self._eps_map()), {}, {}))
+        return self._steps
+
+    def initial_subset(self):
+        """Epsilon closure of the initial states, where `live_moves` starts."""
+        return self._subsets()[0]
+
+    def live_moves(self, subset):
+        """letter -> next subset, for the letters whose next subset from
+        `subset` is nonempty, in `symkey` order."""
+        _, steps, live = self._subsets()
+        moves = live.get(subset)
+        if moves is None:
+            eps, out = _letter_index(self)
+            targets = {}
+            for s in subset:
+                for sym, dsts in out.get(s, {}).items():
+                    targets.setdefault(sym, set()).update(dsts)
+            moves = live[subset] = {}
+            for sym in sorted(targets, key=symkey):
+                nxt = steps.get((subset, sym))
+                if nxt is None:
+                    nxt = steps[(subset, sym)] = self._eps_closure(
+                        targets[sym], eps)
+                moves[sym] = nxt
+        return moves
+
+    def distance(self, subset):
+        """Length of a shortest word accepted from `subset` (None if none)."""
+        dist = _distances(self)
+        return min((dist[s] for s in subset if dist[s] is not None),
+                   default=None)
+
     def accepts(self, word):
         """Membership test; symbols outside the alphabet are an input error.
 
-        Subset steps are memoized on the automaton as they are first taken:
-        (state set, letter) -> next state set.  A letter is checked against
-        the alphabet when its step is first computed, so the whole word is
-        always checked, even past a dead state set.
+        Steps go through the lazy subset memo that `live_moves` shares:
+        (subset, letter) -> next subset, computed when first taken.  A letter
+        is checked against the alphabet when its step is first computed, so
+        the whole word is always checked, even past a dead subset.
         """
-        if self._steps is None:
-            object.__setattr__(self, "_steps",
-                               (self._eps_closure(self.initial, self._eps_map()), {}))
-        cur, steps = self._steps
+        cur, steps, _ = self._steps or self._subsets()
         for sym in word:
             key = (cur, sym)
             nxt = steps.get(key)
@@ -398,15 +437,33 @@ class Dfa:
 
     def minimize(self):
         """Equivalent minimal DFA (partition refinement); classes are
-        numbered by first occurrence so the result is canonical."""
+        numbered by first occurrence so the result is canonical.
+
+        A round splits states by their class and the classes of their
+        targets.  Most moves of a large DFA go to one common target (the
+        empty subset), so a state is signed only by the letters whose target
+        class differs from that target's class: two states have equal
+        signatures exactly when they agree on every letter.
+        """
+        counts = {}
+        for t in self.transitions.values():
+            counts[t] = counts.get(t, 0) + 1
+        common = max(counts, key=counts.get, default=None)
+        sparse = [[] for _ in range(self.n_states)]
+        for a in self.alphabet:
+            for s in range(self.n_states):
+                t = self.transitions[(s, a)]
+                if t != common:
+                    sparse[s].append((a, t))
         classes = [1 if s in self.accepting else 0 for s in range(self.n_states)]
         while True:
             signatures = {}
             renumbered = []
+            base = None if common is None else classes[common]
             for s in range(self.n_states):
                 sig = (classes[s],
-                       tuple(classes[self.transitions[(s, a)]]
-                             for a in self.alphabet))
+                       tuple((a, classes[t]) for a, t in sparse[s]
+                             if classes[t] != base))
                 if sig not in signatures:
                     signatures[sig] = len(signatures)
                 renumbered.append(signatures[sig])
@@ -453,6 +510,41 @@ def _explore(starts, moves):
                 queue.append(y)
             trans.append((src, sym, dst))
     return ids, trans
+
+
+@cached_on_nfa
+def _letter_index(nfa):
+    """(state -> epsilon targets, state -> {letter: [dst]}), for `live_moves`."""
+    out = {}
+    for src, sym, dst in nfa.transitions:
+        if sym is not EPSILON:
+            out.setdefault(src, {}).setdefault(sym, []).append(dst)
+    return nfa._eps_map(), out
+
+
+@cached_on_nfa
+def _distances(nfa):
+    """Per state, the length of a shortest accepted continuation, or None.
+
+    One backward breadth-first search from the accepting states, in which an
+    epsilon move costs 0 (it is taken from the front of the queue).
+    """
+    rev = {}
+    for src, sym, dst in nfa.transitions:
+        rev.setdefault(dst, []).append((src, sym is not EPSILON))
+    dist = {s: 0 for s in nfa.accepting}
+    queue = deque(sorted(nfa.accepting))
+    while queue:
+        s = queue.popleft()
+        for t, cost in rev.get(s, ()):
+            d = dist[s] + cost
+            if t not in dist or d < dist[t]:
+                dist[t] = d
+                if cost:
+                    queue.append(t)
+                else:
+                    queue.appendleft(t)
+    return [dist.get(s) for s in range(nfa.n_states)]
 
 
 def _out_index(transitions):

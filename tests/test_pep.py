@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,9 +16,9 @@ from ucst.pep import (
     run_from_postpone_stable,
     run_to_presolution,
 )
-from ucst.randomgen import random_z1l_instance
-from ucst.reductions import bridge_context, ucst_to_pep
-from ucst.regdata import Nfa, parse_regex, subword
+from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
+from ucst.reductions import bridge_context, run_pipeline, ucst_to_pep
+from ucst.regdata import Dfa, Nfa, parse_regex, subword, symkey
 
 SOL = ("d0", "d4", "d1", "d5", "d2", "d3")       # writes interleaved with reads
 RUNW = ("d0", "d1", "d2", "d4", "d3", "d5")      # the witness run's rule order
@@ -119,6 +120,141 @@ class TestBoundedSolve:
             if sols:
                 assert got == sols[0]
                 assert is_solution(inst, got)
+
+
+def dfa_bounded_solve(inst, max_len):
+    """Reference: the same BFS over the total subset DFAs of R and R'.
+
+    Every letter is tried from every state, and the prunings read the DFAs'
+    distances to acceptance; the solver under test steps lazily instead.
+    """
+    rdfa = inst.R.determinize()
+    rpdfa = inst.Rp.determinize()
+    rdist = rdfa.distances_to_accepting()
+    rp_alive = [d is not None for d in rpdfa.distances_to_accepting()]
+    letters = sorted(inst.sigma, key=symkey)
+    max_write = max((len(inst.v[a]) for a in letters), default=0)
+
+    def residual(pending, written):
+        i = 0
+        for sym in written:
+            if i < len(pending) and pending[i] == sym:
+                i += 1
+        return pending[i:]
+
+    def accepted(state):
+        rs, res, obligations = state
+        if rs not in rdfa.accepting or res != ():
+            return False
+        return all(r == () for st, r in obligations if st in rpdfa.accepting)
+
+    init = (rdfa.initial, (), frozenset())
+    if rdist[rdfa.initial] is None:
+        return None
+    frontier = [(init, ())]
+    seen = {init}
+    if accepted(init):
+        return ()
+    for length in range(1, max_len + 1):
+        remaining = max_len - length
+        nxt, nxt_seen = [], set()
+        for (rs, res, obligations), word in frontier:
+            for a in letters:
+                rs2 = rdfa.step(rs, a)
+                if rdist[rs2] is None or rdist[rs2] > remaining:
+                    continue
+                ua, va = tuple(inst.u[a]), tuple(inst.v[a])
+                res2 = residual(res + ua, va)
+                if len(res2) > remaining * max_write:
+                    continue
+                obl2 = set()
+                for st, r in obligations:
+                    st2 = rpdfa.step(st, a)
+                    if rp_alive[st2]:
+                        obl2.add((st2, residual(r + ua, va)))
+                st0 = rpdfa.step(rpdfa.initial, a)
+                if rp_alive[st0]:
+                    obl2.add((st0, residual(ua, va)))
+                state2 = (rs2, res2, frozenset(obl2))
+                if state2 not in seen and state2 not in nxt_seen:
+                    nxt_seen.add(state2)
+                    nxt.append((state2, word + (a,)))
+        for state2, word in nxt:
+            if accepted(state2):
+                return word
+        seen.update(nxt_seen)
+        frontier = nxt
+    return None
+
+
+class TestLazySubsetSolve:
+    """`bounded_solve` steps R and R' lazily; the DFA search is the oracle."""
+
+    def test_matches_dfa_reference(self, random_nfa):
+        rng = random.Random(9406)
+        gammas = ("x", "y")
+        lengths = []
+        with_eps = letters = unused = 0
+        for _ in range(600):
+            sigma = tuple("abcdef"[: rng.randint(1, 6)])
+            # each letter reads (u) or writes (v), as rule letters do
+            u, v = {}, {}
+            for a in sigma:
+                word = tuple(rng.choices(gammas, k=rng.randint(1, 2)))
+                u[a], v[a] = ((word[:1], ()) if rng.random() < 0.5
+                              else ((), word))
+            big_r = random_nfa(rng, sigma, 6)
+            if rng.random() < 0.5:
+                big_r = big_r.concat(Nfa.one_of(sigma, sigma)).concat(
+                    random_nfa(rng, sigma, 6))
+            inst = PepInstance(sigma, gammas, u, v, big_r,
+                               random_nfa(rng, sigma, 6))
+            syms = {sym for _, sym, _ in big_r.transitions}
+            with_eps += None in syms
+            letters += len(sigma)
+            unused += len(set(sigma) - syms)
+            for max_len in (0, 3, 6):
+                want = dfa_bounded_solve(inst, max_len)
+                assert bounded_solve(inst, max_len) == want, (inst, max_len)
+                if want is not None:
+                    lengths.append(len(want))
+        # solutions of several lengths, many R with epsilon moves, and many
+        # letters that no move of R reads (dead from every subset)
+        assert len(lengths) >= 400 and sum(n >= 2 for n in lengths) >= 20
+        assert with_eps >= 200 and unused * 5 >= letters
+
+    # sha256 prefixes of the `bounded_solve` words at max_len 3, 8 and 10 on
+    # seeded Sender Z/N instances with regular constraints, reduced to PEP:
+    # (stages run, digest) per instance, as the DFA-based solver gave them
+    PINS = {4: (("input", "eg", "egz1", "eez1"), "55d24834ce0e0dce"),
+            8: (("input", "eg", "egz1", "eez1"), "d62d62aedca6a856"),
+            9: (("input", "eg", "eez1"), "ff74c935c2f566d5"),
+            12: (("input", "eg", "egz1", "eez1"), "fc87b7a7c855a73a"),
+            20: (("input", "eg", "egz1", "eez1"), "4eec1dd16757ef59"),
+            27: (("input", "eg", "eez1"), "f4a914cbd991b8b3")}
+
+    def test_needs_no_dfa(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bounded_solve built a DFA")
+
+        rng = random.Random(43)
+        traces = {}
+        for i in range(max(self.PINS) + 1):
+            s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                            n_sender_rules=4, n_receiver_rules=3,
+                            sender_tests=(("Z", "l"), ("N", "l")),
+                            test_weight=0.4)
+            inst = random_instance(rng, s, bias_reachable=1.0)
+            if i in self.PINS:
+                traces[i] = run_pipeline(inst, to="pep")
+        monkeypatch.setattr(Nfa, "determinize", refuse)
+        monkeypatch.setattr(Dfa, "distances_to_accepting", refuse)
+        for i, trace in traces.items():
+            words = [bounded_solve(trace.pep, n) for n in (3, 8, 10)]
+            stages, digest = self.PINS[i]
+            assert tuple(st.name for st in trace.stages) == stages
+            assert words[-1] is not None and is_solution(trace.pep, words[-1])
+            assert hashlib.sha256(repr(words).encode()).hexdigest()[:16] == digest, i
 
 
 class TestPreSolutions:

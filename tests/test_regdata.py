@@ -16,6 +16,7 @@ from ucst.model import (
 )
 from ucst.reductions import ucst_to_pep
 from ucst.regdata import (
+    Dfa,
     Nfa,
     is_downward_closed,
     is_upward_closed,
@@ -115,6 +116,64 @@ class TestMembershipMemo:
         assert not lang.accepts(t("bb"))  # warms the dead state set on b
         with pytest.raises(InputError):
             lang.accepts(t("bbc"))
+
+
+class TestSubsetQueries:
+    """`live_moves` and `distance` against the subset DFA and `accepts`."""
+
+    def test_agree_with_determinized(self, random_nfa):
+        rng = random.Random(5120)
+        abc = ("a", "b", "c")
+        for _ in range(80):
+            lang = random_nfa(rng, abc, 6)
+            eps = lang._eps_map()
+            dfa = lang.determinize()
+            dist = dfa.distances_to_accepting()
+            for word in words_over(abc, 3):
+                cur = lang.initial_subset()
+                for sym in word:
+                    cur = lang.live_moves(cur).get(sym, frozenset())
+                assert (not cur.isdisjoint(lang.accepting)) == dfa.accepts(word)
+                assert lang.distance(cur) == dist[dfa.run(word)], (lang, word)
+                steps = {a: lang._eps_closure(lang._move(cur, a), eps)
+                         for a in abc}
+                assert list(lang.live_moves(cur).items()) == [
+                    (a, nxt) for a, nxt in steps.items() if nxt]
+
+    def test_epsilon_moves_cost_nothing(self):
+        lang = Nfa(AB, 4, {0}, {3},
+                   [(0, None, 1), (1, "a", 2), (2, None, 3), (0, "b", 3)])
+        start = lang.initial_subset()
+        assert start == {0, 1}
+        assert lang.distance(start) == 1
+        assert lang.live_moves(start) == {"a": {2, 3}, "b": {3}}
+        assert lang.distance(frozenset()) is None
+
+    def test_one_memo_for_accepts_and_live_moves(self, random_nfa):
+        rng = random.Random(5121)
+        for _ in range(40):
+            lang = random_nfa(rng, AB, 5)
+            frontier = [lang.initial_subset()]
+            seen = set(frontier)
+            while frontier:
+                for nxt in lang.live_moves(frontier.pop()).values():
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            _, steps, _ = lang._steps
+            taken = set(steps)
+            for word in words_over(AB, 5):
+                lang.accepts(word)
+            # accepts added only the dead steps, which live_moves leaves out
+            assert all(not steps[key] for key in set(steps) - taken)
+            # and live_moves answers a fresh automaton from accepts' steps
+            fresh = Nfa(AB, lang.n_states, lang.initial, lang.accepting,
+                        lang.transitions)
+            fresh.accepts(t("ab"))
+            start = fresh.initial_subset()
+            _, steps, _ = fresh._steps
+            for a, nxt in fresh.live_moves(start).items():
+                assert steps[(start, a)] is nxt
 
 
 class TestBooleanOps:
@@ -407,6 +466,42 @@ class TestCanonicalNumbering:
         letters = ("d0", "d1", "d2", "d3", "d4", "d5")
         moves = {(s, a): live.get((s, a), 2) for s in range(9) for a in letters}
         assert pin(big_r.determinize().minimize()) == (9, 0, {8}, moves)
+
+
+def dense_minimize(dfa):
+    """Reference Moore refinement: every round signs each state by its class
+    and the classes of its targets on every letter."""
+    classes = [1 if s in dfa.accepting else 0 for s in range(dfa.n_states)]
+    while True:
+        signatures = {}
+        renumbered = [signatures.setdefault(
+            (classes[s], tuple(classes[dfa.step(s, a)] for a in dfa.alphabet)),
+            len(signatures)) for s in range(dfa.n_states)]
+        if renumbered == classes:
+            break
+        classes = renumbered
+    raw = {(classes[s], a): classes[t] for (s, a), t in dfa.transitions.items()}
+    ids, trans = regdata._explore(
+        [classes[dfa.initial]], lambda c: [(a, raw[(c, a)]) for a in dfa.alphabet])
+    return Dfa(dfa.alphabet, len(ids), 0,
+               {ids[classes[s]] for s in dfa.accepting if classes[s] in ids},
+               {(src, a): dst for src, a, dst in trans})
+
+
+class TestSparseMinimize:
+    def test_same_output_as_dense_refinement(self, random_nfa):
+        rng = random.Random(6062)
+        for _ in range(200):
+            sigma = tuple("abcdef"[: rng.randint(1, 6)])
+            n = rng.randint(1, 8)
+            # subset DFAs, where most moves go to the empty subset, and
+            # random total DFAs, where the most common target is any state
+            for dfa in (random_nfa(rng, sigma, 6).determinize(),
+                        Dfa(sigma, n, rng.randrange(n),
+                            {s for s in range(n) if rng.random() < 0.4},
+                            {(s, a): rng.randrange(n)
+                             for s in range(n) for a in sigma})):
+                assert pin(dfa.minimize()) == pin(dense_minimize(dfa))
 
 
 def fields(nfa):
