@@ -13,6 +13,8 @@ initial words.
 Co-reach comes in two parts: `bounded_graph` explores a system's bounded
 graph forward once, and `coreach_in` answers one target backward over it, so
 a caller asking many targets of one (immutable) system explores it once.
+Lassos use `_bfs` too: the stem is a path of the forward search, and each
+candidate anchor's cycle is a `_bfs` from its successors back to it.
 """
 
 from dataclasses import dataclass
@@ -217,96 +219,31 @@ def coreach_in(graph, targets, bound):
     return {configs[n] for n in parents}
 
 
-def bounded_coreach(s, starts, targets, bound, mode=LOSSY):
-    """Configurations reachable from `starts` within the channel bound from
-    which a configuration satisfying the predicate `targets` is reachable in
-    at most `bound.max_steps` steps (0 = no limit)."""
-    return coreach_in(bounded_graph(s, starts, bound, mode), targets, bound)
-
-
-def _tarjan_sccs(nodes, adj):
-    """Iterative Tarjan over `adj`: node -> (label, successor) pairs; returns
-    the list of SCCs in a deterministic order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for _, succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adj.get(succ, ()))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(scc)
-    return sccs
-
-
 def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):
     """Search for a stem plus a cycle through a configuration with control
-    pair (p, q) inside the bounded graph; None when not found."""
+    pair (p, q) inside the bounded graph; None when not found.
+
+    Anchors are tried in `_bfs` discovery order, so the stem is a shortest
+    one; an anchor's cycle is the shortest way back to it, found by a `_bfs`
+    from its successors.
+    """
     k = bound.max_channel_len
-    forward = _stepper(s, mode)
-    length = s.words.length
-    adj = {}
-
-    def expand(n):
-        adj[n] = [(label, succ) for label, succ in forward(n)
-                  if length[succ[2]] <= k and length[succ[3]] <= k]
-        return adj[n]
-
+    expand = _stepper(s, mode)
     start = s.node(Configuration(p_in, q_in, (), ()))
     parents, _, stop = _bfs(s.words, [start], expand, k, max_nodes=max_states)
     if stop == "budget":
         return None
-    for scc in _tarjan_sccs(parents, adj):
-        if len(scc) == 1 and all(succ != scc[0] for _, succ in adj[scc[0]]):
+    for anchor in parents:
+        if anchor[0] != p or anchor[1] != q:
             continue
-        anchor = next((n for n in scc if n[0] == p and n[1] == q), None)
-        if anchor is None:
-            continue
-        # shortest cycle: the nearest of the anchor's successors in its SCC
-        members = set(scc)
-        found, hit, _ = _bfs(s.words,
-                             [succ for _, succ in adj[anchor] if succ in members],
-                             lambda n: [e for e in adj[n] if e[1] in members],
-                             k, goal=lambda n: n == anchor)
+        out = expand(anchor)
+        found, hit, _ = _bfs(s.words, [succ for _, succ in out], expand, k,
+                             goal=lambda n: n == anchor)
         if hit is None:
-            raise RuntimeError("anchor has no cycle inside its SCC")
+            continue
         back = _path(s, found, anchor)
         first = s.node(back.start)
-        label = next(lab for lab, succ in adj[anchor] if succ == first)
+        label = next(lab for lab, succ in out if succ == first)
         cycle = Run(s.config(anchor), ((label, back.start),) + back.steps)
         return LassoWitness(_path(s, parents, anchor), cycle)
     return None

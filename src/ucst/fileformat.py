@@ -269,28 +269,6 @@ def print_ucst(inst, stage=None):
     return "\n".join(lines) + "\n"
 
 
-def instance_equal(a, b):
-    """Structural equality up to constraint-language equality."""
-    sa, sb = a.system, b.system
-    if (sa.alphabet, sa.sender_states, sa.receiver_states) != \
-            (sb.alphabet, sb.sender_states, sb.receiver_states):
-        return False
-    if len(sa.rules) != len(sb.rules) or sa.n_sender_rules != sb.n_sender_rules:
-        return False
-    for ra, rb in zip(sa.rules, sb.rules):
-        if (ra.source, ra.target, ra.channel, ra.action.kind,
-                ra.action.msg) != (rb.source, rb.target, rb.channel,
-                                   rb.action.kind, rb.action.msg):
-            return False
-        if ra.action.kind == "test" and not language_equal(ra.action.lang,
-                                                           rb.action.lang):
-            return False
-    if (a.p_in, a.p_fi, a.q_in, a.q_fi) != (b.p_in, b.p_fi, b.q_in, b.q_fi):
-        return False
-    return all(language_equal(x, y)
-               for x, y in zip(a.constraints(), b.constraints()))
-
-
 # -- embedding instance files ------------------------------------------------------
 
 def _image_text(word):

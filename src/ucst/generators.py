@@ -48,36 +48,6 @@ class QueueAutomaton:
         if self.initial not in self.states or self.final not in self.states:
             raise InputError("distinguished queue states missing")
 
-    def step(self, state, queue):
-        """Successor (state, queue) pairs under the fifo semantics."""
-        out = []
-        for src, kind, letter, dst in self.rules:
-            if src != state:
-                continue
-            if kind == "write":
-                out.append((dst, queue + (letter,)))
-            elif queue and queue[0] == letter:
-                out.append((dst, queue[1:]))
-        return out
-
-    def reaches_final_empty(self, max_queue, max_steps=10000):
-        """Bounded check: final state with empty queue reachable."""
-        seen = {(self.initial, ())}
-        frontier = [(self.initial, ())]
-        for _ in range(max_steps):
-            if not frontier:
-                break
-            nxt = []
-            for state, queue in frontier:
-                if state == self.final and queue == ():
-                    return True
-                for succ in self.step(state, queue):
-                    if len(succ[1]) <= max_queue and succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
-            frontier = nxt
-        return (self.final, ()) in seen
-
 
 def linear_queue_automaton(ops, alphabet=None):
     """Chain automaton from a list of ("write"|"read", letter) operations."""
@@ -225,50 +195,6 @@ class SemiThueSystem:
 
     def is_length_preserving(self):
         return all(len(a) == len(b) for a, b in self.rules)
-
-
-def thue_step(t, word):
-    """All one-step rewrites of `word`, sorted."""
-    out = set()
-    for lhs, rhs in t.rules:
-        start = 0
-        while True:
-            i = word.find(lhs, start)
-            if i < 0:
-                break
-            out.add(word[:i] + rhs + word[i + len(lhs):])
-            start = i + 1
-    return sorted(out)
-
-
-def thue_find_loop(t, max_len, max_steps):
-    """Least word (by length, then lexicographic) that rewrites back to
-    itself in at most max_steps steps, or None."""
-    if not t.is_length_preserving():
-        raise InputError("loop search requires a length-preserving system")
-    syms = sorted(t.alphabet)
-    for length in range(max_len + 1):
-        words = [""]
-        for _ in range(length):
-            words = [w + s for w in words for s in syms]
-        for word in words:
-            frontier = thue_step(t, word)
-            seen = set(frontier)
-            for _ in range(max_steps):
-                if word in seen:
-                    return word
-                nxt = []
-                for w in frontier:
-                    for w2 in thue_step(t, w):
-                        if w2 not in seen:
-                            seen.add(w2)
-                            nxt.append(w2)
-                if not nxt:
-                    break
-                frontier = nxt
-            if word in seen:
-                return word
-    return None
 
 
 def gen_thue_recurrent(t):

@@ -25,11 +25,11 @@ from .model import (
     successors,
     validate_run,
 )
-from .regdata import Nfa, subword, symkey
+from .regdata import Nfa, subword
 
 __all__ = [
     "PepInstance", "PreSolutionContext", "is_solution", "bounded_solve",
-    "enumerate_solutions", "is_pre_solution", "advance_stabilize",
+    "is_pre_solution", "advance_stabilize",
     "postpone_stabilize", "run_from_postpone_stable", "run_to_presolution",
 ]
 
@@ -93,7 +93,15 @@ def _embed_residual(pending, written):
 
 
 def bounded_solve(inst, max_len):
-    """Length-lexicographically least solution of length <= max_len, or None.
+    """A solution of length <= max_len, or None.
+
+    It is the length-lexicographically least solution whose greedy
+    embedding matches each u-letter with a v-letter written at the same or
+    a later position: v-letters written while no u-letter is pending are
+    dropped.  So solutions that need an earlier v-letter are missed: with
+    sigma (a, b), u(b) = x, v(a) = x and R' empty, R = `a b` gives None
+    although `is_solution` accepts (a, b).  A signed residual mends this
+    (ROADMAP D1, step 2).
 
     BFS over solver states (R subset, unmatched u-residual, suffix
     obligations), where an obligation is an (R' subset, residual) pair.  R
@@ -155,19 +163,6 @@ def bounded_solve(inst, max_len):
         seen.update(nxt_seen)
         frontier = nxt
     return None
-
-
-def enumerate_solutions(inst, max_len):
-    """Brute-force list of every solution of length <= max_len."""
-    letters = sorted(inst.sigma, key=symkey)
-    out = []
-    layer = [()]
-    for length in range(max_len + 1):
-        for word in layer:
-            if is_solution(inst, word):
-                out.append(word)
-        layer = [w + (a,) for w in layer for a in letters]
-    return out
 
 
 # -- pre-solutions ---------------------------------------------------------------

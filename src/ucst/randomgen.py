@@ -137,18 +137,3 @@ def random_z1l_instance(rng, *, alphabet=("a", "b"), n_states=3, n_rules=4,
     return random_instance(rng, system, empty_initial=True, empty_final=True,
                            bias_reachable=bias_reachable)
 
-
-def random_lossy_run(rng, system, start, max_steps, mode="lossy"):
-    """Random walk through `successors`; returns a validating Run."""
-    from .model import Run, successors
-
-    cur = start
-    steps = []
-    for _ in range(max_steps):
-        succ = successors(system, cur, mode)
-        if not succ:
-            break
-        label, nxt = rng.choice(succ)
-        steps.append((label, nxt))
-        cur = nxt
-    return Run(start, tuple(steps))

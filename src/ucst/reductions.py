@@ -26,7 +26,7 @@ from .model import (
     nonemptiness_test,
 )
 from .pep import PepInstance, PreSolutionContext
-from .regdata import Dfa, Nfa, subword, symkey
+from .regdata import Nfa, _distances, subword, symkey
 
 RESERVED_SYMBOLS = ("z", "n", "#")
 SATURATION_ROUNDS = 64  # rounds `decide_eereach_z1` runs before giving up
@@ -560,9 +560,9 @@ def pep_to_ucst(pinst):
     rdfa = pinst.R.determinize()
     rp = pinst.Rp.determinize()
     not_rp_acc = frozenset(range(rp.n_states)) - rp.accepting
-    rdist = rdfa.distances_to_accepting()
-    comp_alive = Dfa(rp.alphabet, rp.n_states, rp.initial, not_rp_acc,
-                     rp.transitions).distances_to_accepting()
+    rdist = _distances(rdfa.as_nfa())
+    # the complement is built from the same determinization: same states
+    comp_alive = _distances(pinst.Rp.complement())
     m = tuple(pinst.gamma)
     eps = Nfa.literal((), m)
     z_test = emptiness_test(m)
@@ -597,11 +597,11 @@ def pep_to_ucst(pinst):
             sender_rules.append(Rule(here, R, Action.nop(), p_fi))
         moves = []
         for a in sorted(pinst.sigma, key=symkey):
-            rs2 = rdfa.step(rs, a)
+            rs2 = rdfa.transitions[(rs, a)]
             if rdist[rs2] is None:
                 continue
-            stepped = frozenset(rp.step(t, a) for t in copies)
-            committed = stepped | {rp.step(rp.initial, a)}
+            stepped = frozenset(rp.transitions[(t, a)] for t in copies)
+            committed = stepped | {rp.transitions[(rp.initial, a)]}
             if all(comp_alive[t] is not None for t in stepped):
                 moves.append((a, "wait", (rs2, stepped)))
             if all(comp_alive[t] is not None for t in committed):

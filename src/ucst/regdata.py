@@ -126,13 +126,6 @@ class Nfa:
                     stack.append(t)
         return frozenset(seen)
 
-    def _move(self, states, sym):
-        out = set()
-        for src, s, dst in self.transitions:
-            if s == sym and src in states:
-                out.add(dst)
-        return out
-
     def _subsets(self):
         """The lazy subset memo: (initial subset, steps, live moves).
 
@@ -142,7 +135,7 @@ class Nfa:
         """
         if self._steps is None:
             object.__setattr__(self, "_steps", (
-                self._eps_closure(self.initial, self._eps_map()), {}, {}))
+                self._eps_closure(self.initial, _letter_index(self)[0]), {}, {}))
         return self._steps
 
     def initial_subset(self):
@@ -179,9 +172,10 @@ class Nfa:
         """Membership test; symbols outside the alphabet are an input error.
 
         Steps go through the lazy subset memo that `live_moves` shares:
-        (subset, letter) -> next subset, computed when first taken.  A letter
-        is checked against the alphabet when its step is first computed, so
-        the whole word is always checked, even past a dead subset.
+        (subset, letter) -> next subset, computed from `_letter_index` when
+        first taken.  A letter is checked against the alphabet when its step
+        is first computed, so the whole word is always checked, even past a
+        dead subset.
         """
         cur, steps, _ = self._steps or self._subsets()
         for sym in word:
@@ -190,8 +184,9 @@ class Nfa:
             if nxt is None:
                 if sym not in self.alphabet:
                     raise InputError(f"word symbol {sym!r} not in alphabet")
-                nxt = steps[key] = self._eps_closure(self._move(cur, sym),
-                                                     self._eps_map())
+                eps, out = _letter_index(self)
+                nxt = steps[key] = self._eps_closure(
+                    [t for s in cur for t in out.get(s, {}).get(sym, ())], eps)
             cur = nxt
         return not cur.isdisjoint(self.accepting)
 
@@ -331,9 +326,7 @@ class Nfa:
 
     def quotient(self, sym):
         """Left quotient sym⁻¹L: the words w with sym.w in L."""
-        eps = self._eps_map()
-        start = self._eps_closure(self.initial, eps)
-        after = self._eps_closure(self._move(start, sym), eps)
+        after = self.live_moves(self.initial_subset()).get(sym, ())
         return Nfa(self.alphabet, self.n_states, after, self.accepting, self.transitions)
 
     def upward_closure(self):
@@ -403,37 +396,10 @@ class Dfa:
         self.accepting = frozenset(accepting)
         self.transitions = dict(transitions)
 
-    def step(self, state, sym):
-        return self.transitions[(state, sym)]
-
-    def run(self, word, state=None):
-        cur = self.initial if state is None else state
-        for sym in word:
-            cur = self.transitions[(cur, sym)]
-        return cur
-
-    def accepts(self, word):
-        return self.run(word) in self.accepting
-
     def as_nfa(self):
         trans = [(src, sym, dst) for (src, sym), dst in sorted(
             self.transitions.items(), key=lambda kv: (kv[0][0], symkey(kv[0][1])))]
         return Nfa(self.alphabet, self.n_states, {self.initial}, self.accepting, trans)
-
-    def distances_to_accepting(self):
-        """Per state, length of a shortest accepted continuation (None if dead)."""
-        rev = {}
-        for (src, sym), dst in self.transitions.items():
-            rev.setdefault(dst, set()).add(src)
-        dist = {s: 0 for s in self.accepting}
-        queue = deque(sorted(self.accepting))
-        while queue:
-            s = queue.popleft()
-            for t in rev.get(s, ()):
-                if t not in dist:
-                    dist[t] = dist[s] + 1
-                    queue.append(t)
-        return [dist.get(s) for s in range(self.n_states)]
 
     def minimize(self):
         """Equivalent minimal DFA (partition refinement); classes are
@@ -514,7 +480,8 @@ def _explore(starts, moves):
 
 @cached_on_nfa
 def _letter_index(nfa):
-    """(state -> epsilon targets, state -> {letter: [dst]}), for `live_moves`."""
+    """(state -> epsilon targets, state -> {letter: [dst]}): the one source
+    of subset steps, for `accepts`, `live_moves` and `quotient`."""
     out = {}
     for src, sym, dst in nfa.transitions:
         if sym is not EPSILON:
@@ -580,13 +547,6 @@ def language_equal(a, b):
     if not a.intersect(b.complement()).is_empty():
         return False
     return b.intersect(a.complement()).is_empty()
-
-
-def language_subset(a, b):
-    """L(a) <= L(b)."""
-    if set(a.alphabet) != set(b.alphabet):
-        raise InputError("language comparison requires equal alphabets")
-    return a.intersect(b.complement()).is_empty()
 
 
 @cached_on_nfa

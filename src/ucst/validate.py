@@ -10,8 +10,6 @@ from .model import LOSS, LOSSY, WRITE_LOSSY, Configuration, validate_run
 from .pep import (
     advance_stabilize,
     bounded_solve,
-    enumerate_solutions,
-    is_pre_solution,
     is_solution,
     postpone_stabilize,
     run_from_postpone_stable,
@@ -127,29 +125,6 @@ def check_stage_equivalence(seed, samples, bound_len=3, max_steps=2500):
                lambda a: small_bound(1, 1000))
     out.append(res)
     return out
-
-
-def check_solution_transport(ctx, pep, max_len):
-    """Every solution up to max_len maps back to a validating run."""
-    result = CheckResult("solution transport")
-    for word in enumerate_solutions(pep, max_len):
-        ok, tag = is_pre_solution(ctx, word)
-        if not ok:
-            result.failed += 1
-            result.notes.append(f"solution {word} violates {tag}")
-            continue
-        try:
-            run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, word))
-        except Exception as exc:  # replay failures are findings, not crashes
-            result.failed += 1
-            result.notes.append(f"solution {word}: {exc}")
-            continue
-        if validate_run(ctx.instance.system, run, LOSSY):
-            result.passed += 1
-        else:
-            result.failed += 1
-            result.notes.append(f"solution {word}: replay does not validate")
-    return result
 
 
 def check_pep_roundtrips(seed, samples, bound_len=4, max_steps=400):

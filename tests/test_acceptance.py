@@ -10,11 +10,12 @@ import time
 
 from ucst.explore import (
     Bound,
-    bounded_coreach,
+    bounded_graph,
     bounded_reach,
     bounded_recurrent,
+    coreach_in,
 )
-from ucst.generators import SemiThueSystem, gen_thue_recurrent, thue_find_loop
+from ucst.generators import SemiThueSystem, gen_thue_recurrent
 from ucst.model import (
     LOSS,
     LOSSY,
@@ -38,7 +39,6 @@ from ucst.pep import (
 )
 from ucst.randomgen import (
     random_instance,
-    random_lossy_run,
     random_ucst,
     random_z1l_instance,
 )
@@ -52,6 +52,8 @@ from ucst.reductions import (
 )
 from ucst.regdata import Nfa, parse_regex, subword
 from ucst.validate import check_stage_equivalence, check_write_lossy_equivalence
+
+from support import random_lossy_run, thue_find_loop
 
 SOL = ("d0", "d4", "d1", "d5", "d2", "d3")
 RUN_ORDER = ("d0", "d1", "d2", "d4", "d3", "d5")
@@ -140,8 +142,9 @@ def test_criterion_4_backward_saturation_agreement(bounded_space):
         s = _bounded_content_system(rng)
         goal = Configuration(s.sender_states[-1], s.receiver_states[-1], (), ())
         sat = pre_star_z1l(s, [goal], oracle)
-        co = bounded_coreach(s, bounded_space(s, 4), lambda c: c == goal,
-                             Bound(4, 0), LOSSY)
+        bound = Bound(4, 0)
+        co = coreach_in(bounded_graph(s, bounded_space(s, 4), bound, LOSSY),
+                        lambda c: c == goal, bound)
         expected = UpwardClosedSet.of([c for c in co if c.u == ()])
         if sat != expected:
             mismatches += 1

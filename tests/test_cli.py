@@ -148,7 +148,7 @@ Vp: EPS
                      "-o", str(out_file)]) == 0
         inst, _ = parse_ucst(out_file.read_text())
         original, _ = parse_ucst(FIG6_TEXT)
-        from ucst.fileformat import instance_equal
+        from support import instance_equal
 
         assert instance_equal(inst, original)
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from ucst import explore
 from ucst.errors import InputError
 from ucst.explore import (
     Bound,
@@ -10,10 +11,11 @@ from ucst.explore import (
     NOT_WITHIN_BOUND,
     REACHABLE,
     UNREACHABLE,
-    bounded_coreach,
+    bounded_graph,
     bounded_reach,
     bounded_recurrent,
     control_pair_oracle,
+    coreach_in,
     reachable_set,
     ucs_recurrent_decide,
 )
@@ -405,8 +407,9 @@ class TestBoundedCoreach:
         m = ("a",)
         s = Ucst(m, ("p0",), ("q0",), [], [])
         target = Configuration("p0", "q0", (), ())
-        result = bounded_coreach(s, bounded_space(s, 2), lambda c: c == target,
-                                 Bound(2, 0), LOSSY)
+        bound = Bound(2, 0)
+        result = coreach_in(bounded_graph(s, bounded_space(s, 2), bound, LOSSY),
+                            lambda c: c == target, bound)
         # reachable-by-losses means: same states, same r, l above target's l
         assert result == {
             Configuration("p0", "q0", (), ()),
@@ -418,34 +421,39 @@ class TestBoundedCoreach:
         s = Ucst(("a",), ("p0",), ("q0",), [], [])
         target = Configuration("p0", "q0", (), ())
         one = Configuration("p0", "q0", (), ("a",))
-        assert bounded_coreach(s, [one], lambda c: c == target,
-                               Bound(3, 0), LOSSY) == {one, target}
+        bound = Bound(3, 0)
+        assert coreach_in(bounded_graph(s, [one], bound, LOSSY),
+                          lambda c: c == target, bound) == {one, target}
 
     def test_step_bound_keeps_exactly_the_configurations_within_n_steps(
             self, bounded_space):
         s = Ucst(("a",), ("p0",), ("q0",), [], [])
         target = Configuration("p0", "q0", (), ())
         for n in (1, 2, 3):
-            co = bounded_coreach(s, bounded_space(s, 4), lambda c: c == target,
-                                 Bound(4, n), LOSSY)
+            bound = Bound(4, n)
+            co = coreach_in(bounded_graph(s, bounded_space(s, 4), bound, LOSSY),
+                            lambda c: c == target, bound)
             assert co == {Configuration("p0", "q0", (), ("a",) * i)
                           for i in range(n + 1)}
 
     def test_fig6_start_is_in_coreach_of_goal(self, fig6, bounded_space):
         goal = Configuration("p_fi", "q_fi", (), ())
-        result = bounded_coreach(fig6, bounded_space(fig6, 2),
-                                 lambda c: c == goal, Bound(2, 0), LOSSY)
+        bound = Bound(2, 0)
+        result = coreach_in(bounded_graph(fig6, bounded_space(fig6, 2), bound,
+                                          LOSSY), lambda c: c == goal, bound)
         assert Configuration("p_in", "q_in", (), ()) in result
 
     def test_empty_targets(self, fig6, bounded_space):
-        assert bounded_coreach(fig6, bounded_space(fig6, 1), lambda c: False,
-                               Bound(1, 0), LOSSY) == set()
+        bound = Bound(1, 0)
+        assert coreach_in(bounded_graph(fig6, bounded_space(fig6, 1), bound,
+                                        LOSSY), lambda c: False, bound) == set()
 
     def test_pointwise_agreement_with_forward_search(self, fig6, bounded_space):
         goal = Configuration("p_fi", "q_fi", (), ())
         bound = Bound(2, 0)
         space = bounded_space(fig6, 2)
-        co = bounded_coreach(fig6, space, lambda c: c == goal, bound, LOSSY)
+        co = coreach_in(bounded_graph(fig6, space, bound, LOSSY),
+                        lambda c: c == goal, bound)
         rng = random.Random(5)
         for c in rng.sample(space, 60):
             forward = goal in reachable_set(fig6, [c], bound, LOSSY)
@@ -493,6 +501,120 @@ class TestBoundedRecurrent:
         m = ("a",)
         s = Ucst(m, ("p0",), ("q0",), [], [])
         assert bounded_recurrent(s, "p0", "q0", "p0", "q0", Bound(2, 0)) is None
+
+
+def tarjan_sccs(nodes, adj):
+    """Iterative Tarjan over `adj`: node -> (label, successor) pairs; returns
+    the list of SCCs in a deterministic order."""
+    index, low, on_stack, stack, sccs = {}, {}, set(), [], []
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(adj.get(root, ())))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for _, succ in it:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(adj.get(succ, ()))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                scc = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    scc.append(w)
+                    if w == node:
+                        break
+                sccs.append(scc)
+    return sccs
+
+
+def tarjan_bounded_recurrent(s, p_in, q_in, p, q, bound, mode):
+    """Reference lasso search: the anchor is taken from the first nontrivial
+    SCC of the bounded graph, in Tarjan's order, that holds the control pair,
+    and its cycle is the shortest one inside that SCC."""
+    k = bound.max_channel_len
+    forward = explore._stepper(s, mode)
+    length = s.words.length
+    adj = {}
+
+    def expand(n):
+        adj[n] = [(label, succ) for label, succ in forward(n)
+                  if length[succ[2]] <= k and length[succ[3]] <= k]
+        return adj[n]
+
+    start = s.node(Configuration(p_in, q_in, (), ()))
+    parents, _, _ = explore._bfs(s.words, [start], expand, k)
+    for scc in tarjan_sccs(parents, adj):
+        if len(scc) == 1 and all(succ != scc[0] for _, succ in adj[scc[0]]):
+            continue
+        anchor = next((n for n in scc if n[0] == p and n[1] == q), None)
+        if anchor is None:
+            continue
+        members = set(scc)
+        found, hit, _ = explore._bfs(
+            s.words, [succ for _, succ in adj[anchor] if succ in members],
+            lambda n: [e for e in adj[n] if e[1] in members],
+            k, goal=lambda n: n == anchor)
+        assert hit is not None
+        back = explore._path(s, found, anchor)
+        first = s.node(back.start)
+        label = next(lab for lab, succ in adj[anchor] if succ == first)
+        cycle = Run(s.config(anchor), ((label, back.start),) + back.steps)
+        return LassoWitness(explore._path(s, parents, anchor), cycle)
+    return None
+
+
+class TestLassoAgainstTarjan:
+    """The lasso search on `_bfs` alone against an SCC-based reference."""
+
+    def test_random_systems_all_modes(self):
+        seen = Counter()
+        for rng, s in random_tested_systems(3011, 240):
+            p_in, q_in = rng.choice(s.sender_states), rng.choice(s.receiver_states)
+            bound = Bound(2, 0)
+            # half of the anchors are control pairs the search can reach
+            reached = reachable_set(s, [Configuration(p_in, q_in, (), ())],
+                                    bound, LOSSY)
+            p, q = (rng.choice(sorted({(c.p, c.q) for c in reached}))
+                    if rng.random() < 0.5 else
+                    (rng.choice(s.sender_states), rng.choice(s.receiver_states)))
+            for mode in MODES:
+                got = bounded_recurrent(s, p_in, q_in, p, q, bound, mode=mode)
+                want = tarjan_bounded_recurrent(s, p_in, q_in, p, q, bound, mode)
+                assert (got is None) == (want is None), (s, mode)
+                seen[mode, got is not None] += 1
+                if got is None:
+                    continue
+                for lasso in (got, want):
+                    assert (lasso.anchor.p, lasso.anchor.q) == (p, q)
+                    assert lasso.stem.start == Configuration(p_in, q_in, (), ())
+                    assert lasso.cycle.start == lasso.cycle.end == lasso.anchor
+                    assert len(lasso.cycle) >= 1
+                    assert validate_run(s, lasso.stem, mode)
+                    assert validate_run(s, lasso.cycle, mode)
+                assert len(got.stem) <= len(want.stem)
+                seen["shorter stem"] += len(got.stem) < len(want.stem)
+        # both answers in every mode, and stems the reference does not find
+        assert all(seen[mode, True] >= 30 and seen[mode, False] >= 30
+                   for mode in MODES), seen
+        assert seen["shorter stem"] >= 10, seen
 
 
 class TestUcsRecurrentDecide:

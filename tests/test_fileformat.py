@@ -6,7 +6,6 @@ import pytest
 from ucst.errors import InputError
 from ucst.fileformat import (
     _Alternation,
-    instance_equal,
     nfa_to_regex,
     parse_pep,
     parse_ucst,
@@ -17,6 +16,8 @@ from ucst.fileformat import (
 from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import run_pipeline, ucst_to_pep
 from ucst.regdata import Nfa, language_equal, parse_regex
+
+from support import instance_equal
 
 FIG6_TEXT = """\
 // the six-rule worked example

@@ -13,10 +13,10 @@ from ucst.generators import (
     gen_thue_recurrent,
     gen_writelossy_queue,
     linear_queue_automaton,
-    thue_find_loop,
-    thue_step,
 )
 from ucst.model import LOSSY, WRITE_LOSSY, Configuration, classify_tests, validate_run
+
+from support import queue_reaches_final_empty, thue_find_loop, thue_step
 
 WRITE_READ = linear_queue_automaton([("write", "a"), ("read", "a")])
 READ_EMPTY = linear_queue_automaton([("read", "a")])
@@ -53,7 +53,7 @@ class TestQueueParity:
                    for _ in range(rng.randrange(1, 4))]
             machines.append(linear_queue_automaton(ops, alphabet=("a", "b")))
         for qa in machines:
-            want = qa.reaches_final_empty(max_queue=2)
+            want = queue_reaches_final_empty(qa, max_queue=2)
             bound = Bound(2 * 2 + 2, 4000)
             got = bounded_reach(gen_queue_parity(qa), bound, LOSSY).reachable
             assert got == want, qa

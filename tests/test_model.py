@@ -29,8 +29,10 @@ from ucst.model import (
     validate_run,
 )
 from ucst import randomgen
-from ucst.randomgen import random_lossy_run, random_ucst
+from ucst.randomgen import random_ucst
 from ucst.regdata import Nfa, language_equal, parse_regex
+
+from support import random_lossy_run
 
 
 class TestSuccessors:

@@ -9,7 +9,6 @@ from ucst.pep import (
     PepInstance,
     advance_stabilize,
     bounded_solve,
-    enumerate_solutions,
     is_pre_solution,
     is_solution,
     postpone_stabilize,
@@ -18,7 +17,9 @@ from ucst.pep import (
 )
 from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import bridge_context, run_pipeline, ucst_to_pep
-from ucst.regdata import Dfa, Nfa, parse_regex, subword, symkey
+from ucst.regdata import Nfa, parse_regex, subword, symkey
+
+from support import dfa_accepts, dfa_distances, enumerate_solutions
 
 SOL = ("d0", "d4", "d1", "d5", "d2", "d3")       # writes interleaved with reads
 RUNW = ("d0", "d1", "d2", "d4", "d3", "d5")      # the witness run's rule order
@@ -75,10 +76,10 @@ class TestSolutionChecking:
                                random_nfa(rng, sigma))
             rdfa, rpdfa = inst.R.determinize(), inst.Rp.determinize()
             for word in words:
-                want = rdfa.accepts(word) and all(
+                want = dfa_accepts(rdfa, word) and all(
                     subword(inst.image_u(word[i:]), inst.image_v(word[i:]))
                     for i in range(len(word) + 1)
-                    if i == 0 or rpdfa.accepts(word[i:]))
+                    if i == 0 or dfa_accepts(rpdfa, word[i:]))
                 assert is_solution(inst, word) == want, word
 
 
@@ -130,8 +131,8 @@ def dfa_bounded_solve(inst, max_len):
     """
     rdfa = inst.R.determinize()
     rpdfa = inst.Rp.determinize()
-    rdist = rdfa.distances_to_accepting()
-    rp_alive = [d is not None for d in rpdfa.distances_to_accepting()]
+    rdist = dfa_distances(rdfa)
+    rp_alive = [d is not None for d in dfa_distances(rpdfa)]
     letters = sorted(inst.sigma, key=symkey)
     max_write = max((len(inst.v[a]) for a in letters), default=0)
 
@@ -160,7 +161,7 @@ def dfa_bounded_solve(inst, max_len):
         nxt, nxt_seen = [], set()
         for (rs, res, obligations), word in frontier:
             for a in letters:
-                rs2 = rdfa.step(rs, a)
+                rs2 = rdfa.transitions[(rs, a)]
                 if rdist[rs2] is None or rdist[rs2] > remaining:
                     continue
                 ua, va = tuple(inst.u[a]), tuple(inst.v[a])
@@ -169,10 +170,10 @@ def dfa_bounded_solve(inst, max_len):
                     continue
                 obl2 = set()
                 for st, r in obligations:
-                    st2 = rpdfa.step(st, a)
+                    st2 = rpdfa.transitions[(st, a)]
                     if rp_alive[st2]:
                         obl2.add((st2, residual(r + ua, va)))
-                st0 = rpdfa.step(rpdfa.initial, a)
+                st0 = rpdfa.transitions[(rpdfa.initial, a)]
                 if rp_alive[st0]:
                     obl2.add((st0, residual(ua, va)))
                 state2 = (rs2, res2, frozenset(obl2))
@@ -248,7 +249,6 @@ class TestLazySubsetSolve:
             if i in self.PINS:
                 traces[i] = run_pipeline(inst, to="pep")
         monkeypatch.setattr(Nfa, "determinize", refuse)
-        monkeypatch.setattr(Dfa, "distances_to_accepting", refuse)
         for i, trace in traces.items():
             words = [bounded_solve(trace.pep, n) for n in (3, 8, 10)]
             stages, digest = self.PINS[i]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -5,7 +6,14 @@ import pytest
 
 from ucst import explore, reductions
 from ucst.errors import FragmentError, InputError
-from ucst.explore import UNREACHABLE, Bound, bounded_coreach, bounded_reach
+from ucst.explore import (
+    UNREACHABLE,
+    Bound,
+    bounded_graph,
+    bounded_reach,
+    coreach_in,
+)
+from ucst.fileformat import print_ucst
 from ucst.model import (
     LOSSY,
     Action,
@@ -17,7 +25,7 @@ from ucst.model import (
     emptiness_test,
     nonemptiness_test,
 )
-from ucst.pep import PepInstance, enumerate_solutions, is_pre_solution
+from ucst.pep import PepInstance, is_pre_solution
 from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import (
     UpwardClosedSet,
@@ -37,6 +45,8 @@ from ucst.reductions import (
     ucst_to_pep,
 )
 from ucst.regdata import Nfa, language_equal, parse_regex
+
+from support import enumerate_solutions
 
 
 def eps(m):
@@ -399,8 +409,8 @@ class TestPreStar:
             q_fi = s.receiver_states[-1]
             goal = Configuration(p_fi, q_fi, (), ())
             sat = pre_star_z1l(s, [goal], bounded_oracle(Bound(4, 0)))
-            co = bounded_coreach(s, bounded_space(s, 4), lambda c: c == goal,
-                                 bound, LOSSY)
+            co = coreach_in(bounded_graph(s, bounded_space(s, 4), bound, LOSSY),
+                            lambda c: c == goal, bound)
             co_empty_r = [c for c in co if c.u == ()]
             expected = UpwardClosedSet.of(co_empty_r)
             assert sat == expected
@@ -666,6 +676,16 @@ class TestPepBridges:
         bad = [w for w in enumerate_solutions(mutant, 3)
                if not is_pre_solution(ctx, w)[0]]
         assert ("d2", "d0", "d1") in bad
+
+    def test_generated_text_is_pinned(self):
+        # sha256 of the printed reverse reductions of 40 seeded Z1l
+        # instances, as the DFA-method version of `pep_to_ucst` printed them
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        for _ in range(40):
+            back = pep_to_ucst(ucst_to_pep(random_z1l_instance(rng)))
+            digest.update(print_ucst(back, stage="generated").encode())
+        assert digest.hexdigest()[:16] == "e2d3828ce5b0f5d2"
 
 
 class TestPipeline:

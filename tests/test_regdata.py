@@ -21,11 +21,12 @@ from ucst.regdata import (
     is_downward_closed,
     is_upward_closed,
     language_equal,
-    language_subset,
     parse_regex,
     subword,
     subword_one,
 )
+
+from support import dfa_accepts, dfa_distances, dfa_run, language_subset
 
 AB = ("a", "b")
 
@@ -96,10 +97,10 @@ class TestMembershipMemo:
         for lang in langs:
             dfa = lang.determinize()
             for word in words_over(AB, 6):
-                assert lang.accepts(word) == dfa.accepts(word), (lang, word)
+                assert lang.accepts(word) == dfa_accepts(dfa, word), (lang, word)
             # a second pass answers from the warm memo
             for word in words_over(AB, 6):
-                assert lang.accepts(word) == dfa.accepts(word), (lang, word)
+                assert lang.accepts(word) == dfa_accepts(dfa, word), (lang, word)
 
     def test_symbol_outside_alphabet_cold_and_warm(self):
         lang = parse_regex("a b*", AB)
@@ -128,15 +129,17 @@ class TestSubsetQueries:
             lang = random_nfa(rng, abc, 6)
             eps = lang._eps_map()
             dfa = lang.determinize()
-            dist = dfa.distances_to_accepting()
+            dist = dfa_distances(dfa)
             for word in words_over(abc, 3):
                 cur = lang.initial_subset()
                 for sym in word:
                     cur = lang.live_moves(cur).get(sym, frozenset())
-                assert (not cur.isdisjoint(lang.accepting)) == dfa.accepts(word)
-                assert lang.distance(cur) == dist[dfa.run(word)], (lang, word)
-                steps = {a: lang._eps_closure(lang._move(cur, a), eps)
-                         for a in abc}
+                assert (not cur.isdisjoint(lang.accepting)) == dfa_accepts(dfa, word)
+                assert lang.distance(cur) == dist[dfa_run(dfa, word)], (lang, word)
+                # each step by a scan of every transition
+                steps = {a: lang._eps_closure(
+                    {dst for src, sym, dst in lang.transitions
+                     if sym == a and src in cur}, eps) for a in abc}
                 assert list(lang.live_moves(cur).items()) == [
                     (a, nxt) for a, nxt in steps.items() if nxt]
 
@@ -475,7 +478,8 @@ def dense_minimize(dfa):
     while True:
         signatures = {}
         renumbered = [signatures.setdefault(
-            (classes[s], tuple(classes[dfa.step(s, a)] for a in dfa.alphabet)),
+            (classes[s], tuple(classes[dfa.transitions[(s, a)]]
+                               for a in dfa.alphabet)),
             len(signatures)) for s in range(dfa.n_states)]
         if renumbered == classes:
             break

@@ -4,11 +4,12 @@ from ucst.reductions import bridge_context, ucst_to_pep
 from ucst.regdata import Nfa
 from ucst.validate import (
     check_pep_roundtrips,
-    check_solution_transport,
     check_stage_equivalence,
     check_write_lossy_equivalence,
     run_validation,
 )
+
+from support import check_solution_transport
 
 
 def test_default_battery_is_clean():
