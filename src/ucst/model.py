@@ -333,6 +333,12 @@ def head_test(sym, alphabet):
     return Nfa.literal((sym,), alphabet).concat(Nfa.all_words(alphabet))
 
 
+# label -> constructor of the standard test languages other than head tests,
+# in the order `classify_tests` tries them
+TEST_LANGUAGES = (("Z", emptiness_test), ("N", nonemptiness_test),
+                  ("Even", even_length_test), ("Odd", odd_length_test))
+
+
 @dataclass(frozen=True)
 class TestClass:
     rule_id: int
@@ -376,8 +382,7 @@ def _test_label(lang):
     over `lang.alphabet`, which is the system's alphabet as a set, so the
     label holds in every system that shares the automaton."""
     alphabet = lang.alphabet
-    for name, reference in (("Z", emptiness_test), ("N", nonemptiness_test),
-                            ("Even", even_length_test), ("Odd", odd_length_test)):
+    for name, reference in TEST_LANGUAGES:
         if language_equal(lang, reference(alphabet)):
             return name, None
     for a in alphabet:

@@ -19,6 +19,7 @@ from .errors import InputError, ReplayError
 from .model import (
     LOSS,
     LOSSY,
+    L,
     SENDER,
     Configuration,
     Run,
@@ -57,16 +58,15 @@ class PepInstance:
             raise InputError("constraint alphabets must equal sigma")
 
     def image_u(self, word):
-        out = ()
-        for a in word:
-            out += tuple(self.u[a])
-        return out
+        return image(self.u, word)
 
     def image_v(self, word):
-        out = ()
-        for a in word:
-            out += tuple(self.v[a])
-        return out
+        return image(self.v, word)
+
+
+def image(mapping, word):
+    """The concatenation of each letter's image under `mapping`."""
+    return tuple(x for a in word for x in mapping[a])
 
 
 def is_solution(inst, word):
@@ -187,12 +187,6 @@ class PreSolutionContext:
     def rule(self, letter):
         return self.instance.system.rule(self.rule_ids[letter])
 
-    def project(self, mapping, word):
-        out = ()
-        for a in word:
-            out += tuple(mapping[a])
-        return out
-
 
 def _path_ok(rules_word, start, goal):
     cur = start
@@ -214,7 +208,7 @@ def is_pre_solution(ctx, word):
         return False, "c1"
     if not _path_ok(receiver_rules, ctx.instance.q_in, ctx.instance.q_fi):
         return False, "c1"
-    if ctx.project(ctx.read_r, word) != ctx.project(ctx.write_r, word):
+    if image(ctx.read_r, word) != image(ctx.write_r, word):
         return False, "c2"
     reads, writes = (), ()
     for a in word:
@@ -222,13 +216,13 @@ def is_pre_solution(ctx, word):
         writes += tuple(ctx.write_r[a])
         if reads != writes[:len(reads)]:
             return False, "c3"
-    if not subword(ctx.project(ctx.read_l, word), ctx.project(ctx.write_l, word)):
+    if not subword(image(ctx.read_l, word), image(ctx.write_l, word)):
         return False, "c4"
     for i, a in enumerate(word):
         if a in ctx.test_letters:
             tail = word[i + 1:]
-            if not subword(ctx.project(ctx.read_l, tail),
-                           ctx.project(ctx.write_l, tail)):
+            if not subword(image(ctx.read_l, tail),
+                           image(ctx.write_l, tail)):
                 return False, "c5"
     return True, None
 
@@ -288,7 +282,7 @@ def run_from_postpone_stable(ctx, word):
         if a in ctx.test_letters:
             while cur.v:
                 lose_head()
-        elif act.kind == "read" and rule.channel == "l":
+        elif act.kind == "read" and rule.channel == L:
             while cur.v and cur.v[0] != act.msg:
                 lose_head()
             if not cur.v:

@@ -1,35 +1,30 @@
 """Seeded random systems and instances for cross-checks and stress tests."""
 
+from .explore import Bound, reachable_set
 from .model import (
+    LOSSY,
+    TEST_LANGUAGES,
     Action,
+    Configuration,
     L,
     R,
     ReachInstance,
     Rule,
     Ucst,
-    emptiness_test,
-    even_length_test,
     head_test,
-    nonemptiness_test,
-    odd_length_test,
 )
 from .regdata import Nfa, parse_regex
 
 
 def test_language(label, alphabet, sym=None):
-    if label == "Z":
-        return emptiness_test(alphabet)
-    if label == "N":
-        return nonemptiness_test(alphabet)
-    if label == "Even":
-        return even_length_test(alphabet)
-    if label == "Odd":
-        return odd_length_test(alphabet)
     if label == "H":
         if sym is None:
             raise ValueError("a head test needs its head letter")
         return head_test(sym, alphabet)
-    raise ValueError(f"unknown test label {label!r}")
+    make = dict(TEST_LANGUAGES).get(label)
+    if make is None:
+        raise ValueError(f"unknown test label {label!r}")
+    return make(alphabet)
 
 
 def _test_action(rng, alphabet, tests):
@@ -93,12 +88,9 @@ def random_constraint(rng, alphabet):
 def _biased_final_pair(rng, system, empty_final):
     """A control pair drawn from a short forward exploration, so instances
     asking for it tend to be reachable; None when nothing qualifies."""
-    from .explore import Bound, reachable_set
-    from .model import Configuration
-
     start = Configuration(system.sender_states[0], system.receiver_states[0],
                           (), ())
-    reached = reachable_set(system, [start], Bound(2, 60), "lossy")
+    reached = reachable_set(system, [start], Bound(2, 60), LOSSY)
     if empty_final:
         # empty-l is always recoverable by losses; empty-r is not
         reached = {c for c in reached if c.u == ()}

@@ -5,6 +5,10 @@ Automata are immutable after construction.  States are the integers
 Words are tuples of symbols.  Symbols can be any hashable values (message
 letters are strings, rule letters in constraint alphabets may be other
 tokens), so every deterministic enumeration sorts them with `symkey`.
+
+Every language query steps one lazy subset memo per automaton (`Nfa._subsets`):
+`accepts`, `determinize`, `words_up_to`, `has_word_longer_than`,
+`language_equal`, `quotient` and the embedding solver's `live_moves`.
 """
 
 from collections import deque
@@ -132,6 +136,9 @@ class Nfa:
         Subsets are epsilon-closed state sets.  `steps` maps (subset, letter)
         to the next subset as each step is first taken, by `accepts` and
         `live_moves` alike; `live_moves` keeps its answers per subset.
+        `determinize`, `words_up_to`, `language_equal` and `quotient` step
+        through `live_moves`; `has_word_longer_than` starts from the initial
+        subset and ends in `distance`.
         """
         if self._steps is None:
             object.__setattr__(self, "_steps", (
@@ -190,11 +197,6 @@ class Nfa:
             cur = nxt
         return not cur.isdisjoint(self.accepting)
 
-    def is_empty(self):
-        out = _out_index(self.transitions)
-        ids, _ = _explore(self.initial, lambda s: out.get(s, ()))
-        return self.accepting.isdisjoint(ids)
-
     @cached_on_nfa
     def normalize(self):
         """Epsilon-free, reachable-only copy with BFS state numbering.
@@ -220,29 +222,19 @@ class Nfa:
                    trans)
 
     def determinize(self):
-        """Total DFA over this automaton's alphabet (subset construction)."""
+        """Total DFA over this automaton's alphabet (subset construction).
+
+        The subsets of the normal form are numbered by `_explore` from its
+        initial subset, letters in alphabet order; the empty subset is the
+        dead state.
+        """
         nfa = self.normalize()
-        start = frozenset(nfa.initial)
-        step = _step_index(nfa.transitions)
-        ids = {start: 0}
-        queue = deque([start])
-        trans = {}
-        accepting = set()
-        while queue:
-            cur = queue.popleft()
-            cid = ids[cur]
-            if cur & nfa.accepting:
-                accepting.add(cid)
-            for sym in nfa.alphabet:
-                nxt = set()
-                for s in cur:
-                    nxt.update(step.get((s, sym), ()))
-                nxt = frozenset(nxt)
-                if nxt not in ids:
-                    ids[nxt] = len(ids)
-                    queue.append(nxt)
-                trans[(cid, sym)] = ids[nxt]
-        return Dfa(nfa.alphabet, len(ids), 0, frozenset(accepting), trans)
+        ids, trans = _explore([nfa.initial_subset()], lambda cur: [
+            (sym, live.get(sym, frozenset()))
+            for live in [nfa.live_moves(cur)] for sym in nfa.alphabet])
+        return Dfa(nfa.alphabet, len(ids), 0,
+                   {n for cur, n in ids.items() if cur & nfa.accepting},
+                   {(src, sym): dst for src, sym, dst in trans})
 
     # -- boolean and word operations ------------------------------------------
 
@@ -283,10 +275,10 @@ class Nfa:
     def intersect(self, other):
         self._require_same_alphabet(other)
         a, b = self.normalize(), other.normalize()
-        a_out, b_step = _out_index(a.transitions), _step_index(b.transitions)
+        a_out, b_out = _out_index(a.transitions), _letter_index(b)[1]
         return _pair_nfa(a, b, a.alphabet, lambda p: [
             (sym, (i, j)) for sym, i in a_out.get(p[0], ())
-            for j in b_step.get((p[1], sym), ())])
+            for j in b_out.get(p[1], {}).get(sym, ())])
 
     def complement(self):
         dfa = self.determinize()
@@ -350,38 +342,24 @@ class Nfa:
 
     def words_up_to(self, max_len):
         """Accepted words of length <= max_len, by length then lexicographic."""
-        a = self.normalize()
-        step = _step_index(a.transitions)
-        syms = sorted(set(a.alphabet), key=symkey)
-        level = [((), frozenset(a.initial))]
+        level = [((), self.initial_subset())]
         out = []
         for length in range(max_len + 1):
-            nxt = []
-            for word, states in level:
-                if states & a.accepting:
-                    out.append(word)
-                if length < max_len:
-                    for sym in syms:
-                        moved = set()
-                        for s in states:
-                            moved.update(step.get((s, sym), ()))
-                        if moved:
-                            nxt.append((word + (sym,), frozenset(moved)))
-            level = nxt
+            out += [word for word, cur in level if cur & self.accepting]
+            if length < max_len:
+                level = [(word + (sym,), nxt) for word, cur in level
+                         for sym, nxt in self.live_moves(cur).items()]
         return out
 
     def has_word_longer_than(self, k):
         """True iff L contains a word of length strictly greater than k."""
-        a = self.normalize()
-        out = _out_index(a.transitions)
-        layers = frozenset(a.initial)
-        for _ in range(k + 1):
-            layers = frozenset(t for s in layers for _, t in out.get(s, ()))
-            if not layers:
-                return False
-        # states reachable by words of length exactly k+1; close forward
-        ids, _ = _explore(layers, lambda s: out.get(s, ()))
-        return not a.accepting.isdisjoint(ids)
+        eps, out = _letter_index(self)
+        layer = self.initial_subset()
+        for _ in range(k + 1):  # the states after exactly k+1 letters
+            layer = self._eps_closure(
+                [t for s in layer for dsts in out.get(s, {}).values()
+                 for t in dsts], eps)
+        return self.distance(layer) is not None
 
 
 class Dfa:
@@ -454,8 +432,8 @@ def _explore(starts, moves):
     get the numbers 0, 1, ... in the order given (a repeated start keeps its
     first number); every other state gets the next number when it is first
     reached, in breadth-first order, taking the states in number order and
-    each state's moves in the order listed.  `normalize` and `Dfa.minimize`
-    rely on this numbering for their canonical output.
+    each state's moves in the order listed.  `normalize`, `determinize` and
+    `Dfa.minimize` rely on this numbering for their canonical output.
 
     Returns (ids, transitions): ids maps each reached state to its number,
     and transitions lists every (number, letter, number) move in the order
@@ -481,7 +459,8 @@ def _explore(starts, moves):
 @cached_on_nfa
 def _letter_index(nfa):
     """(state -> epsilon targets, state -> {letter: [dst]}): the one source
-    of subset steps, for `accepts`, `live_moves` and `quotient`."""
+    of subset steps, for `accepts`, `live_moves`, `has_word_longer_than`
+    and `intersect`."""
     out = {}
     for src, sym, dst in nfa.transitions:
         if sym is not EPSILON:
@@ -522,14 +501,6 @@ def _out_index(transitions):
     return out
 
 
-def _step_index(transitions):
-    """(src, letter) -> [dst], in transition order."""
-    step = {}
-    for src, sym, dst in transitions:
-        step.setdefault((src, sym), []).append(dst)
-    return step
-
-
 def _pair_nfa(a, b, alphabet, moves):
     """Product of epsilon-free `a` and `b` over the pairs of states that
     `moves` reaches from the initial pairs; a pair accepts when both do."""
@@ -541,12 +512,24 @@ def _pair_nfa(a, b, alphabet, moves):
 
 
 def language_equal(a, b):
-    """L(a) == L(b), via emptiness of both difference languages."""
+    """L(a) == L(b): a search over the pairs of subsets that one word reaches
+    in `a` and in `b`, which stops at the first pair where exactly one side
+    accepts."""
     if set(a.alphabet) != set(b.alphabet):
         raise InputError("language comparison requires equal alphabets")
-    if not a.intersect(b.complement()).is_empty():
-        return False
-    return b.intersect(a.complement()).is_empty()
+    start = (a.initial_subset(), b.initial_subset())
+    seen, todo = {start}, [start]
+    while todo:
+        x, y = todo.pop()
+        if x.isdisjoint(a.accepting) != y.isdisjoint(b.accepting):
+            return False
+        mx, my = a.live_moves(x), b.live_moves(y)
+        for sym in mx.keys() | my.keys():
+            pair = (mx.get(sym, frozenset()), my.get(sym, frozenset()))
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
 
 
 @cached_on_nfa

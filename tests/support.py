@@ -54,7 +54,8 @@ def language_subset(a, b):
     """L(a) <= L(b)."""
     if set(a.alphabet) != set(b.alphabet):
         raise InputError("language comparison requires equal alphabets")
-    return a.intersect(b.complement()).is_empty()
+    diff = a.intersect(b.complement())
+    return diff.distance(diff.initial_subset()) is None
 
 
 def instance_equal(a, b):

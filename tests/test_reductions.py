@@ -594,6 +594,16 @@ class TestDecideEeReach:
         assert sum(ref == UNREACHABLE for _, ref in outcomes) >= 2
 
     def test_saturation_normalizes_each_automaton_once(self, monkeypatch):
+        """Saturation steps its constraints lazily and normalizes nothing;
+        the embedding path normalizes a constraint it writes twice (here
+        one automaton is both U and V) once."""
+        normalize = Nfa.normalize
+        copies = {}  # automaton -> every copy its normalize() returned
+
+        def recording(nfa):
+            copies.setdefault(nfa, []).append(normalize(nfa))
+            return copies[nfa][-1]
+
         rng = random.Random(71)
         while True:
             s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
@@ -603,15 +613,18 @@ class TestDecideEeReach:
             if any(t.channel == "r" for t in classify_tests(s).tests):
                 break
         inst = random_instance(rng, s, empty_initial=True, empty_final=True)
-        normalize = Nfa.normalize
-        copies = {}  # automaton -> every copy its normalize() returned
-
-        def recording(nfa):
-            copies.setdefault(nfa, []).append(normalize(nfa))
-            return copies[nfa][-1]
-
         monkeypatch.setattr(Nfa, "normalize", recording)
         decide_eereach_z1(inst, bounded_oracle(Bound(4, 0)))
+        assert copies == {}
+
+        s = random_ucst(random.Random(73), alphabet=("a", "b"), n_sender=3,
+                        n_receiver=2, n_sender_rules=4, n_receiver_rules=2,
+                        sender_tests=(("Z", "l"), ("N", "r")),
+                        test_weight=0.5, forward_sender=True)
+        assert {t.label for t in classify_tests(s).tests} == {"Z", "N"}
+        lang = parse_regex("a | b a", s.alphabet)
+        run_pipeline(ReachInstance(s, "p0", "p2", "q0", "q1",
+                                   lang, lang, lang, lang), to="pep")
         assert max(len(c) for c in copies.values()) > 1
         for nfa, returned in copies.items():
             assert all(copy is returned[0] for copy in returned), nfa

@@ -562,3 +562,126 @@ class TestClosureCaches:
                 if not isinstance(r, types.FrameType)] == []
         del lang
         assert live_automata() == before
+
+
+# -- the lazy subset queries against the eager constructions they replaced ----
+
+def eager_determinize(nfa):
+    """Subset construction with its own queue over the normal form's
+    (state, letter) index; letters in alphabet order, empty subset kept."""
+    a = nfa.normalize()
+    step = {}
+    for src, sym, dst in a.transitions:
+        step.setdefault((src, sym), []).append(dst)
+    start = frozenset(a.initial)
+    ids, queue, trans, accepting = {start: 0}, [start], {}, set()
+    for cur in queue:
+        if cur & a.accepting:
+            accepting.add(ids[cur])
+        for sym in a.alphabet:
+            nxt = frozenset(t for s in cur for t in step.get((s, sym), ()))
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                queue.append(nxt)
+            trans[(ids[cur], sym)] = ids[nxt]
+    return Dfa(a.alphabet, len(ids), 0, accepting, trans)
+
+
+def eager_words_up_to(nfa, max_len):
+    a = nfa.normalize()
+    level, out = [((), frozenset(a.initial))], []
+    for length in range(max_len + 1):
+        out += [word for word, states in level if states & a.accepting]
+        level = [(word + (sym,), moved) for word, states in level
+                 for sym in sorted(set(a.alphabet), key=regdata.symkey)
+                 for moved in [frozenset(d for s, x, d in a.transitions
+                                         if s in states and x == sym)]
+                 if moved]
+    return out
+
+
+def eager_reach(nfa, starts):
+    """States reachable from `starts` over every move, epsilon included."""
+    seen, todo = set(starts), list(starts)
+    while todo:
+        s = todo.pop()
+        for src, _, dst in nfa.transitions:
+            if src == s and dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return seen
+
+
+def eager_has_word_longer_than(nfa, k):
+    a = nfa.normalize()
+    layer = set(a.initial)
+    for _ in range(k + 1):
+        layer = {d for s, _, d in a.transitions if s in layer}
+    return not a.accepting.isdisjoint(eager_reach(a, layer))
+
+
+def eager_language_equal(a, b):
+    """Emptiness of both difference languages, complements by
+    `eager_determinize`."""
+    def complement(x):
+        dfa = eager_determinize(x)
+        return Dfa(dfa.alphabet, dfa.n_states, 0,
+                   set(range(dfa.n_states)) - dfa.accepting,
+                   dfa.transitions).as_nfa()
+
+    def is_empty(x):
+        return x.accepting.isdisjoint(eager_reach(x, x.initial))
+    return (is_empty(a.intersect(complement(b)))
+            and is_empty(b.intersect(complement(a))))
+
+
+def drawn_automata(random_nfa, rng, count):
+    """Random automata with epsilon moves, sometimes several initial states,
+    and sometimes a letter that no transition reads."""
+    for _ in range(count):
+        sigma = ("a", "b", "c")[: rng.randint(1, 3)]
+        nfa = random_nfa(rng, sigma, 5)
+        initial = set(nfa.initial) | {s for s in range(nfa.n_states)
+                                      if rng.random() < 0.2}
+        alphabet = sigma + ("z",) if rng.random() < 0.5 else sigma
+        yield Nfa(alphabet, nfa.n_states, initial, nfa.accepting,
+                  nfa.transitions)
+
+
+class TestLazySubsetQueries:
+    """`determinize`, `words_up_to`, `has_word_longer_than` and
+    `language_equal` step the lazy subset memo; each must give exactly what
+    the eager construction it replaced gives."""
+
+    def test_determinize_is_the_same_dfa(self, random_nfa):
+        for nfa in drawn_automata(random_nfa, random.Random(1201), 500):
+            lazy, eager = nfa.determinize(), eager_determinize(nfa)
+            assert (lazy.alphabet, pin(lazy)) == (eager.alphabet, pin(eager))
+
+    def test_words_and_lengths_agree(self, random_nfa):
+        for nfa in drawn_automata(random_nfa, random.Random(1202), 500):
+            for k in range(5):
+                assert nfa.words_up_to(k) == eager_words_up_to(nfa, k)
+                assert (nfa.has_word_longer_than(k)
+                        == eager_has_word_longer_than(nfa, k))
+
+    def test_language_equal_agrees(self, random_nfa):
+        rng = random.Random(1203)
+        automata = list(drawn_automata(random_nfa, rng, 500))
+        equal = 0
+        for a in automata:
+            same_sigma = [b for b in automata if b.alphabet == a.alphabet]
+            for b in (rng.choice(same_sigma), a.normalize(),
+                      a.determinize().minimize().as_nfa()):
+                got = language_equal(a, b)
+                assert got == eager_language_equal(a, b)
+                equal += got
+        assert equal >= 1000
+
+    def test_languages_that_differ_on_one_long_word(self):
+        every_a = parse_regex("a*", AB)
+        all_but_aaaa = parse_regex("EPS | a | a a | a a a | a a a a a a*", AB)
+        assert not language_equal(every_a, all_but_aaaa)
+        assert not language_equal(all_but_aaaa, every_a)
+        assert language_equal(
+            every_a, all_but_aaaa.union(Nfa.literal(("a",) * 4, AB)))
