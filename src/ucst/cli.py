@@ -106,7 +106,13 @@ def cmd_validate(args):
     seed = args.seed
     env_seed = os.environ.get("UCST_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise InputError(f"UCST_SEED must be an integer, not {env_seed!r}")
+    if args.samples < 1:
+        # no samples would run no checks and still print PASS
+        raise InputError(f"--samples must be at least 1, not {args.samples}")
     results = run_validation(seed, args.samples, args.bound)
     failures = 0
     for res in results:

@@ -26,7 +26,7 @@ from .model import (
     nonemptiness_test,
 )
 from .pep import PepInstance, PreSolutionContext
-from .regdata import Nfa, _distances, subword, symkey
+from .regdata import Nfa, _distances, _letter_index, _product, subword, symkey
 
 RESERVED_SYMBOLS = ("z", "n", "#")
 SATURATION_ROUNDS = 64  # rounds `decide_eereach_z1` runs before giving up
@@ -516,21 +516,17 @@ def _path_nfa(states, rules, rule_letters, start, goal, sigma):
     return Nfa(sigma, len(states), {idx[start]}, {idx[goal]}, trans)
 
 
-def ucst_to_pep(inst):
-    """Post embedding instance whose solutions are the rule words of runs:
-    letters are rules, images read and write the lossy channel, R forces
-    reliable-channel writes to be read back immediately, and the codirect
-    suffixes start at the emptiness tests."""
-    ctx = bridge_context(inst)
+def _r_parts(ctx):
+    """E_r*, P1 and P2, the automata whose product is R.  E_r* alternates
+    r-silent letters with write/read pairs on r; a middle state remembers
+    the written letter, one state per such letter."""
+    inst, sigma = ctx.instance, ctx.letters
     s = inst.system
-    sigma = ctx.letters
     n1 = s.n_sender_rules
     p1 = _path_nfa(s.sender_states, s.sender_rules, sigma[:n1],
                    inst.p_in, inst.p_fi, sigma)
     p2 = _path_nfa(s.receiver_states, s.receiver_rules, sigma[n1:],
                    inst.q_in, inst.q_fi, sigma)
-    # alternation of r-silent letters and write/read pairs on r; the middle
-    # state must remember the written letter, one state per such letter
     written = tuple(dict.fromkeys(
         ctx.write_r[a][0] for a in sigma if ctx.write_r[a]))
     mid = {sym: i + 1 for i, sym in enumerate(written)}
@@ -543,11 +539,38 @@ def ucst_to_pep(inst):
     for a in sigma:
         if ctx.read_r[a] and ctx.read_r[a][0] in mid:
             trans.append((mid[ctx.read_r[a][0]], a, 0))
-    er_star = Nfa(sigma, 1 + len(written), {0}, {0}, trans)
-    big_r = er_star.intersect(p1.shuffle(p2))
+    return Nfa(sigma, 1 + len(written), {0}, {0}, trans), p1, p2
+
+
+def ucst_to_pep(inst):
+    """Post embedding instance whose solutions are the rule words of runs:
+    letters are rules, images read and write the lossy channel, R is one
+    product of E_r* (reliable-channel writes are read back immediately) and
+    the Sender and Receiver path automata P1 and P2, and the codirect
+    suffixes start at the emptiness tests."""
+    ctx = bridge_context(inst)
+    sigma = ctx.letters
+    parts = _r_parts(ctx)
+    # E_r* ∩ (P1 ⧢ P2), stepping (e, i, j) by the letters P1 or P2 offers, in
+    # `symkey` order: each letter labels one edge of P1 or P2, so this is
+    # `er_star.intersect(p1.shuffle(p2))` state for state, with no shuffle
+    rank = {a: k for k, a in enumerate(sorted(sigma, key=symkey))}
+    e_out, p1_out, p2_out = (_letter_index(a)[1] for a in parts)
+
+    def moves(triple):
+        e, i, j = triple
+        allowed = e_out.get(e, {})
+        out = [(a, (f, k, j)) for a, ks in p1_out.get(i, {}).items()
+               if a in allowed for f in allowed[a] for k in ks]
+        out += [(a, (f, i, k)) for a, ks in p2_out.get(j, {}).items()
+                if a in allowed for f in allowed[a] for k in ks]
+        out.sort(key=lambda move: rank[move[0]])
+        return out
+
+    big_r = _product(parts, sigma, moves)
     rp = Nfa.one_of(sorted(ctx.test_letters), sigma).concat(Nfa.all_words(sigma))
-    pep = PepInstance(sigma, s.alphabet, dict(ctx.read_l), dict(ctx.write_l),
-                      big_r, rp)
+    pep = PepInstance(sigma, inst.system.alphabet, dict(ctx.read_l),
+                      dict(ctx.write_l), big_r, rp)
     return pep
 
 

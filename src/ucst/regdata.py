@@ -9,10 +9,15 @@ tokens), so every deterministic enumeration sorts them with `symkey`.
 Every language query steps one lazy subset memo per automaton (`Nfa._subsets`):
 `accepts`, `determinize`, `words_up_to`, `has_word_longer_than`,
 `language_equal`, `quotient` and the embedding solver's `live_moves`.
+
+Every product of automata is one `_product`: `intersect`, `shuffle` and the
+embedding problem's R (`reductions.ucst_to_pep`) differ only in the letters
+each tuple of states steps.
 """
 
 from collections import deque
 from functools import wraps
+from itertools import product
 
 from .errors import InputError
 
@@ -273,12 +278,19 @@ class Nfa:
         return self.concat(self.star())
 
     def intersect(self, other):
+        """Each pair steps the letters of the side with fewer, looked up in
+        the other side; normal forms list letters in `symkey` order."""
         self._require_same_alphabet(other)
         a, b = self.normalize(), other.normalize()
-        a_out, b_out = _out_index(a.transitions), _letter_index(b)[1]
-        return _pair_nfa(a, b, a.alphabet, lambda p: [
-            (sym, (i, j)) for sym, i in a_out.get(p[0], ())
-            for j in b_out.get(p[1], {}).get(sym, ())])
+        a_out, b_out = _letter_index(a)[1], _letter_index(b)[1]
+
+        def moves(pair):
+            here, there = a_out.get(pair[0], {}), b_out.get(pair[1], {})
+            fewer, more = sorted((here, there), key=len)
+            return [(sym, (i, j)) for sym in fewer if sym in more
+                    for i in here[sym] for j in there[sym]]
+
+        return _product((a, b), a.alphabet, moves)
 
     def complement(self):
         dfa = self.determinize()
@@ -291,7 +303,7 @@ class Nfa:
         a, b = self.normalize(), other.normalize()
         alphabet = tuple(dict.fromkeys(self.alphabet + other.alphabet))
         a_out, b_out = _out_index(a.transitions), _out_index(b.transitions)
-        return _pair_nfa(a, b, alphabet, lambda p: (
+        return _product((a, b), alphabet, lambda p: (
             [(sym, (i, p[1])) for sym, i in a_out.get(p[0], ())]
             + [(sym, (p[0], j)) for sym, j in b_out.get(p[1], ())]))
 
@@ -459,8 +471,10 @@ def _explore(starts, moves):
 @cached_on_nfa
 def _letter_index(nfa):
     """(state -> epsilon targets, state -> {letter: [dst]}): the one source
-    of subset steps, for `accepts`, `live_moves`, `has_word_longer_than`
-    and `intersect`."""
+    of subset steps, for `accepts`, `live_moves` and `has_word_longer_than`,
+    and of the letters a product steps, for `intersect` and
+    `reductions.ucst_to_pep`.  Letters and targets keep transition order,
+    which in a normal form is `symkey` order."""
     out = {}
     for src, sym, dst in nfa.transitions:
         if sym is not EPSILON:
@@ -501,13 +515,14 @@ def _out_index(transitions):
     return out
 
 
-def _pair_nfa(a, b, alphabet, moves):
-    """Product of epsilon-free `a` and `b` over the pairs of states that
-    `moves` reaches from the initial pairs; a pair accepts when both do."""
-    starts = [(i, j) for i in sorted(a.initial) for j in sorted(b.initial)]
+def _product(parts, alphabet, moves):
+    """Product of epsilon-free `parts` over the tuples of states that `moves`
+    reaches, numbered by `_explore` from the tuples of sorted initial states;
+    a tuple accepts when every part accepts its component."""
+    starts = list(product(*(sorted(p.initial) for p in parts)))
     ids, trans = _explore(starts, moves)
-    accepting = {n for (i, j), n in ids.items()
-                 if i in a.accepting and j in b.accepting}
+    accepting = {n for states, n in ids.items()
+                 if all(s in p.accepting for s, p in zip(states, parts))}
     return Nfa(alphabet, max(len(ids), 1), range(len(starts)), accepting, trans)
 
 

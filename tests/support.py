@@ -11,6 +11,7 @@ from ucst.pep import (
     postpone_stabilize,
     run_from_postpone_stable,
 )
+from ucst.reductions import _r_parts, bridge_context
 from ucst.regdata import language_equal, symkey
 from ucst.validate import CheckResult
 
@@ -78,6 +79,13 @@ def instance_equal(a, b):
         return False
     return all(language_equal(x, y)
                for x, y in zip(a.constraints(), b.constraints()))
+
+
+def shuffle_built_r(inst):
+    """The R of `ucst_to_pep(inst)` built in three automata, as
+    `er_star.intersect(p1.shuffle(p2))`, together with E_r*."""
+    er_star, p1, p2 = _r_parts(bridge_context(inst))
+    return er_star.intersect(p1.shuffle(p2)), er_star
 
 
 # -- runs and solutions ---------------------------------------------------------

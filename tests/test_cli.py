@@ -215,6 +215,18 @@ class TestValidateCommand:
         direct = capsys.readouterr().out
         assert via_env == direct
 
+    def test_malformed_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("UCST_SEED", "abc")
+        assert main(["validate", "--samples", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: UCST_SEED") and out == ""
+
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_no_samples_exits_2(self, capsys, samples):
+        assert main(["validate", "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: --samples") and "PASS" not in out
+
 
 class TestWitnessesRevalidate:
     def test_printed_pipeline_witness_validates(self, fig6_file, capsys):

@@ -16,6 +16,8 @@ from ucst.explore import (
 from ucst.fileformat import print_ucst
 from ucst.model import (
     LOSSY,
+    L,
+    R,
     Action,
     Configuration,
     ReachInstance,
@@ -46,7 +48,7 @@ from ucst.reductions import (
 )
 from ucst.regdata import Nfa, language_equal, parse_regex
 
-from support import enumerate_solutions
+from support import enumerate_solutions, shuffle_built_r
 
 
 def eps(m):
@@ -699,6 +701,43 @@ class TestPepBridges:
             back = pep_to_ucst(ucst_to_pep(random_z1l_instance(rng)))
             digest.update(print_ucst(back, stage="generated").encode())
         assert digest.hexdigest()[:16] == "e2d3828ce5b0f5d2"
+
+
+def pin_r(nfa):
+    return nfa.n_states, nfa.initial, nfa.accepting, nfa.transitions
+
+
+class TestOneProductR:
+    """`ucst_to_pep` builds R as one product of E_r*, P1 and P2; it is the
+    automaton `er_star.intersect(p1.shuffle(p2))` builds, state for state."""
+
+    def test_z1l_instances(self):
+        rng = random.Random(1313)
+        middles = 0
+        for _ in range(60):
+            inst = random_z1l_instance(rng, n_rules=rng.randint(2, 7))
+            old, er_star = shuffle_built_r(inst)
+            assert pin_r(ucst_to_pep(inst).R) == pin_r(old)
+            middles += er_star.n_states > 1
+        assert middles >= 30  # r-writes give E_r* its middle states
+
+    def test_sender_zn_instances_past_ten_rules(self):
+        # after the stages eg, egz1 and eez1 the rules number in the tens,
+        # so the letter d10 sorts before d2
+        rng = random.Random(1314)
+        past_ten = middles = 0
+        for _ in range(12):
+            system = random_ucst(
+                rng, n_sender=2, n_receiver=2, n_sender_rules=3,
+                n_receiver_rules=3, sender_tests=(("Z", L), ("N", L), ("N", R)),
+                test_weight=0.5)
+            inst = random_instance(rng, system)
+            trace = run_pipeline(inst, to="pep")
+            old, er_star = shuffle_built_r(trace.final_instance)
+            assert pin_r(trace.pep.R) == pin_r(old)
+            past_ten += len(trace.final_instance.system.rules) > 10
+            middles += er_star.n_states > 1
+        assert past_ten >= 10 and middles >= 6
 
 
 class TestPipeline:

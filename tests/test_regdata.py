@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import types
+from collections import Counter
 
 import pytest
 
@@ -406,7 +407,51 @@ def reachable_states(nfa):
     return seen
 
 
+def dense_intersect(x, y):
+    """The product `Nfa.intersect` builds, stepped densely: from each pair,
+    every move of `x`'s normal form in stored order, each looked up in the
+    moves of `y`'s normal form; pairs numbered breadth-first from the
+    initial pairs."""
+    a, b = x.normalize(), y.normalize()
+    starts = [(i, j) for i in sorted(a.initial) for j in sorted(b.initial)]
+    ids = {}
+    for pair in starts:
+        ids.setdefault(pair, len(ids))
+    queue, trans = list(ids), []
+    for i, j in queue:
+        for src, sym, k in a.transitions:
+            for src2, sym2, m in b.transitions:
+                if (src, src2, sym2) == (i, j, sym):
+                    if (k, m) not in ids:
+                        ids[(k, m)] = len(ids)
+                        queue.append((k, m))
+                    trans.append((ids[(i, j)], sym, ids[(k, m)]))
+    accepting = {n for (i, j), n in ids.items()
+                 if i in a.accepting and j in b.accepting}
+    return Nfa(a.alphabet, len(ids), range(len(starts)), accepting, trans)
+
+
 class TestProducts:
+    def test_intersect_matches_dense_stepping(self, random_nfa):
+        rng = random.Random(7103)
+        abc = ("a", "b", "c")
+        drawn = Counter()
+        for _ in range(150):
+            x = random_nfa(rng, abc, 5)
+            if rng.random() < 0.4:
+                x = random_nfa(rng, AB, 5).with_alphabet(abc)  # never reads c
+                drawn["unread letter"] += 1
+            y = random_nfa(rng, abc, 5)
+            if rng.random() < 0.4:
+                y = Nfa(abc, y.n_states, y.initial | {rng.randrange(y.n_states)},
+                        y.accepting, y.transitions)
+                drawn["extra initial"] += len(y.initial) > 1
+            drawn["epsilon"] += any(sym is None for _, sym, _ in
+                                    x.transitions + y.transitions)
+            for a, b in ((x, y), (y, x)):
+                assert pin(a.intersect(b)) == pin(dense_intersect(a, b)), (a, b)
+        assert min(drawn.values()) >= 30, drawn
+
     def test_against_definitions_and_reachable_only(self, random_nfa):
         rng = random.Random(6047)
         for _ in range(60):
