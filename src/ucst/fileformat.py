@@ -10,7 +10,7 @@ from .errors import InputError
 from .model import Action, ReachInstance, Rule, Ucst, classify_tests
 from .pep import PepInstance
 from .reductions import RESERVED_SYMBOLS
-from .regdata import EPSILON, Nfa, language_equal, parse_regex
+from .regdata import KEYWORDS, Nfa, language_equal, parse_regex
 
 _BAD_SYMBOL_CHARS = set("()|*+:!?=")
 
@@ -93,11 +93,11 @@ def _render(node, prec=0):
 def nfa_to_regex(nfa):
     """Surface-syntax expression for L(nfa), by transitive state elimination.
 
-    Runs on the minimal deterministic automaton (canonical), eliminating
-    states with the fewest incident paths first, so re-emitting a reparsed
-    instance reproduces the same expression.
+    Runs on the canonically numbered minimal DFA (`Nfa.minimal_dfa`, dead
+    state included), eliminating states with the fewest incident paths
+    first, so re-emitting a reparsed instance reproduces the same expression.
     """
-    a = nfa.determinize().minimize().as_nfa().normalize()
+    a = nfa.minimal_dfa()
     start, end = -1, -2
     edges = {}  # (i, j) -> _Alternation
 
@@ -106,13 +106,10 @@ def nfa_to_regex(nfa):
             edges[(i, j)] = _Alternation()
         edges[(i, j)].add(node)
 
-    for src, sym, dst in a.transitions:
-        if sym is EPSILON:  # normalize() leaves none, but stay safe
-            add(src, dst, ("eps",))
-        else:
-            add(src, dst, ("sym", sym))
-    for i in sorted(a.initial):
-        add(start, i, ("eps",))
+    # the moves are listed by source, then letter in `symkey` order
+    for (src, sym), dst in a.transitions.items():
+        add(src, dst, ("sym", sym))
+    add(start, a.initial, ("eps",))
     for i in sorted(a.accepting):
         add(i, end, ("eps",))
     remaining = set(range(a.n_states))
@@ -142,7 +139,15 @@ def nfa_to_regex(nfa):
 
 # -- system files -----------------------------------------------------------------
 
+def _check_keywords(symbols):
+    for sym in symbols:
+        if sym in KEYWORDS:
+            raise InputError(
+                f"alphabet symbol {sym!r} is a regular-expression keyword; rename it")
+
+
 def _check_symbols(symbols, stage):
+    _check_keywords(symbols)
     for sym in symbols:
         if any(ch in _BAD_SYMBOL_CHARS or ch.isspace() for ch in sym):
             raise InputError(f"alphabet symbol {sym!r} uses reserved characters")
@@ -151,7 +156,7 @@ def _check_symbols(symbols, stage):
                 f"alphabet symbol {sym!r} is reserved for the reductions; rename it")
 
 
-def _parse_action(text, alphabet):
+def _parse_action(text, lang):
     text = text.strip()
     if text == "nop":
         return "r", Action.nop()
@@ -163,12 +168,16 @@ def _parse_action(text, alphabet):
     if op == "?":
         return channel, Action.read(rest)
     if op == "=":
-        return channel, Action.test(parse_regex(rest, alphabet))
+        return channel, Action.test(lang(rest))
     raise InputError(f"cannot parse action {text!r}")
 
 
 def parse_ucst(text):
-    """Parse a system file; returns (ReachInstance, stage_or_None)."""
+    """Parse a system file; returns (ReachInstance, stage_or_None).
+
+    Each distinct test or constraint text is parsed once per file, so equal
+    texts share one automaton, with its subset memo and cached facts.
+    """
     stage = None
     alphabet = None
     sender = receiver = None
@@ -201,6 +210,13 @@ def parse_ucst(text):
     if alphabet is None or sender is None or receiver is None:
         raise InputError("file needs alphabet, sender and receiver lines")
     _check_symbols(alphabet, stage)
+    langs = {}  # regex text -> its automaton
+
+    def lang(rex):
+        if rex not in langs:
+            langs[rex] = parse_regex(rex, alphabet)
+        return langs[rex]
+
     srules, rrules = [], []
     for lineno, agent, rest in rule_lines:
         head, _, action_text = rest.partition(":")
@@ -208,7 +224,7 @@ def parse_ucst(text):
         if len(parts) != 2 or not action_text.strip():
             raise InputError(f"line {lineno}: rule needs 'src -> dst : action'")
         src, dst = parts[0].strip(), parts[1].strip()
-        channel, action = _parse_action(action_text, alphabet)
+        channel, action = _parse_action(action_text, lang)
         (srules if agent == "s" else rrules).append(Rule(src, channel, action, dst))
     system = Ucst(alphabet, sender, receiver, srules, rrules)
     if instance is None or len(instance) != 4:
@@ -216,7 +232,7 @@ def parse_ucst(text):
     missing = [k for k in ("U", "V", "Up", "Vp") if k not in constraints]
     if missing:
         raise InputError(f"missing constraint lines: {missing}")
-    nfas = {k: parse_regex(v, alphabet) for k, v in constraints.items()}
+    nfas = {k: lang(v) for k, v in constraints.items()}
     inst = ReachInstance(system, instance[0], instance[1], instance[2],
                          instance[3], nfas["U"], nfas["V"], nfas["Up"],
                          nfas["Vp"])
@@ -225,7 +241,6 @@ def parse_ucst(text):
 
 def _test_regex(system, rule_id, rule, report_by_id):
     label = report_by_id.get(rule_id)
-    alphabet = system.alphabet
     if label is not None:
         name, head_sym = label
         if name == "Z":
@@ -310,8 +325,10 @@ def parse_pep(text):
         key, rest = key.strip(), rest.strip()
         if key == "sigma":
             sigma = tuple(rest.split())
+            _check_keywords(sigma)
         elif key == "gamma":
             gamma = tuple(rest.split())
+            _check_keywords(gamma)
         elif key in ("u", "v"):
             letter, _, image = rest.partition("->")
             letter = letter.strip()

@@ -26,7 +26,15 @@ from .model import (
     nonemptiness_test,
 )
 from .pep import PepInstance, PreSolutionContext
-from .regdata import Nfa, _distances, _letter_index, _product, subword, symkey
+from .regdata import (
+    Nfa,
+    _distances,
+    _letter_index,
+    _product,
+    cached_on_nfa,
+    subword,
+    symkey,
+)
 
 RESERVED_SYMBOLS = ("z", "n", "#")
 SATURATION_ROUNDS = 64  # rounds `decide_eereach_z1` runs before giving up
@@ -46,6 +54,7 @@ class _Names:
         return name
 
 
+@cached_on_nfa
 def _is_eps_language(nfa):
     """L(nfa) is exactly {ε}: ε is accepted and no longer word is."""
     return nfa.accepts(()) and not nfa.has_word_longer_than(0)

@@ -7,8 +7,9 @@ letters are strings, rule letters in constraint alphabets may be other
 tokens), so every deterministic enumeration sorts them with `symkey`.
 
 Every language query steps one lazy subset memo per automaton (`Nfa._subsets`):
-`accepts`, `determinize`, `words_up_to`, `has_word_longer_than`,
-`language_equal`, `quotient` and the embedding solver's `live_moves`.
+`accepts`, `determinize`, `minimal_dfa`, `words_up_to`,
+`has_word_longer_than`, `language_equal`, `quotient` and the embedding
+solver's `live_moves`.
 
 Every product of automata is one `_product`: `intersect`, `shuffle` and the
 embedding problem's R (`reductions.ucst_to_pep`) differ only in the letters
@@ -141,9 +142,9 @@ class Nfa:
         Subsets are epsilon-closed state sets.  `steps` maps (subset, letter)
         to the next subset as each step is first taken, by `accepts` and
         `live_moves` alike; `live_moves` keeps its answers per subset.
-        `determinize`, `words_up_to`, `language_equal` and `quotient` step
-        through `live_moves`; `has_word_longer_than` starts from the initial
-        subset and ends in `distance`.
+        `determinize`, `minimal_dfa`, `words_up_to`, `language_equal` and
+        `quotient` step through `live_moves`; `has_word_longer_than` starts
+        from the initial subset and ends in `distance`.
         """
         if self._steps is None:
             object.__setattr__(self, "_steps", (
@@ -298,6 +299,47 @@ class Nfa:
                    frozenset(range(dfa.n_states)) - dfa.accepting,
                    dfa.transitions).as_nfa()
 
+    def minimal_dfa(self):
+        """The minimal total DFA of L, numbered canonically.
+
+        The walk numbers the subsets that `live_moves` reaches from
+        `initial_subset` (this automaton's own memo); every letter it leaves
+        out steps to the empty subset, the dead state.  Moore refinement
+        signs a state by its class and its live moves, leaving out the moves
+        into the dead state's class: two states get equal signatures exactly
+        when they agree on every letter.  The classes are numbered by
+        `_explore` from the initial class, letters in `symkey` order.
+        """
+        ids, trans = _explore([self.initial_subset()],
+                              lambda cur: self.live_moves(cur).items())
+        # a fresh dead state: no live move leads to the empty subset (an
+        # empty initial subset has no moves and merges with it)
+        dead = len(ids)
+        live = [{} for _ in range(dead + 1)]
+        for src, sym, dst in trans:
+            live[src][sym] = dst
+        accepting = {s for cur, s in ids.items() if cur & self.accepting}
+        classes = [int(s in accepting) for s in range(len(live))]
+        while True:
+            base = classes[dead]
+            signatures = {}
+            renumbered = [signatures.setdefault(
+                (c, tuple((a, classes[t]) for a, t in moves.items()
+                          if classes[t] != base)),
+                len(signatures)) for c, moves in zip(classes, live)]
+            if renumbered == classes:
+                break
+            classes = renumbered
+        member = {}  # class -> the live moves of its first state
+        for c, moves in zip(classes, live):
+            member.setdefault(c, moves)
+        letters = sorted(self.alphabet, key=symkey)
+        numbers, trans = _explore([classes[0]], lambda c: [
+            (a, classes[member[c].get(a, dead)]) for a in letters])
+        return Dfa(self.alphabet, len(numbers), 0,
+                   {numbers[classes[s]] for s in accepting},
+                   {(src, a): dst for src, a, dst in trans})
+
     def shuffle(self, other):
         """All interleavings of one word of each language."""
         a, b = self.normalize(), other.normalize()
@@ -375,7 +417,8 @@ class Nfa:
 
 
 class Dfa:
-    """Total deterministic automaton produced by `Nfa.determinize`."""
+    """Total deterministic automaton produced by `Nfa.determinize` and
+    `Nfa.minimal_dfa`."""
 
     __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions")
 
@@ -391,51 +434,6 @@ class Dfa:
             self.transitions.items(), key=lambda kv: (kv[0][0], symkey(kv[0][1])))]
         return Nfa(self.alphabet, self.n_states, {self.initial}, self.accepting, trans)
 
-    def minimize(self):
-        """Equivalent minimal DFA (partition refinement); classes are
-        numbered by first occurrence so the result is canonical.
-
-        A round splits states by their class and the classes of their
-        targets.  Most moves of a large DFA go to one common target (the
-        empty subset), so a state is signed only by the letters whose target
-        class differs from that target's class: two states have equal
-        signatures exactly when they agree on every letter.
-        """
-        counts = {}
-        for t in self.transitions.values():
-            counts[t] = counts.get(t, 0) + 1
-        common = max(counts, key=counts.get, default=None)
-        sparse = [[] for _ in range(self.n_states)]
-        for a in self.alphabet:
-            for s in range(self.n_states):
-                t = self.transitions[(s, a)]
-                if t != common:
-                    sparse[s].append((a, t))
-        classes = [1 if s in self.accepting else 0 for s in range(self.n_states)]
-        while True:
-            signatures = {}
-            renumbered = []
-            base = None if common is None else classes[common]
-            for s in range(self.n_states):
-                sig = (classes[s],
-                       tuple((a, classes[t]) for a, t in sparse[s]
-                             if classes[t] != base))
-                if sig not in signatures:
-                    signatures[sig] = len(signatures)
-                renumbered.append(signatures[sig])
-            if renumbered == classes:
-                break
-            classes = renumbered
-        raw = {}
-        for (s, a), t in self.transitions.items():
-            raw[(classes[s], a)] = classes[t]
-        ids, trans = _explore([classes[self.initial]],
-                              lambda c: [(a, raw[(c, a)]) for a in self.alphabet])
-        accepting = {ids[classes[s]] for s in self.accepting
-                     if classes[s] in ids}
-        return Dfa(self.alphabet, len(ids), 0, accepting,
-                   {(src, a): dst for src, a, dst in trans})
-
 
 def _explore(starts, moves):
     """Number the states reachable from `starts` and list their transitions.
@@ -445,7 +443,8 @@ def _explore(starts, moves):
     first number); every other state gets the next number when it is first
     reached, in breadth-first order, taking the states in number order and
     each state's moves in the order listed.  `normalize`, `determinize` and
-    `Dfa.minimize` rely on this numbering for their canonical output.
+    `minimal_dfa` (its subset walk and its classes) rely on this numbering
+    for their canonical output.
 
     Returns (ids, transitions): ids maps each reached state to its number,
     and transitions lists every (number, letter, number) move in the order
@@ -578,7 +577,9 @@ def subword_one(w1, w2):
 #           rep  := atom ('*' | '+')*
 #           atom := literal | EPS | ANY | '(' alt ')'
 # Literals are whitespace-separated tokens; ANY is any single alphabet letter.
+# The keywords are never literals, so no alphabet may use them as letters.
 
+KEYWORDS = ("EPS", "ANY", "NONE")
 _PUNCT = set("()|*+")
 
 

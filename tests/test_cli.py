@@ -61,6 +61,16 @@ class TestReach:
         assert main(["reach", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_regex_keyword_symbol_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "keyword.ucst"
+        path.write_text(FIG6_TEXT.replace("alphabet: a b c",
+                                          "alphabet: a b c EPS"))
+        for command in (["reach", str(path)],
+                        ["reduce", str(path), "--to", "pep"]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "'EPS'" in err
+
     def test_internal_replay_failure_exits_2(self, fig6_file, capsys, monkeypatch):
         def fail(ctx, word):
             raise ReplayError(3, "rule 4 not enabled")

@@ -163,6 +163,28 @@ class TestUcstFormat:
         assert stage == "eez1"
         assert instance_equal(back, trace.final_instance)
 
+    def test_equal_texts_share_one_automaton(self):
+        inst, _ = parse_ucst(FIG6_TEXT + "rule s: p_in -> p_in : r=EPS\n"
+                             "rule s: p1 -> p1 : l=a*\n")
+        s = inst.system
+        eps_lang = s.rules[3].action.lang
+        assert all(c is eps_lang for c in inst.constraints())
+        # Sender rules come first: the two new ones are rules 4 and 5
+        assert s.rules[4].action.lang is eps_lang
+        assert s.rules[5].action.lang is not eps_lang
+        # one table per file: a second parse builds its own automata
+        again, _ = parse_ucst(FIG6_TEXT)
+        assert again.U is not inst.U
+
+    @pytest.mark.parametrize("keyword", ["EPS", "ANY", "NONE"])
+    def test_regex_keywords_rejected_as_symbols(self, keyword):
+        # `ANY b*` over the alphabet `EPS b` printed back as `(EPS | b) b*`,
+        # which reads EPS as the empty word
+        bad = FIG6_TEXT.replace("alphabet: a b c", f"alphabet: a b c {keyword}")
+        for text in (bad, "stage: eez1\n" + bad):
+            with pytest.raises(InputError, match="keyword"):
+                parse_ucst(text)
+
     def test_parse_errors(self):
         with pytest.raises(InputError):
             parse_ucst("alphabet: a\nsender: p\nreceiver: q\n")
@@ -187,6 +209,14 @@ class TestPepFormat:
                           parse_regex("x", sigma), Nfa.nothing(sigma))
         back = parse_pep(print_pep(pep))
         assert pep_equal(back, pep)
+
+    @pytest.mark.parametrize("keyword", ["EPS", "ANY", "NONE"])
+    def test_regex_keywords_rejected_as_letters(self, keyword):
+        # an image line reads EPS as the empty image, and R and Rp are regexes
+        for sigma, gamma in ((f"x {keyword}", "g"), ("x", f"g {keyword}")):
+            with pytest.raises(InputError, match="keyword"):
+                parse_pep(f"sigma: {sigma}\ngamma: {gamma}\n"
+                          "u: x -> g\nv: x -> g\nR: x\nRp: x*\n")
 
     def test_parse_errors(self):
         with pytest.raises(InputError):

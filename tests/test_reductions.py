@@ -13,7 +13,7 @@ from ucst.explore import (
     bounded_reach,
     coreach_in,
 )
-from ucst.fileformat import print_ucst
+from ucst.fileformat import parse_ucst, print_ucst
 from ucst.model import (
     LOSSY,
     L,
@@ -508,6 +508,41 @@ class TestDecideEeReach:
                               eps(m), eps(m), eps(m), eps(m))
         assert not decide_eereach_z1(inst2, oracle)
         assert not bounded_reach(inst2, Bound(3, 500), LOSSY).reachable
+
+    def test_identical_r_tests_parsed_from_text(self):
+        # equal rule texts share one automaton, so the two gates are equal
+        # rules; stripping them must still strip both and keep both hops
+        text = """\
+alphabet: a
+sender: p0 p1 p2
+receiver: q0 q1
+rule s: p0 -> p1 : r!a
+rule s: p1 -> p2 : r=EPS
+rule s: p1 -> p2 : r=EPS
+rule s: p1 -> p1 : l!a
+rule r: q0 -> q1 : r?a
+instance: p0 p2 q0 q1
+U: EPS
+V: EPS
+Up: EPS
+Vp: EPS
+"""
+        oracle = bounded_oracle(Bound(3, 500))
+        for receiver in ("rule r: q0 -> q1 : r?a\n", ""):
+            inst, _ = parse_ucst(text.replace("rule r: q0 -> q1 : r?a\n",
+                                              receiver))
+            rules = inst.system.rules
+            assert rules[1] == rules[2]
+            want = bounded_reach(inst, Bound(3, 500), LOSSY).reachable
+            assert want == bool(receiver)
+            assert decide_eereach_z1(inst, oracle) == want
+            # the same answer with one copy of the gate
+            s = inst.system
+            single = ReachInstance(
+                Ucst(s.alphabet, s.sender_states, s.receiver_states,
+                     s.sender_rules[:2] + s.sender_rules[3:], s.receiver_rules),
+                inst.p_in, inst.p_fi, inst.q_in, inst.q_fi, *inst.constraints())
+            assert decide_eereach_z1(single, oracle) == want
 
     def test_agreement_on_random_systems(self):
         rng = random.Random(71)

@@ -8,6 +8,7 @@ import pytest
 
 from ucst import regdata
 from ucst.errors import InputError
+from ucst.fileformat import _Alternation, _cat, _render, _star, nfa_to_regex
 from ucst.model import (
     emptiness_test,
     even_length_test,
@@ -474,8 +475,8 @@ def pin(nfa):
 
 
 class TestCanonicalNumbering:
-    """Exact outputs of `normalize` and `determinize().minimize()`: instance
-    printing and the writer state names of the reductions depend on them."""
+    """Exact outputs of `normalize` and `minimal_dfa`: instance printing and
+    the writer state names of the reductions depend on them."""
 
     def test_standard_tests(self):
         one, two = {0}, {1}
@@ -499,7 +500,7 @@ class TestCanonicalNumbering:
         ]
         for lang, normal, minimal in cases:
             assert pin(lang.normalize()) == normal
-            assert pin(lang.determinize().minimize()) == minimal
+            assert pin(lang.minimal_dfa()) == minimal
 
     def test_fig6_constraint(self, fig6_instance):
         big_r = ucst_to_pep(fig6_instance).R
@@ -513,7 +514,7 @@ class TestCanonicalNumbering:
                 (4, "d1"): 5, (5, "d5"): 6, (6, "d2"): 7, (7, "d3"): 8}
         letters = ("d0", "d1", "d2", "d3", "d4", "d5")
         moves = {(s, a): live.get((s, a), 2) for s in range(9) for a in letters}
-        assert pin(big_r.determinize().minimize()) == (9, 0, {8}, moves)
+        assert pin(big_r.minimal_dfa()) == (9, 0, {8}, moves)
 
 
 def dense_minimize(dfa):
@@ -544,13 +545,118 @@ class TestSparseMinimize:
             sigma = tuple("abcdef"[: rng.randint(1, 6)])
             n = rng.randint(1, 8)
             # subset DFAs, where most moves go to the empty subset, and
-            # random total DFAs, where the most common target is any state
-            for dfa in (random_nfa(rng, sigma, 6).determinize(),
-                        Dfa(sigma, n, rng.randrange(n),
-                            {s for s in range(n) if rng.random() < 0.4},
-                            {(s, a): rng.randrange(n)
-                             for s in range(n) for a in sigma})):
-                assert pin(dfa.minimize()) == pin(dense_minimize(dfa))
+            # random total DFAs, which have no dead state
+            nfa = random_nfa(rng, sigma, 6)
+            dfa = Dfa(sigma, n, rng.randrange(n),
+                      {s for s in range(n) if rng.random() < 0.4},
+                      {(s, a): rng.randrange(n) for s in range(n) for a in sigma})
+            for lang, total in ((nfa, nfa.determinize()), (dfa.as_nfa(), dfa)):
+                assert pin(lang.minimal_dfa()) == pin(dense_minimize(total))
+
+
+def chained_minimal_dfa(nfa):
+    """The construction `minimal_dfa` replaced: the subset DFA, Moore
+    refinement (`dense_minimize`, whose output the sparse refinement matched
+    exactly), then a normal form, which renumbers letters in `symkey` order."""
+    return dense_minimize(nfa.determinize()).as_nfa().normalize()
+
+
+def chained_nfa_to_regex(nfa):
+    """`nfa_to_regex` as it read before `minimal_dfa`: the same state
+    elimination over the transitions of `chained_minimal_dfa`."""
+    a = chained_minimal_dfa(nfa)
+    start, end = -1, -2
+    edges = {}
+
+    def add(i, j, node):
+        edges.setdefault((i, j), _Alternation()).add(node)
+
+    for src, sym, dst in a.transitions:
+        add(src, dst, ("sym", sym))
+    for i in sorted(a.initial):
+        add(start, i, ("eps",))
+    for i in sorted(a.accepting):
+        add(i, end, ("eps",))
+    remaining = set(range(a.n_states))
+    while remaining:
+        def degree(k):
+            into = sum(1 for (i, j) in edges if j == k and i != k)
+            out = sum(1 for (i, j) in edges if i == k and j != k)
+            return (into * out, k)
+
+        k = min(remaining, key=degree)
+        remaining.discard(k)
+        loop = _star(edges.pop((k, k), _Alternation()).node)
+        into = [(i, alt.node) for (i, j), alt in edges.items()
+                if j == k and i != k]
+        out = [(j, alt.node) for (i, j), alt in edges.items()
+               if i == k and j != k]
+        for (i, _) in into:
+            edges.pop((i, k))
+        for (j, _) in out:
+            edges.pop((k, j))
+        for i, rin in into:
+            for j, rout in out:
+                add(i, j, _cat(rin, _cat(loop, rout)))
+    result = edges.get((start, end), _Alternation()).node
+    return "NONE" if result is None else _render(result)
+
+
+class TestMinimalDfa:
+    """`minimal_dfa` walks the automaton's own subset memo; it must give
+    exactly the automaton, and `nfa_to_regex` exactly the text, of the
+    chain of constructions it replaced."""
+
+    @staticmethod
+    def assert_same(nfa):
+        want = chained_minimal_dfa(nfa)
+        got = nfa.minimal_dfa()
+        assert got.alphabet == nfa.alphabet
+        assert pin(got.as_nfa()) == pin(want)
+        assert nfa_to_regex(nfa) == chained_nfa_to_regex(nfa)
+
+    def test_random_automata(self, random_nfa):
+        # epsilon moves, extra initial states, a letter never read
+        for nfa in drawn_automata(random_nfa, random.Random(1401), 300):
+            self.assert_same(nfa)
+
+    def test_empty_language_and_empty_alphabet(self, random_nfa):
+        rng = random.Random(1402)
+        for sigma in (AB, ()):
+            self.assert_same(Nfa.nothing(sigma))
+            self.assert_same(Nfa(sigma, 2, (), {0}, ()))  # no initial state
+            for _ in range(40):
+                nfa = random_nfa(rng, sigma, 5)
+                self.assert_same(nfa)
+                self.assert_same(Nfa(sigma, nfa.n_states, nfa.initial, (),
+                                     nfa.transitions))
+        assert nfa_to_regex(Nfa.nothing(())) == "NONE"
+        assert nfa_to_regex(Nfa.literal((), ())) == "EPS"
+
+    def test_alphabets_out_of_symkey_order(self, random_nfa):
+        rng = random.Random(1403)
+        twelve = tuple(f"d{i}" for i in range(12))  # d10 sorts before d2
+        shuffled = list(twelve)
+        rng.shuffle(shuffled)
+        for sigma in (twelve, tuple(shuffled), ("b", 2, "a", 10, 1),
+                      (3, "c", 1)):
+            assert list(sigma) != sorted(sigma, key=regdata.symkey)
+            for _ in range(40):
+                nfa = random_nfa(rng, sigma, 6)
+                initial = set(nfa.initial) | {rng.randrange(nfa.n_states)}
+                self.assert_same(Nfa(sigma, nfa.n_states, initial,
+                                     nfa.accepting, nfa.transitions))
+
+    def test_needs_neither_normal_form_nor_subset_dfa(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("nfa_to_regex built a copy of the automaton")
+
+        lang = parse_regex("a (b | a)* | b", AB)
+        monkeypatch.setattr(Nfa, "normalize", refuse)
+        monkeypatch.setattr(Nfa, "determinize", refuse)
+        assert nfa_to_regex(lang) == "a (a | b)* | b"
+        # the walk stepped the automaton's own memo
+        assert lang.initial_subset() in lang._subsets()[2]
 
 
 def fields(nfa):
@@ -717,7 +823,7 @@ class TestLazySubsetQueries:
         for a in automata:
             same_sigma = [b for b in automata if b.alphabet == a.alphabet]
             for b in (rng.choice(same_sigma), a.normalize(),
-                      a.determinize().minimize().as_nfa()):
+                      a.minimal_dfa().as_nfa()):
                 got = language_equal(a, b)
                 assert got == eager_language_equal(a, b)
                 equal += got
