@@ -6,7 +6,7 @@ import sys
 
 from .errors import FragmentError, InputError, OracleInconclusive
 from .explore import Bound, bounded_reach
-from .fileformat import parse_ucst, print_pep, print_ucst
+from .fileformat import check_symbols, parse_ucst, print_pep, print_ucst
 from .generators import (
     SemiThueSystem,
     gen_queue_head,
@@ -134,6 +134,9 @@ def _parse_ops(text):
         if kind not in ("w", "r") or not letter:
             raise InputError(f"queue op {piece!r}; expected w:<letter> or r:<letter>")
         ops.append(("write" if kind == "w" else "read", letter))
+    # the letters become the alphabet of a generated file: check them as
+    # `reach` checks that file
+    check_symbols([letter for _, letter in ops], "generated")
     return ops
 
 

@@ -1,14 +1,15 @@
 """Bounded explicit-state oracle: forward/backward reachability and lassos.
 
-All searches run one breadth-first core, `_bfs`, over nodes (p, q, r word
-id, l word id) of the system's numbered words, stepped by `model.step`.  It
-prunes nodes whose channel words exceed the bound, reading their lengths
-from the word table (pruned successors are discarded, never truncated, so
-every witness is a genuine run).  Nodes become `Configuration` values only
-at the edges: witness runs, returned sets, and the targets a co-reach is
-asked about.  A certified "unreachable" verdict is only produced when the
-closure finished without pruning anything, including the enumeration of
-initial words.
+All searches run one breadth-first core, `_bfs`, over nodes (pair id, r
+word id, l word id) of the system's numbered pairs and words, stepped by
+`model.step` within the channel bound: a write that would outgrow it is
+discarded, never truncated, so every witness is a genuine run, and its word
+is never numbered.  `_bfs` keeps only each node's predecessor; a witness
+gets each step's label back by stepping the predecessor again.  Nodes
+become `Configuration` values only at the edges: witness runs, co-reach
+answers, and the targets a co-reach is asked about.  A certified
+"unreachable" verdict is only produced when the closure finished without
+pruning anything, including the enumeration of initial words.
 
 Co-reach comes in two parts: `bounded_graph` explores a system's bounded
 graph forward once, and `coreach_in` answers one target backward over it, so
@@ -82,42 +83,50 @@ def _initial_nodes(inst, bound):
     because it is longer than the channel bound.
     """
     k = bound.max_channel_len
-    number = inst.system.words.id
+    s = inst.system
+    number = s.words.id
     us = map(number, inst.U.words_up_to(k))
     vs = map(number, inst.V.words_up_to(k))
     dropped = inst.U.has_word_longer_than(k) or inst.V.has_word_longer_than(k)
-    nodes = [(inst.p_in, inst.q_in, u, v) for u, v in product(us, vs)]
+    c = s.pair(inst.p_in, inst.q_in)
+    nodes = [(c, u, v) for u, v in product(us, vs)]
     return nodes, dropped
 
 
-def _stepper(s, mode):
-    """`model.step` of system `s` in `mode`, on one node."""
+def _stepper(s, mode, k):
+    """`model.step` of system `s` in `mode` within channel bound `k`, on one
+    node."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    return lambda node: step(s, node, mode)
+    return lambda node: step(s, node, mode, k)
 
 
-def _bfs(words, starts, expand, k, goal=None, max_depth=0, max_nodes=None):
-    """Layered breadth-first search over nodes whose channels fit in `k`.
+def _start_nodes(s, starts, k):
+    """The nodes of the configurations `starts` whose channels fit in `k`;
+    the others are dropped, not shortened."""
+    return [s.node(c) for c in starts if len(c.u) <= k and len(c.v) <= k]
 
-    Nodes are (p, q, r word id, l word id) of the word table `words`, which
-    gives their lengths.  `expand(node)` yields (label, successor) pairs;
-    successors beyond the bound are discarded.  Returns (parents, hit,
-    stop).  `parents` maps each node found, in discovery order, to (label,
-    predecessor), or to None for a start; `hit` is the first node satisfying
+
+def _bfs(starts, expand, goal=None, max_depth=0, max_nodes=None):
+    """Layered breadth-first search from the nodes `starts`.
+
+    Nodes are (pair id, r word id, l word id).  `expand(node)` returns its
+    (label, successor) pairs and whether it discarded a successor beyond
+    the channel bound.  `goal` is None or (pair id, predicate), and the
+    predicate is asked only of nodes of that pair.  Returns (parents, hit,
+    stop).  `parents` maps each node found, in discovery order, to its
+    predecessor, or to None for a start; `hit` is the first node satisfying
     `goal`, else None.  `stop` is "target", "closure" (nothing new and
     nothing discarded), "length-bound" (nothing new, but some successor was
     discarded), "step-bound" (a layer remains after `max_depth` expansions;
     0 = no limit) or "budget" (a new node found with `max_nodes` already
     known).
     """
-    length = words.length
-    parents = {}
-    for c in starts:
-        if length[c[2]] <= k and length[c[3]] <= k and c not in parents:
-            parents[c] = None
-            if goal is not None and goal(c):
-                return parents, c, "target"
+    goal_pair, is_goal = goal or (-1, None)
+    parents = dict.fromkeys(starts)
+    hit = next((c for c in parents if c[0] == goal_pair and is_goal(c)), None)
+    if hit is not None:
+        return parents, hit, "target"
     frontier = list(parents)
     pruned = False
     depth = 0
@@ -127,32 +136,40 @@ def _bfs(words, starts, expand, k, goal=None, max_depth=0, max_nodes=None):
         depth += 1
         nxt = []
         for c in frontier:
-            for label, succ in expand(c):
+            out, cut = expand(c)
+            if cut:
+                pruned = True
+            for _, succ in out:
                 if succ in parents:
-                    continue
-                if length[succ[2]] > k or length[succ[3]] > k:
-                    pruned = True
                     continue
                 if max_nodes is not None and len(parents) >= max_nodes:
                     return parents, None, "budget"
-                parents[succ] = (label, c)
-                if goal is not None and goal(succ):
+                parents[succ] = c
+                if succ[0] == goal_pair and is_goal(succ):
                     return parents, succ, "target"
                 nxt.append(succ)
         frontier = nxt
     return parents, None, "length-bound" if pruned else "closure"
 
 
-def _path(s, parents, end):
-    """The run from a start of `_bfs` to node `end`, along the recorded
-    parents, decoded to configurations."""
-    steps = []
+def _path(parents, end):
+    """The nodes from a start of `_bfs` to node `end`, along the recorded
+    predecessors."""
+    nodes = [end]
     while parents[end] is not None:
-        label, prev = parents[end]
-        steps.append((label, s.config(end)))
-        end = prev
-    steps.reverse()
-    return Run(s.config(end), tuple(steps))
+        end = parents[end]
+        nodes.append(end)
+    nodes.reverse()
+    return nodes
+
+
+def _run(s, nodes, expand):
+    """The run along `nodes`, decoded to configurations.  Each step's label
+    is the first, in `expand` order, that leads to the next node: the one
+    `_bfs` met first."""
+    steps = tuple((next(label for label, succ in expand(prev)[0] if succ == node),
+                   s.config(node)) for prev, node in zip(nodes, nodes[1:]))
+    return Run(s.config(nodes[0]), steps)
 
 
 def bounded_reach(inst, bound, mode=LOSSY):
@@ -162,18 +179,18 @@ def bounded_reach(inst, bound, mode=LOSSY):
     initial word longer than the bound gives "initial-truncation".
     """
     s = inst.system
-    expand = _stepper(s, mode)
+    expand = _stepper(s, mode, bound.max_channel_len)
     initials, dropped = _initial_nodes(inst, bound)
-    p_fi, q_fi = inst.p_fi, inst.q_fi
     up, vp = s.words.column(inst.Up), s.words.column(inst.Vp)
 
     def is_target(n):
-        return n[0] == p_fi and n[1] == q_fi and up[n[2]] and vp[n[3]]
+        return up[n[1]] and vp[n[2]]
 
-    parents, hit, stop = _bfs(s.words, initials, expand, bound.max_channel_len,
-                              is_target, bound.max_steps)
+    parents, hit, stop = _bfs(initials, expand,
+                              (s.pair(inst.p_fi, inst.q_fi), is_target),
+                              bound.max_steps)
     if hit is not None:
-        return Verdict(REACHABLE, _path(s, parents, hit), stop)
+        return Verdict(REACHABLE, _run(s, _path(parents, hit), expand), stop)
     if stop != "closure":
         return Verdict(NOT_WITHIN_BOUND, reason=stop)
     if dropped:
@@ -181,40 +198,41 @@ def bounded_reach(inst, bound, mode=LOSSY):
     return Verdict(UNREACHABLE, reason=stop)
 
 
-def reachable_set(s, starts, bound, mode=LOSSY):
-    """All configurations reachable from `starts` within the channel bound."""
-    parents, _, _ = _bfs(s.words, [s.node(c) for c in starts],
-                         _stepper(s, mode), bound.max_channel_len,
+def reachable_nodes(s, starts, bound, mode=LOSSY):
+    """The nodes reachable from the configurations `starts` within the
+    channel bound, in discovery order (as the keys of a dict)."""
+    k = bound.max_channel_len
+    parents, _, _ = _bfs(_start_nodes(s, starts, k), _stepper(s, mode, k),
                          max_depth=bound.max_steps)
-    return {s.config(n) for n in parents}
+    return parents.keys()
 
 
 def bounded_graph(s, starts, bound, mode=LOSSY):
     """One forward `_bfs` from the configurations `starts` within the
-    channel bound.  Returns the system's word table, each node found mapped
-    to its configuration in discovery order, and the reverse edges, each
-    node mapped to its (label, predecessor) pairs."""
-    forward = _stepper(s, mode)
+    channel bound.  Returns each node found mapped to its configuration in
+    discovery order, and the reverse edges, each node mapped to its (label,
+    predecessor) pairs."""
+    k = bound.max_channel_len
+    forward = _stepper(s, mode, k)
     rev = {}
 
     def expand(n):
-        out = forward(n)
+        out, cut = forward(n)
         for label, succ in out:
             rev.setdefault(succ, []).append((label, n))
-        return out
+        return out, cut
 
-    parents, _, _ = _bfs(s.words, [s.node(c) for c in starts], expand,
-                         bound.max_channel_len)
-    return s.words, {n: s.config(n) for n in parents}, rev
+    parents, _, _ = _bfs(_start_nodes(s, starts, k), expand)
+    return {n: s.config(n) for n in parents}, rev
 
 
 def coreach_in(graph, targets, bound):
     """Configurations of a `bounded_graph` from which one satisfying the
     predicate `targets` is reachable in at most `bound.max_steps` steps
     (0 = no limit), by one backward `_bfs` over its reverse edges."""
-    words, configs, rev = graph
-    parents, _, _ = _bfs(words, [n for n, c in configs.items() if targets(c)],
-                         lambda n: rev.get(n, ()), bound.max_channel_len,
+    configs, rev = graph
+    parents, _, _ = _bfs([n for n, c in configs.items() if targets(c)],
+                         lambda n: (rev.get(n, ()), False),
                          max_depth=bound.max_steps)
     return {configs[n] for n in parents}
 
@@ -228,24 +246,22 @@ def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):
     from its successors.
     """
     k = bound.max_channel_len
-    expand = _stepper(s, mode)
+    expand = _stepper(s, mode, k)
     start = s.node(Configuration(p_in, q_in, (), ()))
-    parents, _, stop = _bfs(s.words, [start], expand, k, max_nodes=max_states)
+    parents, _, stop = _bfs([start], expand, max_nodes=max_states)
     if stop == "budget":
         return None
+    pair = s.pair(p, q)
     for anchor in parents:
-        if anchor[0] != p or anchor[1] != q:
+        if anchor[0] != pair:
             continue
-        out = expand(anchor)
-        found, hit, _ = _bfs(s.words, [succ for _, succ in out], expand, k,
-                             goal=lambda n: n == anchor)
+        out, _ = expand(anchor)
+        found, hit, _ = _bfs([succ for _, succ in out], expand,
+                             (pair, lambda n: n == anchor))
         if hit is None:
             continue
-        back = _path(s, found, anchor)
-        first = s.node(back.start)
-        label = next(lab for lab, succ in out if succ == first)
-        cycle = Run(s.config(anchor), ((label, back.start),) + back.steps)
-        return LassoWitness(_path(s, parents, anchor), cycle)
+        cycle = _run(s, [anchor] + _path(found, anchor), expand)
+        return LassoWitness(_run(s, _path(parents, anchor), expand), cycle)
     return None
 
 

@@ -146,7 +146,10 @@ def _check_keywords(symbols):
                 f"alphabet symbol {sym!r} is a regular-expression keyword; rename it")
 
 
-def _check_symbols(symbols, stage):
+def check_symbols(symbols, stage):
+    """Reject the alphabet symbols a system file cannot carry: regex
+    keywords, reserved characters and, in a file without a stage, the
+    reductions' signal symbols."""
     _check_keywords(symbols)
     for sym in symbols:
         if any(ch in _BAD_SYMBOL_CHARS or ch.isspace() for ch in sym):
@@ -209,7 +212,7 @@ def parse_ucst(text):
             raise InputError(f"line {lineno}: unknown directive {key!r}")
     if alphabet is None or sender is None or receiver is None:
         raise InputError("file needs alphabet, sender and receiver lines")
-    _check_symbols(alphabet, stage)
+    check_symbols(alphabet, stage)
     langs = {}  # regex text -> its automaton
 
     def lang(rex):

@@ -7,12 +7,16 @@ Sender-then-Receiver rule list), and run labels store those ids.  The extra
 labels are `LOSS` for a message-loss step on ``l`` and ``("wrlo", rule_id)``
 for a write that loses its message at the moment of writing.
 
-Each system numbers the channel words it meets in a `Words` table, grown on
-demand and kept for the system's lifetime.  The one step semantics, `step`,
-runs over nodes ``(p, q, r word id, l word id)``: a write, read or loss
-looks its result up by id, and a test reads the word's membership, so no
-channel tuple is built or hashed per step.  `successors` is the same step on
-`Configuration` values: it numbers the words, steps, and decodes.
+Each system numbers the channel words it meets in a `Words` table and its
+control pairs ``(p, q)`` as it meets them, compiling one move table per
+pair; both are kept for the system's lifetime.  The one step semantics,
+`step`, runs over nodes ``(pair id, r word id, l word id)``: a move names
+its target pair by id, a write, read or loss looks its result up by id, and
+a test reads the word's membership, so no state name or channel tuple is
+built or hashed per step.  Given a channel bound, `step` discards a write
+whose word would outgrow it before numbering that word, and says so.
+`successors` is the same step on `Configuration` values, with no bound: it
+numbers the words, steps, and decodes.
 """
 
 from dataclasses import dataclass
@@ -43,6 +47,11 @@ LOSS = "los"
 
 SENDER = 1
 RECEIVER = 2
+
+# (action kind, channel) -> the kind of a move table entry, which names the
+# channel acted on; a nop acts on none
+_KINDS = {(kind, ch): kind if kind == "nop" else f"{kind}-{ch}"
+          for kind in ("write", "read", "test", "nop") for ch in CHANNELS}
 
 
 @dataclass(frozen=True)
@@ -203,9 +212,9 @@ class Words:
 class Ucst:
     """A system: alphabet, disjoint Sender/Receiver state sets, and rules.
 
-    Immutable by convention; compiled once into a move table per source
-    state, in rule-id order, for `step`, and given a table of numbered
-    channel words.
+    Immutable by convention; its moves are listed once per source state, in
+    rule-id order, and compiled into a table per control pair when `step`
+    first meets the pair.  It is given a table of numbered channel words.
     """
 
     def __init__(self, alphabet, sender_states, receiver_states,
@@ -222,9 +231,9 @@ class Ucst:
         self._receiver_set = frozenset(self.receiver_states)
         self.words = Words()
         columns = {}  # test language -> its membership column
-        # entries (rule id, kind, acts on r, letter or test membership by
-        # word id, target); Sender reads and Receiver writes never fire and
-        # are left out
+        # entries (rule id, kind, letter or test membership by word id,
+        # target state); Sender reads and Receiver writes never fire and are
+        # left out
         moves = {state: [] for state in self.sender_states + self.receiver_states}
         for rid, rule in enumerate(self.rules):
             act = rule.action
@@ -236,8 +245,11 @@ class Ucst:
                     columns[act.lang] = self.words.column(act.lang)
                 arg = columns[act.lang]
             moves[rule.source].append(
-                (rid, act.kind, rule.channel == R, arg, rule.target))
+                (rid, _KINDS[act.kind, rule.channel], arg, rule.target))
         self._moves = {state: tuple(entries) for state, entries in moves.items()}
+        self.pairs = []       # pair id -> (p, q)
+        self._pair_ids = {}   # (p, q) -> pair id
+        self._tables = []     # pair id -> its move table, None until compiled
 
     def _check(self):
         senders, receivers = set(self.sender_states), set(self.receiver_states)
@@ -256,18 +268,39 @@ class Ucst:
             if act.kind == "test" and set(act.lang.alphabet) != sigma:
                 raise InputError(f"test alphabet differs from system alphabet: {rule}")
 
+    def pair(self, p, q):
+        """The id of control pair (p, q), numbering it on first use."""
+        key = p, q
+        i = self._pair_ids.get(key)
+        if i is None:
+            i = self._pair_ids[key] = len(self.pairs)
+            self.pairs.append(key)
+            self._tables.append(None)
+        return i
+
+    def _table(self, c):
+        """Compile and keep the move table of pair id `c`: its Sender
+        entries, then its Receiver entries, in rule-id order, each (rule id,
+        kind, letter or test membership, target pair id)."""
+        p, q = self.pairs[c]
+        pair = self.pair
+        table = self._tables[c] = tuple(
+            [(rid, kind, arg, pair(t, q)) for rid, kind, arg, t in self._moves[p]]
+            + [(rid, kind, arg, pair(p, t)) for rid, kind, arg, t in self._moves[q]])
+        return table
+
     def node(self, c):
-        """The node of configuration `c`: its states and its word ids."""
+        """The node of configuration `c`: its pair id and its word ids."""
         p, q, u, v = c
         if p not in self._sender_set or q not in self._receiver_set:
             raise InputError("configuration states not in system")
-        return p, q, self.words.id(u), self.words.id(v)
+        return self.pair(p, q), self.words.id(u), self.words.id(v)
 
     def config(self, node):
         """The configuration of a node."""
-        p, q, u, v = node
+        c, u, v = node
         word = self.words.word
-        return _new(Configuration, (p, q, word[u], word[v]))
+        return _new(Configuration, self.pairs[c] + (word[u], word[v]))
 
     def agent_of(self, rule_id):
         return SENDER if rule_id < self.n_sender_rules else RECEIVER
@@ -400,53 +433,62 @@ def classify_tests(s):
 
 # -- step semantics ------------------------------------------------------------
 
-def step(s, node, mode):
-    """Labelled successor list of node (p, q, r word id, l word id).
+def step(s, node, mode, k=None):
+    """Labelled successors of node (pair id, r word id, l word id), and
+    whether a write was discarded because its word would be longer than `k`
+    (None: no bound).  A discarded word is never numbered.
 
     Order: Sender rules by id (in write-lossy mode each enabled l-write is
     immediately followed by its dropped-write variant), then Receiver rules
     by id, then losses by deleted position.  `mode` is not checked here.
     """
-    p, q, u, v = node
+    c, u, v = node
     words = s.words
+    table = s._tables[c]
+    if table is None:
+        table = s._table(c)
     pushed = words.pushed  # a pushed word is never ε, whose id 0 is falsy
+    length = words.length
+    cut = False
     out = []
-    for rid, kind, on_r, arg, target in s._moves[p]:
-        if kind == "write":
-            if on_r:
-                w = pushed[u].get(arg) or words.push(u, arg)
-                out.append((rid, (target, q, w, v)))
+    for rid, kind, arg, target in table:
+        if kind == "write-r":
+            if k is None or length[u] < k:
+                out.append((rid, (target, pushed[u].get(arg) or words.push(u, arg), v)))
             else:
-                w = pushed[v].get(arg) or words.push(v, arg)
-                out.append((rid, (target, q, u, w)))
-                if mode == WRITE_LOSSY:
-                    out.append((("wrlo", rid), (target, q, u, v)))
-        elif kind == "nop" or arg[u if on_r else v]:
-            out.append((rid, (target, q, u, v)))
-    for rid, kind, on_r, arg, target in s._moves[q]:
-        if kind == "read":
-            w = u if on_r else v
-            if words.head[w] == arg:
-                rest = words.tail[w]
-                out.append((rid, (p, target, rest, v) if on_r
-                            else (p, target, u, rest)))
-        elif kind == "nop" or arg[u if on_r else v]:
-            out.append((rid, (p, target, u, v)))
+                cut = True
+        elif kind == "write-l":
+            if k is None or length[v] < k:
+                out.append((rid, (target, u, pushed[v].get(arg) or words.push(v, arg))))
+            else:
+                cut = True
+            if mode == WRITE_LOSSY:
+                out.append((("wrlo", rid), (target, u, v)))
+        elif kind == "read-r":
+            if words.head[u] == arg:
+                out.append((rid, (target, words.tail[u], v)))
+        elif kind == "read-l":
+            if words.head[v] == arg:
+                out.append((rid, (target, u, words.tail[v])))
+        elif kind == "nop" or arg[u if kind == "test-r" else v]:
+            out.append((rid, (target, u, v)))
     if mode == LOSSY:
         lost = words.lost[v]
         if lost is None:
             lost = words.losses(v)
-        out += [(LOSS, (p, q, u, w)) for w in lost]
-    return out
+        for w in lost:
+            out.append((LOSS, (c, u, w)))
+    return out, cut
 
 
 def successors(s, c, mode=LOSSY):
-    """`step` on configuration `c`: same order and labels, successors as
-    `Configuration` values."""
+    """`step` on configuration `c`, with no bound: same order and labels,
+    successors as `Configuration` values."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     config = s.config
-    return [(label, config(n)) for label, n in step(s, s.node(c), mode)]
+    out, _ = step(s, s.node(c), mode)
+    return [(label, config(n)) for label, n in out]
 
 
 def first_invalid_step(s, run, mode=LOSSY):

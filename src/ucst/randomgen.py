@@ -1,6 +1,6 @@
 """Seeded random systems and instances for cross-checks and stress tests."""
 
-from .explore import Bound, reachable_set
+from .explore import Bound, reachable_nodes
 from .model import (
     LOSSY,
     TEST_LANGUAGES,
@@ -90,11 +90,11 @@ def _biased_final_pair(rng, system, empty_final):
     asking for it tend to be reachable; None when nothing qualifies."""
     start = Configuration(system.sender_states[0], system.receiver_states[0],
                           (), ())
-    reached = reachable_set(system, [start], Bound(2, 60), LOSSY)
+    reached = reachable_nodes(system, [start], Bound(2, 60), LOSSY)
     if empty_final:
-        # empty-l is always recoverable by losses; empty-r is not
-        reached = {c for c in reached if c.u == ()}
-    pairs = sorted({(c.p, c.q) for c in reached})
+        # empty-l is always recoverable by losses; empty-r (word id 0) is not
+        reached = [n for n in reached if n[1] == 0]
+    pairs = sorted({system.pairs[n[0]] for n in reached})
     return rng.choice(pairs) if pairs else None
 
 

@@ -4,6 +4,7 @@ walks over total DFAs.  None of them is part of the toolkit."""
 from collections import deque
 
 from ucst.errors import InputError
+from ucst.explore import reachable_nodes
 from ucst.model import LOSSY, Run, successors, validate_run
 from ucst.pep import (
     is_pre_solution,
@@ -14,6 +15,15 @@ from ucst.pep import (
 from ucst.reductions import _r_parts, bridge_context
 from ucst.regdata import language_equal, symkey
 from ucst.validate import CheckResult
+
+# -- bounded reachable sets ------------------------------------------------------
+
+
+def reachable_set(s, starts, bound, mode=LOSSY):
+    """The configurations reachable from `starts` within the channel bound:
+    `reachable_nodes`, decoded."""
+    return {s.config(n) for n in reachable_nodes(s, starts, bound, mode)}
+
 
 # -- total DFAs (`Nfa.determinize`) ---------------------------------------------
 

@@ -189,6 +189,18 @@ class TestGen:
 
         assert bounded_reach(inst, Bound(3, 500), LOSSY).reachable
 
+    @pytest.mark.parametrize("ops,bad", [("w:EPS,r:EPS", "'EPS'"),
+                                         ("w:a|b", "'a|b'")])
+    def test_gen_rejects_letters_reach_would_refuse(self, tmp_path, capsys,
+                                                    ops, bad):
+        # a keyword letter and a letter with a reserved character
+        out_file = tmp_path / "qa.ucst"
+        assert main(["gen", "queue-parity", "--ops", ops,
+                     "-o", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err
+        assert not out_file.exists()
+
     def test_gen_thue(self, tmp_path):
         out_file = tmp_path / "thue.ucst"
         assert main(["gen", "thue", "--rules", "ab>ba,ba>ab",

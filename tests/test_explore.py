@@ -16,7 +16,7 @@ from ucst.explore import (
     bounded_recurrent,
     control_pair_oracle,
     coreach_in,
-    reachable_set,
+    reachable_nodes,
     ucs_recurrent_decide,
 )
 from ucst.generators import SemiThueSystem, gen_thue_recurrent
@@ -32,11 +32,15 @@ from ucst.model import (
     Run,
     Ucst,
     classify_tests,
+    format_run,
     step,
+    successors,
     validate_run,
 )
 from ucst.randomgen import random_instance, random_ucst
 from ucst.regdata import Nfa, parse_regex
+
+from support import reachable_set
 
 
 def eps(m):
@@ -361,7 +365,8 @@ class TestAgainstReferenceSemantics:
             start = Configuration(s.sender_states[0], s.receiver_states[0], (), ())
             for mode in MODES:
                 for c in sorted(reachable_set(s, [start], Bound(2, 0), mode)):
-                    got = [(label, s.config(n)) for label, n in step(s, s.node(c), mode)]
+                    out, _ = step(s, s.node(c), mode)
+                    got = [(label, s.config(n)) for label, n in out]
                     assert got == reference_successors(s, c, mode)
 
     def test_the_battery_draws_every_test_kind(self):
@@ -375,6 +380,228 @@ class TestAgainstReferenceSemantics:
     def test_fig1_closure_sizes(self, fig1, mode, size):
         start = Configuration("p1", "q1", (), ())
         assert len(reachable_set(fig1, [start], Bound(5, 0), mode)) == size
+
+
+# -- the kernel before control-pair nodes ---------------------------------------
+
+def previous_moves(s):
+    """Move table per source state, in rule-id order: (rule id, kind, acts on
+    r, letter or test membership by word id, target state)."""
+    columns = {}
+    moves = {state: [] for state in s.sender_states + s.receiver_states}
+    for rid, rule in enumerate(s.rules):
+        act = rule.action
+        if act.kind == ("read" if rid < s.n_sender_rules else "write"):
+            continue
+        arg = act.msg
+        if act.kind == "test":
+            if act.lang not in columns:
+                columns[act.lang] = s.words.column(act.lang)
+            arg = columns[act.lang]
+        moves[rule.source].append((rid, act.kind, rule.channel == "r", arg,
+                                   rule.target))
+    return moves
+
+
+def previous_step(s, moves, node, mode):
+    """Labelled successors of node (p, q, r word id, l word id), with no
+    bound: every write is pushed and numbered."""
+    p, q, u, v = node
+    words = s.words
+    out = []
+    for rid, kind, on_r, arg, target in moves[p]:
+        if kind == "write":
+            if on_r:
+                out.append((rid, (target, q, words.push(u, arg), v)))
+            else:
+                out.append((rid, (target, q, u, words.push(v, arg))))
+                if mode == WRITE_LOSSY:
+                    out.append((("wrlo", rid), (target, q, u, v)))
+        elif kind == "nop" or arg[u if on_r else v]:
+            out.append((rid, (target, q, u, v)))
+    for rid, kind, on_r, arg, target in moves[q]:
+        if kind == "read":
+            w = u if on_r else v
+            if words.head[w] == arg:
+                rest = words.tail[w]
+                out.append((rid, (p, target, rest, v) if on_r
+                            else (p, target, u, rest)))
+        elif kind == "nop" or arg[u if on_r else v]:
+            out.append((rid, (p, target, u, v)))
+    if mode == LOSSY:
+        out += [(LOSS, (p, q, u, w)) for w in words.losses(v)]
+    return out
+
+
+def previous_bfs(words, starts, expand, k, goal=None, max_depth=0):
+    """Layered search that checks each successor's lengths and records
+    (label, predecessor) per node: (parents, hit, stop)."""
+    length = words.length
+    parents = {}
+    for c in starts:
+        if length[c[2]] <= k and length[c[3]] <= k and c not in parents:
+            parents[c] = None
+            if goal is not None and goal(c):
+                return parents, c, "target"
+    frontier, pruned, depth = list(parents), False, 0
+    while frontier:
+        if max_depth and depth == max_depth:
+            return parents, None, "step-bound"
+        depth += 1
+        nxt = []
+        for c in frontier:
+            for label, succ in expand(c):
+                if succ in parents:
+                    continue
+                if length[succ[2]] > k or length[succ[3]] > k:
+                    pruned = True
+                    continue
+                parents[succ] = (label, c)
+                if goal is not None and goal(succ):
+                    return parents, succ, "target"
+                nxt.append(succ)
+        frontier = nxt
+    return parents, None, "length-bound" if pruned else "closure"
+
+
+def previous_search(s, starts, bound, mode, goal=None):
+    """`previous_bfs` from the configurations `starts`, and the decoder of
+    its nodes."""
+    moves, words = previous_moves(s), s.words
+
+    def config(n):
+        return Configuration(n[0], n[1], words.word[n[2]], words.word[n[3]])
+
+    nodes = [(p, q, words.id(u), words.id(v)) for p, q, u, v in starts]
+    return previous_bfs(words, nodes, lambda n: previous_step(s, moves, n, mode),
+                        bound.max_channel_len, goal, bound.max_steps) + (config,)
+
+
+def initial_configurations(inst, k):
+    return [Configuration(inst.p_in, inst.q_in, u, v)
+            for u in inst.U.words_up_to(k) for v in inst.V.words_up_to(k)]
+
+
+def previous_reach(inst, bound, mode):
+    """(status, reason, witness) of the previous `bounded_reach`."""
+    s, k = inst.system, bound.max_channel_len
+    dropped = inst.U.has_word_longer_than(k) or inst.V.has_word_longer_than(k)
+    up, vp = s.words.column(inst.Up), s.words.column(inst.Vp)
+
+    def goal(n):
+        return n[0] == inst.p_fi and n[1] == inst.q_fi and up[n[2]] and vp[n[3]]
+
+    parents, hit, stop, config = previous_search(
+        s, initial_configurations(inst, k), bound, mode, goal)
+    witness = None
+    if hit is not None:
+        steps = []
+        while parents[hit] is not None:
+            label, prev = parents[hit]
+            steps.append((label, config(hit)))
+            hit = prev
+        witness = Run(config(hit), tuple(reversed(steps)))
+        status = REACHABLE
+    elif stop == "closure" and not dropped:
+        status = UNREACHABLE
+    else:
+        status = NOT_WITHIN_BOUND
+        stop = "initial-truncation" if stop == "closure" else stop
+    return status, stop, witness
+
+
+def fresh(s):
+    """A copy of system `s` with its own, empty tables of pairs and words."""
+    return Ucst(s.alphabet, s.sender_states, s.receiver_states,
+                s.sender_rules, s.receiver_rules)
+
+
+class TestAgainstPreviousKernel:
+    """Control-pair nodes, the bounded `step` and predecessor-only parents
+    against the kernel they replaced: the same verdicts, stop reasons, node
+    sets and witness text."""
+
+    @staticmethod
+    def agree(inst, bound, mode):
+        """Same verdict, stop reason and witness text; returns the first
+        two."""
+        verdict = bounded_reach(inst, bound, mode)
+        status, reason, witness = previous_reach(inst, bound, mode)
+        assert (verdict.status, verdict.reason) == (status, reason)
+        assert (verdict.witness is None) == (witness is None)
+        if witness is not None:
+            s = inst.system
+            assert format_run(s, verdict.witness) == format_run(s, witness)
+        return status, reason
+
+    @staticmethod
+    def same_closure(s, starts, bound, mode):
+        parents, _, _, config = previous_search(s, starts, bound, mode)
+        nodes = reachable_nodes(s, starts, bound, mode)
+        assert {s.config(n) for n in nodes} == {config(n) for n in parents}
+
+    def test_random_tested_systems_all_modes(self):
+        seen = Counter()
+        for rng, s in random_tested_systems(2024, 60):
+            inst = random_instance(rng, s, bias_reachable=0.7)
+            for mode in MODES:
+                for bound in (Bound(3, 0), Bound(3, 4)):
+                    seen[self.agree(inst, bound, mode)] += 1
+                    self.same_closure(s, initial_configurations(inst, 3),
+                                      bound, mode)
+        assert set(seen) == {(REACHABLE, "target"), (UNREACHABLE, "closure"),
+                             (NOT_WITHIN_BOUND, "length-bound"),
+                             (NOT_WITHIN_BOUND, "step-bound")}
+        assert seen[REACHABLE, "target"] >= 100
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_fig1(self, fig1, k):
+        s = fresh(fig1)
+        m = s.alphabet
+        anyw, too_long = Nfa.all_words(m), parse_regex(" ".join("a" * (k + 1)), m)
+        seen = Counter()
+        for mode in MODES:
+            for p, q in [(p, q) for p in s.sender_states for q in s.receiver_states]:
+                inst = ReachInstance(s, "p1", p, "q1", q, eps(m), eps(m), anyw, anyw)
+                seen[self.agree(inst, Bound(k, 0), mode)] += 1
+            inst = ReachInstance(s, "p1", "p1", "q1", "q1", eps(m), eps(m),
+                                 too_long, eps(m))
+            seen[self.agree(inst, Bound(k, 0), mode)] += 1
+            self.same_closure(
+                s, [Configuration("p1", "q1", (), ())], Bound(k, 0), mode)
+        assert seen == {(REACHABLE, "target"): 27,
+                        (NOT_WITHIN_BOUND, "length-bound"): 12}
+
+
+class TestBoundedStep:
+    def test_bounded_reach_numbers_no_word_beyond_the_bound(self, fig1):
+        for mode in MODES:
+            s = fresh(fig1)
+            m = s.alphabet
+            # a witness, stepped again for its labels, then a closure
+            found = ReachInstance(s, "p1", "p3", "q1", "q1", eps(m), eps(m),
+                                  Nfa.all_words(m), Nfa.all_words(m))
+            closed = ReachInstance(s, "p1", "p1", "q1", "q1", eps(m), eps(m),
+                                   parse_regex("a a a a", m), eps(m))
+            assert bounded_reach(found, Bound(3, 0), mode).reachable
+            verdict = bounded_reach(closed, Bound(3, 0), mode)
+            assert (verdict.status, verdict.reason) == (NOT_WITHIN_BOUND,
+                                                        "length-bound")
+            assert max(s.words.length) == 3
+
+    def test_unbounded_successors_keep_writes_beyond_any_bound(self, fig1):
+        s = fresh(fig1)
+        long = ("b",) * 40
+        c = Configuration("p3", "q1", long, long)
+        for mode in MODES:
+            got = successors(s, c, mode)
+            assert (2, Configuration("p1", "q1", long, long + ("b",))) in got
+            assert (3, Configuration("p3", "q1", long + ("a",), long)) in got
+            out, cut = step(s, s.node(c), mode, 40)
+            assert cut and all(len(d.u) <= 40 and len(d.v) <= 40
+                               for d in map(s.config, (n for _, n in out)))
+            out, cut = step(s, s.node(c), mode)
+            assert not cut and [(label, s.config(n)) for label, n in out] == got
 
 
 class TestReachableSet:
@@ -550,34 +777,30 @@ def tarjan_bounded_recurrent(s, p_in, q_in, p, q, bound, mode):
     SCC of the bounded graph, in Tarjan's order, that holds the control pair,
     and its cycle is the shortest one inside that SCC."""
     k = bound.max_channel_len
-    forward = explore._stepper(s, mode)
-    length = s.words.length
+    forward = explore._stepper(s, mode, k)
     adj = {}
 
     def expand(n):
-        adj[n] = [(label, succ) for label, succ in forward(n)
-                  if length[succ[2]] <= k and length[succ[3]] <= k]
-        return adj[n]
+        adj[n], cut = forward(n)
+        return adj[n], cut
 
     start = s.node(Configuration(p_in, q_in, (), ()))
-    parents, _, _ = explore._bfs(s.words, [start], expand, k)
+    parents, _, _ = explore._bfs([start], expand)
     for scc in tarjan_sccs(parents, adj):
         if len(scc) == 1 and all(succ != scc[0] for _, succ in adj[scc[0]]):
             continue
-        anchor = next((n for n in scc if n[0] == p and n[1] == q), None)
+        anchor = next((n for n in scc if s.pairs[n[0]] == (p, q)), None)
         if anchor is None:
             continue
         members = set(scc)
         found, hit, _ = explore._bfs(
-            s.words, [succ for _, succ in adj[anchor] if succ in members],
-            lambda n: [e for e in adj[n] if e[1] in members],
-            k, goal=lambda n: n == anchor)
+            [succ for _, succ in adj[anchor] if succ in members],
+            lambda n: ([e for e in adj[n] if e[1] in members], False),
+            goal=(anchor[0], lambda n: n == anchor))
         assert hit is not None
-        back = explore._path(s, found, anchor)
-        first = s.node(back.start)
-        label = next(lab for lab, succ in adj[anchor] if succ == first)
-        cycle = Run(s.config(anchor), ((label, back.start),) + back.steps)
-        return LassoWitness(explore._path(s, parents, anchor), cycle)
+        cycle = explore._run(s, [anchor] + explore._path(found, anchor), forward)
+        return LassoWitness(explore._run(s, explore._path(parents, anchor), forward),
+                            cycle)
     return None
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ucst.errors import InputError
-from ucst.explore import Bound, bounded_reach, bounded_recurrent, reachable_set
+from ucst.explore import Bound, bounded_reach, bounded_recurrent
 from ucst.generators import (
     QueueAutomaton,
     SemiThueSystem,
@@ -16,7 +16,12 @@ from ucst.generators import (
 )
 from ucst.model import LOSSY, WRITE_LOSSY, Configuration, classify_tests, validate_run
 
-from support import queue_reaches_final_empty, thue_find_loop, thue_step
+from support import (
+    queue_reaches_final_empty,
+    reachable_set,
+    thue_find_loop,
+    thue_step,
+)
 
 WRITE_READ = linear_queue_automaton([("write", "a"), ("read", "a")])
 READ_EMPTY = linear_queue_automaton([("read", "a")])

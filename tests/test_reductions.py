@@ -572,9 +572,9 @@ Vp: EPS
             builds.append(s)
             return build(s, *args)
 
-        def counting_step(s, node, mode):
+        def counting_step(s, node, mode, k=None):
             expanded[s, node] += 1
-            return step(s, node, mode)
+            return step(s, node, mode, k)
 
         monkeypatch.setattr(reductions, "bounded_graph", counting_build)
         monkeypatch.setattr(explore, "step", counting_step)
