@@ -6,20 +6,21 @@ word id, l word id) of the system's numbered pairs and words, stepped by
 discarded, never truncated, so every witness is a genuine run, and its word
 is never numbered.  `_bfs` keeps only each node's predecessor; a witness
 gets each step's label back by stepping the predecessor again.  Nodes
-become `Configuration` values only at the edges: witness runs, co-reach
-answers, and the targets a co-reach is asked about.  A certified
-"unreachable" verdict is only produced when the closure finished without
-pruning anything, including the enumeration of initial words.
+become `Configuration` values only at the edges: the configurations
+`reachable_nodes` and `bounded_recurrent` start from, and witness runs.  A
+certified "unreachable" verdict is only produced when the closure finished
+without pruning anything, including the enumeration of initial words.
 
-Co-reach comes in two parts: `bounded_graph` explores a system's bounded
-graph forward once, and `coreach_in` answers one target backward over it, so
-a caller asking many targets of one (immutable) system explores it once.
+Co-reach comes in two parts, both on nodes: `bounded_graph` explores a
+system's bounded graph forward once from start nodes, and `coreach_in`
+answers one set of target nodes backward over it, so a caller asking many
+targets of one (immutable) system explores it once.
 Lassos use `_bfs` too: the stem is a path of the forward search, and each
 candidate anchor's cycle is a `_bfs` from its successors back to it.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 from .errors import InputError
 from .model import (
@@ -99,12 +100,6 @@ def _stepper(s, mode, k):
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     return lambda node: step(s, node, mode, k)
-
-
-def _start_nodes(s, starts, k):
-    """The nodes of the configurations `starts` whose channels fit in `k`;
-    the others are dropped, not shortened."""
-    return [s.node(c) for c in starts if len(c.u) <= k and len(c.v) <= k]
 
 
 def _bfs(starts, expand, goal=None, max_depth=0, max_nodes=None):
@@ -200,41 +195,43 @@ def bounded_reach(inst, bound, mode=LOSSY):
 
 def reachable_nodes(s, starts, bound, mode=LOSSY):
     """The nodes reachable from the configurations `starts` within the
-    channel bound, in discovery order (as the keys of a dict)."""
+    channel bound, in discovery order (as the keys of a dict); a start whose
+    channels do not fit is dropped, not shortened."""
     k = bound.max_channel_len
-    parents, _, _ = _bfs(_start_nodes(s, starts, k), _stepper(s, mode, k),
-                         max_depth=bound.max_steps)
+    nodes = [s.node(c) for c in starts if len(c.u) <= k and len(c.v) <= k]
+    parents, _, _ = _bfs(nodes, _stepper(s, mode, k), max_depth=bound.max_steps)
     return parents.keys()
 
 
 def bounded_graph(s, starts, bound, mode=LOSSY):
-    """One forward `_bfs` from the configurations `starts` within the
-    channel bound.  Returns each node found mapped to its configuration in
-    discovery order, and the reverse edges, each node mapped to its (label,
-    predecessor) pairs."""
-    k = bound.max_channel_len
-    forward = _stepper(s, mode, k)
+    """One forward `_bfs` from the nodes `starts`, whose channels must fit
+    the channel bound.  Returns the nodes found, in discovery order (as the
+    keys of a dict), and the reverse edges: each node mapped to the list of
+    its predecessors, one entry per edge, labels dropped."""
+    forward = _stepper(s, mode, bound.max_channel_len)
     rev = {}
 
     def expand(n):
         out, cut = forward(n)
-        for label, succ in out:
-            rev.setdefault(succ, []).append((label, n))
+        for _, succ in out:
+            rev.setdefault(succ, []).append(n)
         return out, cut
 
-    parents, _, _ = _bfs(_start_nodes(s, starts, k), expand)
-    return {n: s.config(n) for n in parents}, rev
+    parents, _, _ = _bfs(starts, expand)
+    return parents.keys(), rev
 
 
 def coreach_in(graph, targets, bound):
-    """Configurations of a `bounded_graph` from which one satisfying the
-    predicate `targets` is reachable in at most `bound.max_steps` steps
-    (0 = no limit), by one backward `_bfs` over its reverse edges."""
-    configs, rev = graph
-    parents, _, _ = _bfs([n for n, c in configs.items() if targets(c)],
-                         lambda n: (rev.get(n, ()), False),
+    """The nodes of a `bounded_graph` from which one of the nodes `targets`
+    is reachable in at most `bound.max_steps` steps (0 = no limit), by one
+    backward `_bfs` over its reverse edges.  A target outside the graph is
+    reached from nothing and is left out."""
+    found, rev = graph
+    # `_bfs` reads (label, node) pairs, and no label is kept
+    parents, _, _ = _bfs([n for n in targets if n in found],
+                         lambda n: (zip(repeat(None), rev.get(n, ())), False),
                          max_depth=bound.max_steps)
-    return {configs[n] for n in parents}
+    return parents.keys()
 
 
 def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):

@@ -401,22 +401,58 @@ def bounded_oracle(bound, mode=LOSSY):
     from every r-empty configuration whose l fits the channel bound.  Every
     configuration it gives reaches a target; a missing one is bound-relative.
 
-    The oracle explores a system's bounded graph forward once and answers
-    every later target on the same system backward over that graph.  It
-    keeps the graph of the latest system only, keyed by identity, so systems
-    must not change once asked about.
+    The oracle explores a system's bounded graph forward once, from the
+    start nodes (pair id, ε, l word id) of every control pair and l word up
+    to the bound, and answers every later target on the same system backward
+    over that graph.  Targets become start nodes by pair id: an exact
+    configuration is its own node, and a minimal element stands for the
+    starts of its pair whose l word lies above it; a target outside the
+    graph (a state not in the system, an l word longer than the bound) is
+    reached from nothing.  It keeps the graph of the latest system only,
+    keyed by identity, so systems must not change once asked about.
     """
-    latest = [None, None]  # system, its bounded graph
+    k = bound.max_channel_len
+    latest = [None]  # system, its pair ids by (p, q), its start words, graph
 
-    def oracle(s, is_target):
+    def oracle(s, target):
         if latest[0] is not s:
-            words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
-            starts = [Configuration(p, q, (), v) for v in words
-                      for p in s.sender_states for q in s.receiver_states]
-            latest[:] = s, bounded_graph(s, starts, bound, mode)
-        co = coreach_in(latest[1], is_target, bound)
-        return UpwardClosedSet.of(c for c in co if c.u == ())
+            pairs = {(p, q): s.pair(p, q)
+                     for p in s.sender_states for q in s.receiver_states}
+            words = [s.words.id(v)
+                     for v in Nfa.all_words(s.alphabet).words_up_to(k)]
+            starts = [(c, 0, v) for c in pairs.values() for v in words]
+            latest[:] = s, pairs, words, bounded_graph(s, starts, bound, mode)
+        _, pairs, words, graph = latest
+        if isinstance(target, UpwardClosedSet):
+            word = s.words.word
+            nodes = [(pairs[m.p, m.q], 0, v) for m in target.minimal
+                     if (m.p, m.q) in pairs
+                     for v in words if subword(m.v, word[v])]
+        else:
+            nodes = [s.node(c) for c in target
+                     if (c.p, c.q) in pairs and len(c.v) <= k]
+        return _minimal_r_empty(s, coreach_in(graph, nodes, bound))
     return oracle
+
+
+def _minimal_r_empty(s, nodes):
+    """The `UpwardClosedSet` of the r-empty nodes among `nodes`: per pair id,
+    by increasing l length, an l word is kept when no kept word is a subword
+    of it; only the kept nodes are decoded."""
+    length, word = s.words.length, s.words.word
+    groups = {}
+    for c, u, v in nodes:
+        if u == 0:
+            groups.setdefault(c, []).append(v)
+    mins = []
+    for c, vs in groups.items():
+        kept = []
+        for v in sorted(vs, key=length.__getitem__):
+            w = word[v]
+            if not any(subword(m, w) for m in kept):
+                kept.append(w)
+        mins += [Configuration(*s.pairs[c], (), w) for w in kept]
+    return UpwardClosedSet.of(mins)
 
 
 def pre_star_z1l(s, target, oracle):
@@ -425,29 +461,22 @@ def pre_star_z1l(s, target, oracle):
 
     `target` is either a list of r-empty configurations, each to be reached
     exactly, or an `UpwardClosedSet`, reached anywhere above it.  The answer
-    is `oracle(s, is_target)`, which must give the `UpwardClosedSet` of
-    r-empty configurations from which some configuration satisfying the
-    predicate `is_target` is reachable.  `bounded_oracle` answers within a
-    channel and step bound, exploring each system's bounded graph once and
-    answering every target over it (so `s` must not change between calls);
-    an exact oracle plugs in here unchanged.
+    is `oracle(s, target)`, which must give the `UpwardClosedSet` of r-empty
+    configurations from which the target is reachable; the oracle is handed
+    the target itself, not a predicate, so that it can read its structure
+    (a control pair and an l word per element).  `bounded_oracle` answers
+    within a channel and step bound, exploring each system's bounded graph
+    once and answering every target over it (so `s` must not change between
+    calls); an exact oracle plugs in here unchanged.
 
     The system may only carry Sender emptiness tests on l (losses make the
     result upward-closed for exactly this fragment).
     """
     if not classify_tests(s).only_z1l():
         raise FragmentError("backward saturation expects Sender l-emptiness tests only")
-    if isinstance(target, UpwardClosedSet):
-        def is_target(c):
-            return c.u == () and target.contains(c)
-    else:
-        goals = set(target)
-        if any(c.u != () for c in goals):
-            raise InputError("target configurations must have empty r")
-
-        def is_target(c):
-            return c in goals
-    return oracle(s, is_target)
+    if not isinstance(target, UpwardClosedSet) and any(c.u != () for c in target):
+        raise InputError("target configurations must have empty r")
+    return oracle(s, target)
 
 
 def decide_eereach_z1(inst, oracle):

@@ -4,7 +4,7 @@ walks over total DFAs.  None of them is part of the toolkit."""
 from collections import deque
 
 from ucst.errors import InputError
-from ucst.explore import reachable_nodes
+from ucst.explore import bounded_graph, coreach_in, reachable_nodes
 from ucst.model import LOSSY, Run, successors, validate_run
 from ucst.pep import (
     is_pre_solution,
@@ -23,6 +23,17 @@ def reachable_set(s, starts, bound, mode=LOSSY):
     """The configurations reachable from `starts` within the channel bound:
     `reachable_nodes`, decoded."""
     return {s.config(n) for n in reachable_nodes(s, starts, bound, mode)}
+
+
+def coreach_set(s, starts, targets, bound, mode=LOSSY):
+    """`coreach_in` over the `bounded_graph` of the configurations `starts`
+    whose channels fit the bound, with the configurations `targets`: starts
+    and targets numbered, the answer decoded to configurations."""
+    k = bound.max_channel_len
+    nodes = [s.node(c) for c in starts if len(c.u) <= k and len(c.v) <= k]
+    graph = bounded_graph(s, nodes, bound, mode)
+    return {s.config(n)
+            for n in coreach_in(graph, [s.node(c) for c in targets], bound)}
 
 
 # -- total DFAs (`Nfa.determinize`) ---------------------------------------------

@@ -10,10 +10,8 @@ import time
 
 from ucst.explore import (
     Bound,
-    bounded_graph,
     bounded_reach,
     bounded_recurrent,
-    coreach_in,
 )
 from ucst.generators import SemiThueSystem, gen_thue_recurrent
 from ucst.model import (
@@ -53,7 +51,7 @@ from ucst.reductions import (
 from ucst.regdata import Nfa, parse_regex, subword
 from ucst.validate import check_stage_equivalence, check_write_lossy_equivalence
 
-from support import random_lossy_run, thue_find_loop
+from support import coreach_set, random_lossy_run, thue_find_loop
 
 SOL = ("d0", "d4", "d1", "d5", "d2", "d3")
 RUN_ORDER = ("d0", "d1", "d2", "d4", "d3", "d5")
@@ -143,8 +141,7 @@ def test_criterion_4_backward_saturation_agreement(bounded_space):
         goal = Configuration(s.sender_states[-1], s.receiver_states[-1], (), ())
         sat = pre_star_z1l(s, [goal], oracle)
         bound = Bound(4, 0)
-        co = coreach_in(bounded_graph(s, bounded_space(s, 4), bound, LOSSY),
-                        lambda c: c == goal, bound)
+        co = coreach_set(s, bounded_space(s, 4), [goal], bound)
         expected = UpwardClosedSet.of([c for c in co if c.u == ()])
         if sat != expected:
             mismatches += 1

@@ -11,11 +11,9 @@ from ucst.explore import (
     NOT_WITHIN_BOUND,
     REACHABLE,
     UNREACHABLE,
-    bounded_graph,
     bounded_reach,
     bounded_recurrent,
     control_pair_oracle,
-    coreach_in,
     reachable_nodes,
     ucs_recurrent_decide,
 )
@@ -40,7 +38,7 @@ from ucst.model import (
 from ucst.randomgen import random_instance, random_ucst
 from ucst.regdata import Nfa, parse_regex
 
-from support import reachable_set
+from support import coreach_set, reachable_set
 
 
 def eps(m):
@@ -635,8 +633,7 @@ class TestBoundedCoreach:
         s = Ucst(m, ("p0",), ("q0",), [], [])
         target = Configuration("p0", "q0", (), ())
         bound = Bound(2, 0)
-        result = coreach_in(bounded_graph(s, bounded_space(s, 2), bound, LOSSY),
-                            lambda c: c == target, bound)
+        result = coreach_set(s, bounded_space(s, 2), [target], bound)
         # reachable-by-losses means: same states, same r, l above target's l
         assert result == {
             Configuration("p0", "q0", (), ()),
@@ -649,8 +646,16 @@ class TestBoundedCoreach:
         target = Configuration("p0", "q0", (), ())
         one = Configuration("p0", "q0", (), ("a",))
         bound = Bound(3, 0)
-        assert coreach_in(bounded_graph(s, [one], bound, LOSSY),
-                          lambda c: c == target, bound) == {one, target}
+        assert coreach_set(s, [one], [target], bound) == {one, target}
+
+    def test_targets_outside_the_graph_are_left_out(self):
+        s = Ucst(("a",), ("p0",), ("q0",), [], [])
+        one = Configuration("p0", "q0", (), ("a",))
+        bound = Bound(3, 0)
+        beyond = [Configuration("p0", "q0", (), ("a",) * 4),
+                  Configuration("p0", "q0", ("a",), ())]
+        assert coreach_set(s, [one], beyond, bound) == set()
+        assert coreach_set(s, [one], beyond + [one], bound) == {one}
 
     def test_step_bound_keeps_exactly_the_configurations_within_n_steps(
             self, bounded_space):
@@ -658,29 +663,25 @@ class TestBoundedCoreach:
         target = Configuration("p0", "q0", (), ())
         for n in (1, 2, 3):
             bound = Bound(4, n)
-            co = coreach_in(bounded_graph(s, bounded_space(s, 4), bound, LOSSY),
-                            lambda c: c == target, bound)
+            co = coreach_set(s, bounded_space(s, 4), [target], bound)
             assert co == {Configuration("p0", "q0", (), ("a",) * i)
                           for i in range(n + 1)}
 
     def test_fig6_start_is_in_coreach_of_goal(self, fig6, bounded_space):
         goal = Configuration("p_fi", "q_fi", (), ())
         bound = Bound(2, 0)
-        result = coreach_in(bounded_graph(fig6, bounded_space(fig6, 2), bound,
-                                          LOSSY), lambda c: c == goal, bound)
+        result = coreach_set(fig6, bounded_space(fig6, 2), [goal], bound)
         assert Configuration("p_in", "q_in", (), ()) in result
 
     def test_empty_targets(self, fig6, bounded_space):
         bound = Bound(1, 0)
-        assert coreach_in(bounded_graph(fig6, bounded_space(fig6, 1), bound,
-                                        LOSSY), lambda c: False, bound) == set()
+        assert coreach_set(fig6, bounded_space(fig6, 1), [], bound) == set()
 
     def test_pointwise_agreement_with_forward_search(self, fig6, bounded_space):
         goal = Configuration("p_fi", "q_fi", (), ())
         bound = Bound(2, 0)
         space = bounded_space(fig6, 2)
-        co = coreach_in(bounded_graph(fig6, space, bound, LOSSY),
-                        lambda c: c == goal, bound)
+        co = coreach_set(fig6, space, [goal], bound)
         rng = random.Random(5)
         for c in rng.sample(space, 60):
             forward = goal in reachable_set(fig6, [c], bound, LOSSY)

@@ -48,7 +48,7 @@ from ucst.reductions import (
 )
 from ucst.regdata import Nfa, language_equal, parse_regex
 
-from support import enumerate_solutions, shuffle_built_r
+from support import coreach_set, enumerate_solutions, shuffle_built_r
 
 
 def eps(m):
@@ -411,8 +411,7 @@ class TestPreStar:
             q_fi = s.receiver_states[-1]
             goal = Configuration(p_fi, q_fi, (), ())
             sat = pre_star_z1l(s, [goal], bounded_oracle(Bound(4, 0)))
-            co = coreach_in(bounded_graph(s, bounded_space(s, 4), bound, LOSSY),
-                            lambda c: c == goal, bound)
+            co = coreach_set(s, bounded_space(s, 4), [goal], bound)
             co_empty_r = [c for c in co if c.u == ()]
             expected = UpwardClosedSet.of(co_empty_r)
             assert sat == expected
@@ -433,6 +432,48 @@ def forward_pre_star(s, target, bound, starts):
                                  bound, LOSSY).reachable
                    for g, lang in langs)]
     return UpwardClosedSet.of(hits)
+
+
+def config_level_oracle(bound):
+    """Reference for `bounded_oracle`: the configuration-level form it
+    replaced.  Every node of the bounded graph is decoded, the target is a
+    predicate over configurations, and the r-empty co-reach configurations
+    are minimized by `UpwardClosedSet.of`."""
+    def oracle(s, target):
+        if isinstance(target, UpwardClosedSet):
+            def is_target(c):
+                return c.u == () and target.contains(c)
+        else:
+            goals = set(target)
+
+            def is_target(c):
+                return c in goals
+        words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
+        starts = [s.node(Configuration(p, q, (), v)) for v in words
+                  for p in s.sender_states for q in s.receiver_states]
+        found, rev = bounded_graph(s, starts, bound, LOSSY)
+        configs = {n: s.config(n) for n in found}
+        co = coreach_in((found, rev),
+                        [n for n, c in configs.items() if is_target(c)], bound)
+        return UpwardClosedSet.of(c for c in map(configs.get, co) if c.u == ())
+    return oracle
+
+
+def saturation_system(rng):
+    """A system as `decide_eereach_z1` hands it to the oracle: random, with
+    Sender emptiness tests on both channels and an acyclic Sender, then with
+    its r-test rules dropped."""
+    while True:
+        s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                        n_sender_rules=4, n_receiver_rules=2,
+                        sender_tests=(("Z", "l"), ("Z", "r")),
+                        test_weight=0.4, forward_sender=True)
+        zr = [s.rules[t.rule_id] for t in classify_tests(s).tests
+              if t.channel == R]
+        if zr:
+            return Ucst(s.alphabet, s.sender_states, s.receiver_states,
+                        [r for r in s.sender_rules if r not in zr],
+                        s.receiver_rules)
 
 
 class TestBoundedOracle:
@@ -484,6 +525,57 @@ class TestBoundedOracle:
                     assert got == pre_star_z1l(s, target, bounded_oracle(bound))
                     answers.setdefault(s is b, set()).add((id(target), got))
         assert answers[True] != answers[False]
+
+    def test_l_word_longer_than_the_bound_matches_nothing(self):
+        s = Ucst(("a",), ("p",), ("q",), [], [])
+        goal = Configuration("p", "q", (), ("a",))
+        long = Configuration("p", "q", (), ("a",) * 3)
+        oracle = bounded_oracle(Bound(2, 0))
+        want = pre_star_z1l(s, [goal], oracle)
+        assert want.minimal == (goal,)
+        assert pre_star_z1l(s, [long], oracle) == UpwardClosedSet()
+        assert pre_star_z1l(s, [goal, long], oracle) == want
+        assert pre_star_z1l(s, UpwardClosedSet.of([long]), oracle) == UpwardClosedSet()
+        assert pre_star_z1l(s, UpwardClosedSet.of([goal]), oracle) == want
+
+    def test_states_outside_the_system_match_nothing(self, fig6):
+        goal = Configuration("p_fi", "q_fi", (), ())
+        strangers = [Configuration("p_zz", "q_fi", (), ()),
+                     Configuration("p_fi", "q_zz", (), ("a",)),
+                     Configuration("q_fi", "p_fi", (), ())]
+        oracle = bounded_oracle(Bound(2, 0))
+        want = pre_star_z1l(fig6, [goal], oracle)
+        pairs = list(fig6.pairs)
+        assert pre_star_z1l(fig6, strangers, oracle) == UpwardClosedSet()
+        assert pre_star_z1l(fig6, [goal] + strangers, oracle) == want
+        assert pre_star_z1l(fig6, UpwardClosedSet.of(strangers),
+                            oracle) == UpwardClosedSet()
+        assert pre_star_z1l(fig6, UpwardClosedSet.of([goal] + strangers),
+                            oracle) == pre_star_z1l(fig6, UpwardClosedSet.of([goal]),
+                                                    oracle)
+        assert fig6.pairs == pairs  # no pair was numbered for them
+
+    def test_agrees_with_configuration_level_oracle(self, bounded_space):
+        # saturation-shaped systems: every answer equals the decoded
+        # predicate oracle's and one forward search per start
+        rng = random.Random(167)
+        grown = 0
+        for _ in range(8):
+            s = saturation_system(rng)
+            exact = self.random_targets(rng, s, 2)
+            upward = UpwardClosedSet.of(self.random_targets(rng, s, 1))
+            for bound in (Bound(4, 0), Bound(3, 2), Bound(2, 3)):
+                starts = [c for c in bounded_space(s, bound.max_channel_len)
+                          if c.u == ()]
+                for target in (exact, upward):
+                    got = pre_star_z1l(s, target, bounded_oracle(bound))
+                    assert got == pre_star_z1l(s, target,
+                                               config_level_oracle(bound))
+                    assert got == forward_pre_star(s, target, bound, starts), \
+                        (s, target, bound)
+                    mins = target.minimal if target is upward else target
+                    grown += any(c not in mins for c in got.minimal)
+        assert grown >= 20
 
 
 class TestDecideEeReach:
@@ -591,9 +683,9 @@ Vp: EPS
             oracle = bounded_oracle(Bound(4, 0))
             asked = []
 
-            def counting_oracle(s, is_target):
+            def counting_oracle(s, target):
                 asked.append(s)
-                return oracle(s, is_target)
+                return oracle(s, target)
 
             builds.clear()
             expanded.clear()
