@@ -1,15 +1,16 @@
 """Bounded explicit-state oracle: forward/backward reachability and lassos.
 
 All searches run one breadth-first core, `_bfs`, over nodes (pair id, r
-word id, l word id) of the system's numbered pairs and words, stepped by
-`model.step` within the channel bound: a write that would outgrow it is
-discarded, never truncated, so every witness is a genuine run, and its word
-is never numbered.  `_bfs` keeps only each node's predecessor; a witness
-gets each step's label back by stepping the predecessor again.  Nodes
-become `Configuration` values only at the edges: the configurations
-`reachable_nodes` and `bounded_recurrent` start from, and witness runs.  A
-certified "unreachable" verdict is only produced when the closure finished
-without pruning anything, including the enumeration of initial words.
+word id, l word id) of the system's numbered pairs and words, a whole layer
+at a time, stepped by `model.step_layer` within the channel bound: a write
+that would outgrow it is discarded, never truncated, so every witness is a
+genuine run, and its word is never numbered.  `_bfs` keeps only each node's
+first finder; a witness gets each step's label back by stepping the finder
+again with `model.step`.  Nodes become `Configuration` values only at the
+edges: the configurations `reachable_nodes` and `bounded_recurrent` start
+from, and witness runs.  A certified "unreachable" verdict is only produced
+when the closure finished without pruning anything, including the
+enumeration of initial words.
 
 Co-reach comes in two parts, both on nodes: `bounded_graph` explores a
 system's bounded graph forward once from start nodes, and `coreach_in`
@@ -20,7 +21,7 @@ candidate anchor's cycle is a `_bfs` from its successors back to it.
 """
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 from .errors import InputError
 from .model import (
@@ -30,6 +31,7 @@ from .model import (
     ReachInstance,
     Run,
     step,
+    step_layer,
 )
 from .regdata import Nfa
 
@@ -94,56 +96,50 @@ def _initial_nodes(inst, bound):
     return nodes, dropped
 
 
-def _stepper(s, mode, k):
-    """`model.step` of system `s` in `mode` within channel bound `k`, on one
-    node."""
+def _stepper(s, mode, k, edges=None):
+    """The layer expander of `_bfs` for system `s` in `mode` within channel
+    bound `k`: `model.step_layer`, appending every edge to `edges` if it is
+    given."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    return lambda node: step(s, node, mode, k)
+    return lambda layer, parents: step_layer(s, layer, mode, k, parents, edges)
 
 
 def _bfs(starts, expand, goal=None, max_depth=0, max_nodes=None):
     """Layered breadth-first search from the nodes `starts`.
 
-    Nodes are (pair id, r word id, l word id).  `expand(node)` returns its
-    (label, successor) pairs and whether it discarded a successor beyond
-    the channel bound.  `goal` is None or (pair id, predicate), and the
-    predicate is asked only of nodes of that pair.  Returns (parents, hit,
-    stop).  `parents` maps each node found, in discovery order, to its
-    predecessor, or to None for a start; `hit` is the first node satisfying
-    `goal`, else None.  `stop` is "target", "closure" (nothing new and
-    nothing discarded), "length-bound" (nothing new, but some successor was
-    discarded), "step-bound" (a layer remains after `max_depth` expansions;
-    0 = no limit) or "budget" (a new node found with `max_nodes` already
-    known).
+    Nodes are (pair id, r word id, l word id).  `expand(layer, parents)`
+    expands a whole layer: it maps each successor not yet in `parents` to
+    the node that found it, and returns the new layer, in discovery order,
+    and whether it discarded a successor beyond the channel bound.  `goal`
+    is None or (pair id, predicate); it is checked once per layer, over the
+    layer in discovery order, and the predicate is asked only of nodes of
+    that pair.  Returns (parents, hit, stop).  `parents` maps each node
+    found, in discovery order, to its first finder, or to None for a start;
+    `hit` is the first node of the first layer satisfying `goal`, else None.
+    `stop` is "target", "closure" (nothing new and nothing discarded),
+    "length-bound" (nothing new, but some successor was discarded),
+    "step-bound" (a layer remains after `max_depth` expansions; 0 = no
+    limit) or "budget" (more than `max_nodes` nodes found, checked once per
+    layer).
     """
     goal_pair, is_goal = goal or (-1, None)
     parents = dict.fromkeys(starts)
-    hit = next((c for c in parents if c[0] == goal_pair and is_goal(c)), None)
-    if hit is not None:
-        return parents, hit, "target"
-    frontier = list(parents)
+    layer = list(parents)
     pruned = False
     depth = 0
-    while frontier:
+    while layer:
+        if is_goal is not None:
+            for n in layer:
+                if n[0] == goal_pair and is_goal(n):
+                    return parents, n, "target"
+        if max_nodes is not None and len(parents) > max_nodes:
+            return parents, None, "budget"
         if max_depth and depth == max_depth:
             return parents, None, "step-bound"
         depth += 1
-        nxt = []
-        for c in frontier:
-            out, cut = expand(c)
-            if cut:
-                pruned = True
-            for _, succ in out:
-                if succ in parents:
-                    continue
-                if max_nodes is not None and len(parents) >= max_nodes:
-                    return parents, None, "budget"
-                parents[succ] = c
-                if succ[0] == goal_pair and is_goal(succ):
-                    return parents, succ, "target"
-                nxt.append(succ)
-        frontier = nxt
+        layer, cut = expand(layer, parents)
+        pruned = pruned or cut
     return parents, None, "length-bound" if pruned else "closure"
 
 
@@ -158,11 +154,12 @@ def _path(parents, end):
     return nodes
 
 
-def _run(s, nodes, expand):
+def _run(s, nodes, mode, k):
     """The run along `nodes`, decoded to configurations.  Each step's label
-    is the first, in `expand` order, that leads to the next node: the one
-    `_bfs` met first."""
-    steps = tuple((next(label for label, succ in expand(prev)[0] if succ == node),
+    is the first, in `model.step` order, that leads to the next node: the
+    one `_bfs` met first."""
+    steps = tuple((next(label for label, succ in step(s, prev, mode, k)[0]
+                        if succ == node),
                    s.config(node)) for prev, node in zip(nodes, nodes[1:]))
     return Run(s.config(nodes[0]), steps)
 
@@ -174,7 +171,8 @@ def bounded_reach(inst, bound, mode=LOSSY):
     initial word longer than the bound gives "initial-truncation".
     """
     s = inst.system
-    expand = _stepper(s, mode, bound.max_channel_len)
+    k = bound.max_channel_len
+    expand = _stepper(s, mode, k)
     initials, dropped = _initial_nodes(inst, bound)
     up, vp = s.words.column(inst.Up), s.words.column(inst.Vp)
 
@@ -185,7 +183,7 @@ def bounded_reach(inst, bound, mode=LOSSY):
                               (s.pair(inst.p_fi, inst.q_fi), is_target),
                               bound.max_steps)
     if hit is not None:
-        return Verdict(REACHABLE, _run(s, _path(parents, hit), expand), stop)
+        return Verdict(REACHABLE, _run(s, _path(parents, hit), mode, k), stop)
     if stop != "closure":
         return Verdict(NOT_WITHIN_BOUND, reason=stop)
     if dropped:
@@ -207,17 +205,13 @@ def bounded_graph(s, starts, bound, mode=LOSSY):
     """One forward `_bfs` from the nodes `starts`, whose channels must fit
     the channel bound.  Returns the nodes found, in discovery order (as the
     keys of a dict), and the reverse edges: each node mapped to the list of
-    its predecessors, one entry per edge, labels dropped."""
-    forward = _stepper(s, mode, bound.max_channel_len)
+    its predecessors, one entry per edge in expansion order, labels
+    dropped."""
+    edges = []
+    parents, _, _ = _bfs(starts, _stepper(s, mode, bound.max_channel_len, edges))
     rev = {}
-
-    def expand(n):
-        out, cut = forward(n)
-        for _, succ in out:
-            rev.setdefault(succ, []).append(n)
-        return out, cut
-
-    parents, _, _ = _bfs(starts, expand)
+    for n, _, succ in edges:
+        rev.setdefault(succ, []).append(n)
     return parents.keys(), rev
 
 
@@ -227,9 +221,17 @@ def coreach_in(graph, targets, bound):
     backward `_bfs` over its reverse edges.  A target outside the graph is
     reached from nothing and is left out."""
     found, rev = graph
-    # `_bfs` reads (label, node) pairs, and no label is kept
-    parents, _, _ = _bfs([n for n in targets if n in found],
-                         lambda n: (zip(repeat(None), rev.get(n, ())), False),
+
+    def expand(layer, parents):
+        new = []
+        for n in layer:
+            for m in rev.get(n, ()):
+                if m not in parents:
+                    parents[m] = n
+                    new.append(m)
+        return new, False
+
+    parents, _, _ = _bfs([n for n in targets if n in found], expand,
                          max_depth=bound.max_steps)
     return parents.keys()
 
@@ -252,13 +254,13 @@ def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):
     for anchor in parents:
         if anchor[0] != pair:
             continue
-        out, _ = expand(anchor)
+        out, _ = step(s, anchor, mode, k)
         found, hit, _ = _bfs([succ for _, succ in out], expand,
                              (pair, lambda n: n == anchor))
         if hit is None:
             continue
-        cycle = _run(s, [anchor] + _path(found, anchor), expand)
-        return LassoWitness(_run(s, _path(parents, anchor), expand), cycle)
+        cycle = _run(s, [anchor] + _path(found, anchor), mode, k)
+        return LassoWitness(_run(s, _path(parents, anchor), mode, k), cycle)
     return None
 
 

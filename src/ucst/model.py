@@ -10,13 +10,15 @@ for a write that loses its message at the moment of writing.
 Each system numbers the channel words it meets in a `Words` table and its
 control pairs ``(p, q)`` as it meets them, compiling one move table per
 pair; both are kept for the system's lifetime.  The one step semantics,
-`step`, runs over nodes ``(pair id, r word id, l word id)``: a move names
-its target pair by id, a write, read or loss looks its result up by id, and
-a test reads the word's membership, so no state name or channel tuple is
-built or hashed per step.  Given a channel bound, `step` discards a write
-whose word would outgrow it before numbering that word, and says so.
-`successors` is the same step on `Configuration` values, with no bound: it
-numbers the words, steps, and decodes.
+`step_layer`, expands a whole search layer of nodes ``(pair id, r word id,
+l word id)`` at once, straight into the search's map of first finders: a
+move names its target pair by id, a write, read or loss looks its result up
+by id, and a test reads the word's membership, so no state name or channel
+tuple is built or hashed per step.  Given a channel bound, it discards a
+write whose word would outgrow it before numbering that word, and says so.
+`step` is its labelled view of one node, and `successors` the same on
+`Configuration` values, with no bound: it numbers the words, steps, and
+decodes.
 """
 
 from dataclasses import dataclass
@@ -213,8 +215,9 @@ class Ucst:
     """A system: alphabet, disjoint Sender/Receiver state sets, and rules.
 
     Immutable by convention; its moves are listed once per source state, in
-    rule-id order, and compiled into a table per control pair when `step`
-    first meets the pair.  It is given a table of numbered channel words.
+    rule-id order, and compiled into a table per control pair when
+    `step_layer` first meets the pair.  It is given a table of numbered
+    channel words.
     """
 
     def __init__(self, alphabet, sender_states, receiver_states,
@@ -231,9 +234,10 @@ class Ucst:
         self._receiver_set = frozenset(self.receiver_states)
         self.words = Words()
         columns = {}  # test language -> its membership column
-        # entries (rule id, kind, letter or test membership by word id,
-        # target state); Sender reads and Receiver writes never fire and are
-        # left out
+        # entries (label, kind, letter or test membership by word id, target
+        # state); Sender reads and Receiver writes never fire and are left
+        # out, and each l-write is followed by its dropped-write entry, which
+        # fires in write-lossy mode only
         moves = {state: [] for state in self.sender_states + self.receiver_states}
         for rid, rule in enumerate(self.rules):
             act = rule.action
@@ -244,8 +248,11 @@ class Ucst:
                 if act.lang not in columns:
                     columns[act.lang] = self.words.column(act.lang)
                 arg = columns[act.lang]
-            moves[rule.source].append(
-                (rid, _KINDS[act.kind, rule.channel], arg, rule.target))
+            kind = _KINDS[act.kind, rule.channel]
+            moves[rule.source].append((rid, kind, arg, rule.target))
+            if kind == "write-l":
+                moves[rule.source].append((("wrlo", rid), "drop-l", None,
+                                           rule.target))
         self._moves = {state: tuple(entries) for state, entries in moves.items()}
         self.pairs = []       # pair id -> (p, q)
         self._pair_ids = {}   # (p, q) -> pair id
@@ -280,13 +287,14 @@ class Ucst:
 
     def _table(self, c):
         """Compile and keep the move table of pair id `c`: its Sender
-        entries, then its Receiver entries, in rule-id order, each (rule id,
-        kind, letter or test membership, target pair id)."""
+        entries, then its Receiver entries, in rule-id order, each (label,
+        kind, letter or test membership, target pair id).  Each entry yields
+        at most one successor, labelled with its label."""
         p, q = self.pairs[c]
         pair = self.pair
         table = self._tables[c] = tuple(
-            [(rid, kind, arg, pair(t, q)) for rid, kind, arg, t in self._moves[p]]
-            + [(rid, kind, arg, pair(p, t)) for rid, kind, arg, t in self._moves[q]])
+            [(lab, kind, arg, pair(t, q)) for lab, kind, arg, t in self._moves[p]]
+            + [(lab, kind, arg, pair(p, t)) for lab, kind, arg, t in self._moves[q]])
         return table
 
     def node(self, c):
@@ -433,52 +441,86 @@ def classify_tests(s):
 
 # -- step semantics ------------------------------------------------------------
 
-def step(s, node, mode, k=None):
-    """Labelled successors of node (pair id, r word id, l word id), and
-    whether a write was discarded because its word would be longer than `k`
-    (None: no bound).  A discarded word is never numbered.
+def step_layer(s, layer, mode, k, parents, edges=None):
+    """Expand every node (pair id, r word id, l word id) of `layer`, in
+    order, within channel bound `k` (None: no bound).
 
-    Order: Sender rules by id (in write-lossy mode each enabled l-write is
-    immediately followed by its dropped-write variant), then Receiver rules
-    by id, then losses by deleted position.  `mode` is not checked here.
+    Each successor not yet in `parents` is mapped there to the node that
+    found it and appended to the new layer.  With `edges`, every successor,
+    new or already seen, is also appended there as (node, label,
+    successor).  Returns the new layer and whether a write was discarded
+    because its word would be longer than `k`; a discarded word is never
+    numbered.
+
+    A node's successors come in this order: Sender rules by id (in
+    write-lossy mode each l-write is immediately followed by its
+    dropped-write variant), then Receiver rules by id, then losses by
+    deleted position.  `mode` is not checked here.
     """
-    c, u, v = node
     words = s.words
-    table = s._tables[c]
-    if table is None:
-        table = s._table(c)
+    tables = s._tables
     pushed = words.pushed  # a pushed word is never ε, whose id 0 is falsy
-    length = words.length
+    length, head, tail, lost = words.length, words.head, words.tail, words.lost
+    lossy, write_lossy = mode == LOSSY, mode == WRITE_LOSSY
     cut = False
-    out = []
-    for rid, kind, arg, target in table:
-        if kind == "write-r":
-            if k is None or length[u] < k:
-                out.append((rid, (target, pushed[u].get(arg) or words.push(u, arg), v)))
+    new = []
+    for node in layer:
+        c, u, v = node
+        table = tables[c]
+        if table is None:
+            table = s._table(c)
+        for label, kind, arg, target in table:
+            if kind == "write-r":
+                if k is not None and length[u] >= k:
+                    cut = True
+                    continue
+                succ = target, pushed[u].get(arg) or words.push(u, arg), v
+            elif kind == "write-l":
+                if k is not None and length[v] >= k:
+                    cut = True
+                    continue
+                succ = target, u, pushed[v].get(arg) or words.push(v, arg)
+            elif kind == "read-r":
+                if head[u] != arg:
+                    continue
+                succ = target, tail[u], v
+            elif kind == "read-l":
+                if head[v] != arg:
+                    continue
+                succ = target, u, tail[v]
+            elif kind == "drop-l":
+                if not write_lossy:
+                    continue
+                succ = target, u, v
+            elif kind == "nop" or arg[u if kind == "test-r" else v]:
+                succ = target, u, v
             else:
-                cut = True
-        elif kind == "write-l":
-            if k is None or length[v] < k:
-                out.append((rid, (target, u, pushed[v].get(arg) or words.push(v, arg))))
-            else:
-                cut = True
-            if mode == WRITE_LOSSY:
-                out.append((("wrlo", rid), (target, u, v)))
-        elif kind == "read-r":
-            if words.head[u] == arg:
-                out.append((rid, (target, words.tail[u], v)))
-        elif kind == "read-l":
-            if words.head[v] == arg:
-                out.append((rid, (target, u, words.tail[v])))
-        elif kind == "nop" or arg[u if kind == "test-r" else v]:
-            out.append((rid, (target, u, v)))
-    if mode == LOSSY:
-        lost = words.lost[v]
-        if lost is None:
-            lost = words.losses(v)
-        for w in lost:
-            out.append((LOSS, (c, u, w)))
-    return out, cut
+                continue
+            if succ not in parents:
+                parents[succ] = node
+                new.append(succ)
+            if edges is not None:
+                edges.append((node, label, succ))
+        if lossy:
+            ws = lost[v]
+            if ws is None:
+                ws = words.losses(v)
+            for w in ws:
+                succ = c, u, w
+                if succ not in parents:
+                    parents[succ] = node
+                    new.append(succ)
+                if edges is not None:
+                    edges.append((node, LOSS, succ))
+    return new, cut
+
+
+def step(s, node, mode, k=None):
+    """`step_layer` on the one node `node`: its labelled successors, in the
+    same order, and whether a write was discarded for the bound."""
+    edges = []
+    _, cut = step_layer(s, [node], mode, k, {}, edges)
+    return [(label, succ) for _, label, succ in edges], cut
 
 
 def successors(s, c, mode=LOSSY):

@@ -396,9 +396,10 @@ def elim_final(inst):
 
 # -- backward saturation -----------------------------------------------------------
 
-def bounded_oracle(bound, mode=LOSSY):
-    """Saturation oracle backed by the bounded explorer: a bounded co-reach
-    from every r-empty configuration whose l fits the channel bound.  Every
+def bounded_oracle(bound):
+    """Saturation oracle backed by the bounded explorer: a bounded co-reach,
+    in the lossy semantics (the only one `pre_star_z1l` answers), from every
+    r-empty configuration whose l fits the channel bound.  Every
     configuration it gives reaches a target; a missing one is bound-relative.
 
     The oracle explores a system's bounded graph forward once, from the
@@ -421,7 +422,7 @@ def bounded_oracle(bound, mode=LOSSY):
             words = [s.words.id(v)
                      for v in Nfa.all_words(s.alphabet).words_up_to(k)]
             starts = [(c, 0, v) for c in pairs.values() for v in words]
-            latest[:] = s, pairs, words, bounded_graph(s, starts, bound, mode)
+            latest[:] = s, pairs, words, bounded_graph(s, starts, bound, LOSSY)
         _, pairs, words, graph = latest
         if isinstance(target, UpwardClosedSet):
             word = s.words.word
@@ -437,22 +438,31 @@ def bounded_oracle(bound, mode=LOSSY):
 
 def _minimal_r_empty(s, nodes):
     """The `UpwardClosedSet` of the r-empty nodes among `nodes`: per pair id,
-    by increasing l length, an l word is kept when no kept word is a subword
-    of it; only the kept nodes are decoded."""
-    length, word = s.words.length, s.words.word
+    an l word is kept when no proper subword of it is in its pair's group,
+    decided one loss at a time (`Words.losses`) and memoized per word, so
+    this holds for any set of nodes; only the kept nodes are decoded."""
+    losses, word = s.words.losses, s.words.word
     groups = {}
     for c, u, v in nodes:
         if u == 0:
-            groups.setdefault(c, []).append(v)
+            groups.setdefault(c, set()).add(v)
     mins = []
-    for c, vs in groups.items():
-        kept = []
-        for v in sorted(vs, key=length.__getitem__):
-            w = word[v]
-            if not any(subword(m, w) for m in kept):
-                kept.append(w)
-        mins += [Configuration(*s.pairs[c], (), w) for w in kept]
-    return UpwardClosedSet.of(mins)
+    for c, group in groups.items():
+        covered = {}  # word id -> some proper subword of it is in the group
+
+        def is_covered(v):
+            hit = covered.get(v)
+            if hit is None:
+                ws = losses(v)
+                hit = covered[v] = (not group.isdisjoint(ws)
+                                    or any(map(is_covered, ws)))
+            return hit
+
+        mins += [Configuration(*s.pairs[c], (), word[v])
+                 for v in group if not is_covered(v)]
+    # an antichain already: sorting gives it the order `UpwardClosedSet.of`
+    # would
+    return UpwardClosedSet(tuple(sorted(mins, key=_config_key)))
 
 
 def pre_star_z1l(s, target, oracle):

@@ -32,6 +32,7 @@ from ucst.model import (
     classify_tests,
     format_run,
     step,
+    step_layer,
     successors,
     validate_run,
 )
@@ -571,6 +572,65 @@ class TestAgainstPreviousKernel:
                         (NOT_WITHIN_BOUND, "length-bound"): 12}
 
 
+def per_node_layer(s, layer, mode, k, parents):
+    """A layer expanded by a loop over the one-node `step`: each successor
+    not in `parents` is mapped there to its first finder and appended to the
+    new layer; returns the new layer and whether any node's step cut."""
+    new, cut = [], False
+    for node in layer:
+        out, node_cut = step(s, node, mode, k)
+        cut = cut or node_cut
+        for _, succ in out:
+            if succ not in parents:
+                parents[succ] = node
+                new.append(succ)
+    return new, cut
+
+
+class TestStepLayer:
+    def test_layers_against_per_node_step(self):
+        """Multi-node layers whose nodes share successors, with some
+        successors already known: the same new layer, first finders, cut and
+        edges as stepping each node on its own."""
+        seen = Counter()
+        for rng, s in random_tested_systems(4711, 40):
+            start = Configuration(s.sender_states[0], s.receiver_states[0], (), ())
+            for mode in MODES:
+                nodes = list(reachable_nodes(s, [start], Bound(3, 0), mode))
+                for k in (2, 3, None):
+                    fits = [n for n in nodes if k is None or
+                            max(s.words.length[n[1]], s.words.length[n[2]]) <= k]
+                    finders = {}  # successor -> the nodes of `fits` stepping to it
+                    for node in fits:
+                        for _, succ in step(s, node, mode, k)[0]:
+                            finders.setdefault(succ, {})[node] = None
+                    shared = [list(f) for f in finders.values() if len(f) > 1]
+                    for _ in range(4):
+                        layer = rng.choice(shared) if shared else []
+                        layer = list(dict.fromkeys(
+                            layer[:4] + rng.sample(fits, min(len(fits), 3))))
+                        rng.shuffle(layer)
+                        known = dict.fromkeys(rng.sample(nodes, len(nodes) // 3))
+                        parents = dict.fromkeys([*known, *layer])
+                        want_parents = dict(parents)
+                        edges = []
+                        got = step_layer(s, layer, mode, k, parents, edges)
+                        want = per_node_layer(s, layer, mode, k, want_parents)
+                        assert got == want, (s, mode, k, layer)
+                        assert list(parents.items()) == list(want_parents.items())
+                        assert edges == [(node, label, succ) for node in layer
+                                         for label, succ in step(s, node, mode, k)[0]]
+                        succs = [succ for _, _, succ in edges]
+                        seen["shared"] += any(len(finders[succ].keys() & layer) > 1
+                                              for succ in succs)
+                        seen["known"] += any(succ in known for succ in succs)
+                        seen["new"] += bool(got[0])
+                        seen[mode, k, got[1]] += 1
+        assert min(seen["shared"], seen["known"], seen["new"]) >= 300, seen
+        assert all(seen[mode, k, True] and seen[mode, k, False]
+                   for mode in MODES for k in (2, 3)), seen
+
+
 class TestBoundedStep:
     def test_bounded_reach_numbers_no_word_beyond_the_bound(self, fig1):
         for mode in MODES:
@@ -778,15 +838,12 @@ def tarjan_bounded_recurrent(s, p_in, q_in, p, q, bound, mode):
     SCC of the bounded graph, in Tarjan's order, that holds the control pair,
     and its cycle is the shortest one inside that SCC."""
     k = bound.max_channel_len
-    forward = explore._stepper(s, mode, k)
-    adj = {}
-
-    def expand(n):
-        adj[n], cut = forward(n)
-        return adj[n], cut
-
+    edges = []
     start = s.node(Configuration(p_in, q_in, (), ()))
-    parents, _, _ = explore._bfs([start], expand)
+    parents, _, _ = explore._bfs([start], explore._stepper(s, mode, k, edges))
+    adj = {n: [] for n in parents}
+    for n, label, succ in edges:
+        adj[n].append((label, succ))
     for scc in tarjan_sccs(parents, adj):
         if len(scc) == 1 and all(succ != scc[0] for _, succ in adj[scc[0]]):
             continue
@@ -794,13 +851,22 @@ def tarjan_bounded_recurrent(s, p_in, q_in, p, q, bound, mode):
         if anchor is None:
             continue
         members = set(scc)
+
+        def inside(layer, found):
+            new = []
+            for n in layer:
+                for _, succ in adj[n]:
+                    if succ in members and succ not in found:
+                        found[succ] = n
+                        new.append(succ)
+            return new, False
+
         found, hit, _ = explore._bfs(
-            [succ for _, succ in adj[anchor] if succ in members],
-            lambda n: ([e for e in adj[n] if e[1] in members], False),
+            [succ for _, succ in adj[anchor] if succ in members], inside,
             goal=(anchor[0], lambda n: n == anchor))
         assert hit is not None
-        cycle = explore._run(s, [anchor] + explore._path(found, anchor), forward)
-        return LassoWitness(explore._run(s, explore._path(parents, anchor), forward),
+        cycle = explore._run(s, [anchor] + explore._path(found, anchor), mode, k)
+        return LassoWitness(explore._run(s, explore._path(parents, anchor), mode, k),
                             cycle)
     return None
 

@@ -16,6 +16,7 @@ from ucst.explore import (
 from ucst.fileformat import parse_ucst, print_ucst
 from ucst.model import (
     LOSSY,
+    MODES,
     L,
     R,
     Action,
@@ -26,6 +27,7 @@ from ucst.model import (
     classify_tests,
     emptiness_test,
     nonemptiness_test,
+    step,
 )
 from ucst.pep import PepInstance, is_pre_solution
 from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
@@ -33,6 +35,7 @@ from ucst.reductions import (
     UpwardClosedSet,
     _config_key,
     _is_eps_language,
+    _minimal_r_empty,
     bounded_oracle,
     bridge_context,
     config_below,
@@ -120,6 +123,24 @@ def quadratic_of(configs):
         if not any(config_below(m, c) for m in mins):
             mins = [m for m in mins if not config_below(c, m)] + [c]
     return tuple(sorted(mins, key=_config_key))
+
+
+class TestMinimalREmpty:
+    def test_any_node_set_against_quadratic_of(self):
+        """Minimal elements of node sets that need not be upward-closed, so
+        a word's nearest smaller word in its group may be several losses
+        below it; nodes with a nonempty r are left out."""
+        s = Ucst(("a", "b"), ("p0", "p1", "p2"), ("q0", "q1"), [], [])
+        a, aba = s.node(Configuration("p0", "q0", (), ("a",))), \
+            s.node(Configuration("p0", "q0", (), ("a", "b", "a")))
+        assert _minimal_r_empty(s, [aba, a]).minimal == (
+            Configuration("p0", "q0", (), ("a",)),)
+        rng = random.Random(53)
+        for _ in range(200):
+            configs = random_r_empty_configs(rng, rng.randint(0, 12))
+            configs += [c._replace(u=("b",)) for c in configs[:2]]
+            got = _minimal_r_empty(s, [s.node(c) for c in configs])
+            assert got.minimal == quadratic_of([c for c in configs if not c.u])
 
 
 def random_r_empty_configs(rng, n):
@@ -476,6 +497,40 @@ def saturation_system(rng):
                         s.receiver_rules)
 
 
+class TestBoundedGraph:
+    @staticmethod
+    def per_node_reverse(s, found, mode, k):
+        """Reverse edges from the one-node `step` of every node found, in
+        discovery order."""
+        rev = {}
+        for node in found:
+            for _, succ in step(s, node, mode, k)[0]:
+                rev.setdefault(succ, []).append(node)
+        return rev
+
+    def test_reverse_edges_against_per_node_step(self, fig1):
+        """The reverse lists, their keys and each list's order, as stepping
+        every node found on its own gives them."""
+        rng = random.Random(29)
+        fig = Ucst(fig1.alphabet, fig1.sender_states, fig1.receiver_states,
+                   fig1.sender_rules, fig1.receiver_rules)
+        cases = [(fig, [fig.node(Configuration("p1", "q1", (), ()))], Bound(3, 0))]
+        for _ in range(6):
+            s = saturation_system(rng)
+            words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(3)]
+            cases.append((s, [(s.pair(p, q), 0, v) for p in s.sender_states
+                              for q in s.receiver_states for v in words],
+                          Bound(3, 0)))
+        edges = 0
+        for s, starts, bound in cases:
+            for mode in MODES:
+                found, rev = bounded_graph(s, starts, bound, mode)
+                want = self.per_node_reverse(s, found, mode, bound.max_channel_len)
+                assert list(rev.items()) == list(want.items()), (s, mode)
+                edges += sum(map(len, rev.values()))
+        assert edges > 5000
+
+
 class TestBoundedOracle:
     BOUNDS = (Bound(3, 0), Bound(3, 1), Bound(3, 2), Bound(2, 3))
 
@@ -657,19 +712,20 @@ Vp: EPS
 
     def test_explores_each_system_forward_once(self, monkeypatch):
         build = reductions.bounded_graph
-        step = explore.step
+        step_layer = explore.step_layer
         builds, expanded = [], Counter()
 
         def counting_build(s, *args):
             builds.append(s)
             return build(s, *args)
 
-        def counting_step(s, node, mode, k=None):
-            expanded[s, node] += 1
-            return step(s, node, mode, k)
+        def counting_step_layer(s, layer, *args):
+            for node in layer:
+                expanded[s, node] += 1
+            return step_layer(s, layer, *args)
 
         monkeypatch.setattr(reductions, "bounded_graph", counting_build)
-        monkeypatch.setattr(explore, "step", counting_step)
+        monkeypatch.setattr(explore, "step_layer", counting_step_layer)
         rng = random.Random(71)
         rounds = []
         for _ in range(12):
