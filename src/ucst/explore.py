@@ -15,7 +15,11 @@ enumeration of initial words.
 Co-reach comes in two parts, both on nodes: `bounded_graph` explores a
 system's bounded graph forward once from start nodes, and `coreach_in`
 answers one set of target nodes backward over it, so a caller asking many
-targets of one (immutable) system explores it once.
+targets of one (immutable) system explores it once.  The graph keeps
+reverse lists of rule moves only: a loss keeps the pair and r, so in a
+lossy graph the loss predecessors of node (c, u, w) are the nodes (c, u,
+j) found with j in the word table's `gained[w]`, since expanding a node
+asked its l word's losses.
 Lassos use `_bfs` too: the stem is a path of the forward search, and each
 candidate anchor's cycle is a `_bfs` from its successors back to it.
 """
@@ -204,23 +208,26 @@ def reachable_nodes(s, starts, bound, mode=LOSSY):
 def bounded_graph(s, starts, bound, mode=LOSSY):
     """One forward `_bfs` from the nodes `starts`, whose channels must fit
     the channel bound.  Returns the nodes found, in discovery order (as the
-    keys of a dict), and the reverse edges: each node mapped to the list of
-    its predecessors, one entry per edge in expansion order, labels
-    dropped."""
+    keys of a dict); the reverse rule edges, each node mapped to the list
+    of its rule predecessors, one entry per edge in expansion order, labels
+    dropped; and, in lossy mode, the word table's `gained` lists, from
+    which `coreach_in` reads loss predecessors (None otherwise)."""
     edges = []
     parents, _, _ = _bfs(starts, _stepper(s, mode, bound.max_channel_len, edges))
     rev = {}
     for n, _, succ in edges:
         rev.setdefault(succ, []).append(n)
-    return parents.keys(), rev
+    return parents.keys(), rev, s.words.gained if mode == LOSSY else None
 
 
 def coreach_in(graph, targets, bound):
     """The nodes of a `bounded_graph` from which one of the nodes `targets`
     is reachable in at most `bound.max_steps` steps (0 = no limit), by one
-    backward `_bfs` over its reverse edges.  A target outside the graph is
-    reached from nothing and is left out."""
-    found, rev = graph
+    backward `_bfs` over its reverse rule edges and, in a lossy graph, its
+    loss predecessors: the nodes found whose l word one loss turns into the
+    node's.  A target outside the graph is reached from nothing and is left
+    out."""
+    found, rev, gained = graph
 
     def expand(layer, parents):
         new = []
@@ -229,6 +236,13 @@ def coreach_in(graph, targets, bound):
                 if m not in parents:
                     parents[m] = n
                     new.append(m)
+            if gained is not None:
+                c, u, w = n
+                for j in gained[w]:
+                    m = c, u, j
+                    if m not in parents and m in found:
+                        parents[m] = n
+                        new.append(m)
         return new, False
 
     parents, _, _ = _bfs([n for n in targets if n in found], expand,

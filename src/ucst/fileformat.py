@@ -7,7 +7,7 @@ carry a `stage:` header, which lifts that restriction on re-parsing.
 """
 
 from .errors import InputError
-from .model import Action, ReachInstance, Rule, Ucst, classify_tests
+from .model import Action, ReachInstance, Rule, Ucst
 from .pep import PepInstance
 from .reductions import RESERVED_SYMBOLS
 from .regdata import KEYWORDS, Nfa, language_equal, parse_regex
@@ -100,10 +100,16 @@ def nfa_to_regex(nfa):
     a = nfa.minimal_dfa()
     start, end = -1, -2
     edges = {}  # (i, j) -> _Alternation
+    # per state, its other ends of the edges into and out of it, loops left
+    # out, each in the order its edge entered `edges`
+    ins = {i: {} for i in range(end, a.n_states)}
+    outs = {i: {} for i in range(end, a.n_states)}
 
     def add(i, j, node):
         if (i, j) not in edges:
             edges[(i, j)] = _Alternation()
+            if i != j:
+                outs[i][j] = ins[j][i] = None
         edges[(i, j)].add(node)
 
     # the moves are listed by source, then letter in `symkey` order
@@ -114,22 +120,15 @@ def nfa_to_regex(nfa):
         add(i, end, ("eps",))
     remaining = set(range(a.n_states))
     while remaining:
-        def degree(k):
-            into = sum(1 for (i, j) in edges if j == k and i != k)
-            out = sum(1 for (i, j) in edges if i == k and j != k)
-            return (into * out, k)
-
-        k = min(remaining, key=degree)
+        k = min(remaining, key=lambda k: (len(ins[k]) * len(outs[k]), k))
         remaining.discard(k)
         loop = _star(edges.pop((k, k), _Alternation()).node)
-        into = [(i, alt.node) for (i, j), alt in edges.items()
-                if j == k and i != k]
-        out = [(j, alt.node) for (i, j), alt in edges.items()
-               if i == k and j != k]
-        for (i, _) in into:
-            edges.pop((i, k))
-        for (j, _) in out:
-            edges.pop((k, j))
+        into = [(i, edges.pop((i, k)).node) for i in ins.pop(k)]
+        out = [(j, edges.pop((k, j)).node) for j in outs.pop(k)]
+        for i, _ in into:
+            del outs[i][k]
+        for j, _ in out:
+            del ins[j][k]
         for i, rin in into:
             for j, rout in out:
                 add(i, j, _cat(rin, _cat(loop, rout)))
@@ -262,7 +261,7 @@ def _test_regex(system, rule_id, rule, report_by_id):
 def print_ucst(inst, stage=None):
     s = inst.system
     report = {t.rule_id: (t.label, t.head_sym)
-              for t in classify_tests(s).tests if t.label != "other"}
+              for t in s.test_report.tests if t.label != "other"}
     lines = []
     if stage:
         lines.append(f"stage: {stage}")

@@ -22,6 +22,7 @@ decodes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import FragmentError, InputError
@@ -158,6 +159,12 @@ class Words:
     numbered before it, so every tail has an id.  The id after pushing a
     letter (`push`), the distinct single-loss ids (`losses`) and membership
     in a language (a `column` of it) are filled on first use.
+
+    The one-loss relation is kept both ways: `lost[i]` lists the words one
+    loss makes of word `i`, and `gained[i]` the words `j` whose losses were
+    asked and hold `i`.  Both are filled when a word's losses are first
+    asked, so a search that asked the losses of every word it met reads its
+    loss predecessors in `gained`.
     """
 
     def __init__(self):
@@ -168,11 +175,16 @@ class Words:
         self.tail = [None]
         self.pushed = [{}]  # id -> {letter: id of the word with it appended}
         self.lost = [()]    # id -> distinct single-loss ids, None until asked
+        self.gained = [[]]  # id -> ids whose asked losses include it
 
     def column(self, lang):
         """Membership of the numbered words in `lang`, by id, each decided
         when first asked."""
         return _Column(lang.accepts, self.word)
+
+    def known(self, w):
+        """The id of word `w`, or None if it is not numbered."""
+        return self._ids.get(w)
 
     def id(self, w):
         """The id of word `w`, numbering it and its new suffixes."""
@@ -191,6 +203,7 @@ class Words:
             self.tail.append(self._ids[suffix[1:]])
             self.pushed.append({})
             self.lost.append(None)
+            self.gained.append([])
         return i
 
     def push(self, i, a):
@@ -202,12 +215,15 @@ class Words:
 
     def losses(self, i):
         """Ids of the distinct words one loss makes of word `i`, ordered by
-        deleted position."""
+        deleted position; `i` joins the `gained` list of each."""
         out = self.lost[i]
         if out is None:
             w = self.word[i]
             out = self.lost[i] = tuple(dict.fromkeys(
                 self.id(w[:j] + w[j + 1:]) for j in range(len(w))))
+            gained = self.gained
+            for j in out:
+                gained[j].append(i)
         return out
 
 
@@ -309,6 +325,11 @@ class Ucst:
         c, u, v = node
         word = self.words.word
         return _new(Configuration, self.pairs[c] + (word[u], word[v]))
+
+    @cached_property
+    def test_report(self):
+        """`classify_tests` of the system, computed on first use."""
+        return classify_tests(self)
 
     def agent_of(self, rule_id):
         return SENDER if rule_id < self.n_sender_rules else RECEIVER
@@ -446,11 +467,12 @@ def step_layer(s, layer, mode, k, parents, edges=None):
     order, within channel bound `k` (None: no bound).
 
     Each successor not yet in `parents` is mapped there to the node that
-    found it and appended to the new layer.  With `edges`, every successor,
-    new or already seen, is also appended there as (node, label,
-    successor).  Returns the new layer and whether a write was discarded
-    because its word would be longer than `k`; a discarded word is never
-    numbered.
+    found it and appended to the new layer.  With `edges`, every rule
+    successor, new or already seen, is also appended there as (node, label,
+    successor); loss successors are not recorded, since `Words` keeps the
+    one-loss relation both ways (`lost`, `gained`).  Returns the new layer
+    and whether a write was discarded because its word would be longer than
+    `k`; a discarded word is never numbered.
 
     A node's successors come in this order: Sender rules by id (in
     write-lossy mode each l-write is immediately followed by its
@@ -510,17 +532,21 @@ def step_layer(s, layer, mode, k, parents, edges=None):
                 if succ not in parents:
                     parents[succ] = node
                     new.append(succ)
-                if edges is not None:
-                    edges.append((node, LOSS, succ))
     return new, cut
 
 
 def step(s, node, mode, k=None):
     """`step_layer` on the one node `node`: its labelled successors, in the
-    same order, and whether a write was discarded for the bound."""
+    same order, and whether a write was discarded for the bound.  The rule
+    moves come from the layer's `edges`, and in lossy mode a `LOSS` move to
+    each of `Words.losses` of the node's l word follows them."""
     edges = []
     _, cut = step_layer(s, [node], mode, k, {}, edges)
-    return [(label, succ) for _, label, succ in edges], cut
+    out = [(label, succ) for _, label, succ in edges]
+    if mode == LOSSY:
+        c, u, v = node
+        out += [(LOSS, (c, u, w)) for w in s.words.losses(v)]
+    return out, cut
 
 
 def successors(s, c, mode=LOSSY):

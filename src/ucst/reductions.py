@@ -21,7 +21,6 @@ from .model import (
     ReachInstance,
     Rule,
     Ucst,
-    classify_tests,
     emptiness_test,
     nonemptiness_test,
 )
@@ -124,7 +123,7 @@ def elim_receiver_tests(inst):
     """Trade Receiver's emptiness/nonemptiness tests for reads of two fresh
     signal messages; initial constraints become their padded closures."""
     s = inst.system
-    report = classify_tests(s)
+    report = s.test_report
     if not report.within({"Z", "N"}):
         raise FragmentError("stage expects emptiness/nonemptiness tests only")
     _require_reserved_free(s.alphabet, ("z", "n"))
@@ -217,7 +216,7 @@ def elim_initial(inst):
     """Fresh Sender start that writes some admissible initial contents on r,
     then on l, then behaves as before; sound only without Receiver tests."""
     s = inst.system
-    if classify_tests(s).has_receiver_tests():
+    if s.test_report.has_receiver_tests():
         raise FragmentError("initial-constraint elimination needs a test-free Receiver")
     names = _Names(set(s.sender_states) | set(s.receiver_states))
     states = list(s.sender_states)
@@ -255,7 +254,7 @@ def elim_n1(inst):
     buffer, nonemptiness tests read off buffer occupancy, emptiness tests
     additionally require the buffer empty, and buffers flush at any time."""
     s = inst.system
-    report = classify_tests(s)
+    report = s.test_report
     if report.has_receiver_tests() or not report.within({"Z", "N"}):
         raise FragmentError("buffering stage expects Sender-only Z/N tests")
     if not (_is_eps_language(inst.U) and _is_eps_language(inst.V)):
@@ -325,7 +324,7 @@ def elim_final(inst):
     start; Receiver then cleans the markers and consumes words of the final
     constraints.  Emptiness tests are forbidden after the channel's marker."""
     s = inst.system
-    report = classify_tests(s)
+    report = s.test_report
     if not report.only_z1():
         raise FragmentError("final-constraint elimination expects Sender-only emptiness tests")
     if not (_is_eps_language(inst.U) and _is_eps_language(inst.V)):
@@ -404,36 +403,60 @@ def bounded_oracle(bound):
 
     The oracle explores a system's bounded graph forward once, from the
     start nodes (pair id, ε, l word id) of every control pair and l word up
-    to the bound, and answers every later target on the same system backward
-    over that graph.  Targets become start nodes by pair id: an exact
-    configuration is its own node, and a minimal element stands for the
-    starts of its pair whose l word lies above it; a target outside the
+    to the bound, enumerated by length and then in `symkey` order, and
+    answers every later target on the same system backward over that graph.
+    Targets become start nodes by pair id: an exact configuration is its
+    own node, and a minimal element stands for the starts of its pair whose
+    l word lies above it, found by walking the word table's `gained` lists
+    up from the element's word, which is looked up and never numbered (the
+    graph asked the losses of every start word).  A target outside the
     graph (a state not in the system, an l word longer than the bound) is
     reached from nothing.  It keeps the graph of the latest system only,
     keyed by identity, so systems must not change once asked about.
     """
     k = bound.max_channel_len
-    latest = [None]  # system, its pair ids by (p, q), its start words, graph
+    latest = [None]  # system, its pair ids by (p, q), its graph
 
     def oracle(s, target):
+        words = s.words
         if latest[0] is not s:
             pairs = {(p, q): s.pair(p, q)
                      for p in s.sender_states for q in s.receiver_states}
-            words = [s.words.id(v)
-                     for v in Nfa.all_words(s.alphabet).words_up_to(k)]
-            starts = [(c, 0, v) for c in pairs.values() for v in words]
-            latest[:] = s, pairs, words, bounded_graph(s, starts, bound, LOSSY)
-        _, pairs, words, graph = latest
+            letters = sorted(s.alphabet, key=symkey)
+            level, start_words = [0], [0]
+            for _ in range(k):
+                level = [words.push(v, a) for v in level for a in letters]
+                start_words += level
+            starts = [(c, 0, v) for c in pairs.values() for v in start_words]
+            latest[:] = s, pairs, bounded_graph(s, starts, bound, LOSSY)
+        _, pairs, graph = latest
         if isinstance(target, UpwardClosedSet):
-            word = s.words.word
             nodes = [(pairs[m.p, m.q], 0, v) for m in target.minimal
                      if (m.p, m.q) in pairs
-                     for v in words if subword(m.v, word[v])]
+                     for v in _words_above(words, m.v)]
         else:
             nodes = [s.node(c) for c in target
                      if (c.p, c.q) in pairs and len(c.v) <= k]
         return _minimal_r_empty(s, coreach_in(graph, nodes, bound))
     return oracle
+
+
+def _words_above(words, v):
+    """The ids reached from word `v`'s id along `gained` lists, none if `v`
+    is not numbered: once the losses of every word up to some length were
+    asked, they include every word up to that length above `v`."""
+    i = words.known(v)
+    if i is None:
+        return ()
+    gained = words.gained
+    seen = {i: None}
+    todo = [i]
+    for w in todo:
+        for j in gained[w]:
+            if j not in seen:
+                seen[j] = None
+                todo.append(j)
+    return seen
 
 
 def _minimal_r_empty(s, nodes):
@@ -482,7 +505,7 @@ def pre_star_z1l(s, target, oracle):
     The system may only carry Sender emptiness tests on l (losses make the
     result upward-closed for exactly this fragment).
     """
-    if not classify_tests(s).only_z1l():
+    if not s.test_report.only_z1l():
         raise FragmentError("backward saturation expects Sender l-emptiness tests only")
     if not isinstance(target, UpwardClosedSet) and any(c.u != () for c in target):
         raise InputError("target configurations must have empty r")
@@ -496,7 +519,7 @@ def decide_eereach_z1(inst, oracle):
     Raises `OracleInconclusive` when the union of stages has not stabilized
     after `SATURATION_ROUNDS` rounds."""
     s = inst.system
-    report = classify_tests(s)
+    report = s.test_report
     if not report.only_z1():
         raise FragmentError("decision procedure expects Sender-only emptiness tests")
     for nfa in inst.constraints():
@@ -542,7 +565,7 @@ def _rule_projections(s):
 def bridge_context(inst):
     """Per-letter projections of an empty-to-empty Sender-l-emptiness instance."""
     s = inst.system
-    if not classify_tests(s).only_z1l():
+    if not s.test_report.only_z1l():
         raise FragmentError("PEP bridge expects Sender l-emptiness tests only")
     for nfa in inst.constraints():
         if not _is_eps_language(nfa):
@@ -734,7 +757,7 @@ def _proxy_receiver(alphabet):
 # looked up by module name on each call, so a wrapper installed on the module
 # attribute (as perfbench's tracer does) sees them.
 STAGES = (
-    ("z1n1", lambda inst: classify_tests(inst.system).has_receiver_tests(),
+    ("z1n1", lambda inst: inst.system.test_report.has_receiver_tests(),
      lambda inst: elim_receiver_tests(inst),
      "channel bound +1 for the signal message plus one per traded "
      "nonemptiness test in a witness; reverse direction +0"),
@@ -744,7 +767,7 @@ STAGES = (
      "channel bound unchanged forward (initial words materialize in "
      "place); reverse direction needs the generated words to fit"),
     ("egz1", lambda inst: any(t.label == "N"
-                              for t in classify_tests(inst.system).tests),
+                              for t in inst.system.test_report.tests),
      lambda inst: elim_n1(inst),
      "channel bound unchanged forward (buffers hold letters back); "
      "reverse direction +1 per channel for the buffered letter"),
@@ -777,7 +800,7 @@ class PipelineTrace:
         lines = []
         for st in self.stages:
             s = st.instance.system
-            frag = sorted(classify_tests(s).fragment())
+            frag = sorted(s.test_report.fragment())
             lines.append(
                 f"{st.name}: |M|={len(s.alphabet)} |Q1|={len(s.sender_states)} "
                 f"|Q2|={len(s.receiver_states)} |D1|={s.n_sender_rules} "
@@ -795,7 +818,7 @@ def run_pipeline(inst, to="pep"):
     if to not in STAGE_ORDER:
         raise InputError(f"unknown pipeline target {to!r}")
     trace = PipelineTrace([PipelineStage("input", inst, "")])
-    if not classify_tests(inst.system).within({"Z", "N"}):
+    if not inst.system.test_report.within({"Z", "N"}):
         raise FragmentError("pipeline expects emptiness/nonemptiness tests only")
     cur = inst
     for name, has_feature, stage, note in STAGES:
@@ -804,7 +827,7 @@ def run_pipeline(inst, to="pep"):
             trace.stages.append(PipelineStage(name, cur, note))
         if name == to:
             return trace
-    if not classify_tests(cur.system).only_z1l():
+    if not cur.system.test_report.only_z1l():
         raise FragmentError(
             "pipeline endpoint needs Sender emptiness tests on l only; "
             "r-emptiness tests require the saturation procedure instead")

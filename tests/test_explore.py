@@ -22,6 +22,7 @@ from ucst.model import (
     LOSS,
     LOSSY,
     MODES,
+    RELIABLE,
     WRITE_LOSSY,
     Action,
     Configuration,
@@ -590,8 +591,9 @@ def per_node_layer(s, layer, mode, k, parents):
 class TestStepLayer:
     def test_layers_against_per_node_step(self):
         """Multi-node layers whose nodes share successors, with some
-        successors already known: the same new layer, first finders, cut and
-        edges as stepping each node on its own."""
+        successors already known: the same new layer, first finders and cut
+        as stepping each node on its own, and as edges the steps without
+        their losses."""
         seen = Counter()
         for rng, s in random_tested_systems(4711, 40):
             start = Configuration(s.sender_states[0], s.receiver_states[0], (), ())
@@ -619,7 +621,8 @@ class TestStepLayer:
                         assert got == want, (s, mode, k, layer)
                         assert list(parents.items()) == list(want_parents.items())
                         assert edges == [(node, label, succ) for node in layer
-                                         for label, succ in step(s, node, mode, k)[0]]
+                                         for label, succ in step(s, node, mode, k)[0]
+                                         if label != LOSS]
                         succs = [succ for _, _, succ in edges]
                         seen["shared"] += any(len(finders[succ].keys() & layer) > 1
                                               for succ in succs)
@@ -629,6 +632,50 @@ class TestStepLayer:
         assert min(seen["shared"], seen["known"], seen["new"]) >= 300, seen
         assert all(seen[mode, k, True] and seen[mode, k, False]
                    for mode in MODES for k in (2, 3)), seen
+
+
+def assert_gained_inverts_lost(words):
+    """`gained` is exactly the inverse of `lost` over the numbered words: j
+    is listed once in `gained[i]` iff the losses of j were asked and hold
+    i.  Returns the number of (j, i) pairs."""
+    pairs = [(j, i) for j, ws in enumerate(words.lost) for i in ws or ()]
+    back = [(j, i) for i, js in enumerate(words.gained) for j in js]
+    assert len(words.gained) == len(words.word)
+    assert sorted(back) == sorted(pairs)
+    assert len(set(back)) == len(back)
+    return len(pairs)
+
+
+class TestWordsGained:
+    def test_inverse_of_lost_after_explorations_in_every_mode(self, fig1):
+        pairs = 0
+        for rng, s in random_tested_systems(977, 20):
+            for mode in MODES:
+                start = Configuration(rng.choice(s.sender_states),
+                                      rng.choice(s.receiver_states), (), ())
+                reachable_nodes(s, [start], Bound(3, 0), mode)
+                pairs += assert_gained_inverts_lost(s.words)
+        s = fresh(fig1)
+        for mode in (RELIABLE, WRITE_LOSSY, LOSSY):
+            reachable_nodes(s, [Configuration("p1", "q1", (), ())], Bound(4, 0), mode)
+            fig_pairs = assert_gained_inverts_lost(s.words)
+            assert (fig_pairs > 0) == (mode == LOSSY)
+        assert pairs > 50 and fig_pairs > 40, (pairs, fig_pairs)
+
+    def test_inverse_of_lost_after_step_alone(self):
+        rng = random.Random(19)
+        pairs = 0
+        for _, s in random_tested_systems(443, 20):
+            words = [tuple(rng.choice(s.alphabet) for _ in range(rng.randint(0, 6)))
+                     for _ in range(8)]
+            for v in words:
+                node = s.node(Configuration(s.sender_states[0], s.receiver_states[0],
+                                            (), v))
+                out, _ = step(s, node, LOSSY)
+                assert [succ for label, succ in out if label == LOSS] == [
+                    (node[0], node[1], w) for w in s.words.lost[node[2]]]
+            pairs += assert_gained_inverts_lost(s.words)
+        assert pairs > 200
 
 
 class TestBoundedStep:
@@ -844,6 +891,9 @@ def tarjan_bounded_recurrent(s, p_in, q_in, p, q, bound, mode):
     adj = {n: [] for n in parents}
     for n, label, succ in edges:
         adj[n].append((label, succ))
+    if mode == LOSSY:  # the kernel records rule edges only
+        for c, u, v in parents:
+            adj[c, u, v] += [(LOSS, (c, u, w)) for w in s.words.losses(v)]
     for scc in tarjan_sccs(parents, adj):
         if len(scc) == 1 and all(succ != scc[0] for _, succ in adj[scc[0]]):
             continue

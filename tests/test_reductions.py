@@ -12,9 +12,11 @@ from ucst.explore import (
     bounded_graph,
     bounded_reach,
     coreach_in,
+    reachable_nodes,
 )
 from ucst.fileformat import parse_ucst, print_ucst
 from ucst.model import (
+    LOSS,
     LOSSY,
     MODES,
     L,
@@ -470,12 +472,13 @@ def config_level_oracle(bound):
             def is_target(c):
                 return c in goals
         words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
-        starts = [s.node(Configuration(p, q, (), v)) for v in words
+        starts = [Configuration(p, q, (), v) for v in words
                   for p in s.sender_states for q in s.receiver_states]
-        found, rev = bounded_graph(s, starts, bound, LOSSY)
+        graph = bounded_graph(s, [s.node(c) for c in starts], bound, LOSSY)
+        found = reachable_nodes(s, starts, Bound(bound.max_channel_len, 0))
         configs = {n: s.config(n) for n in found}
-        co = coreach_in((found, rev),
-                        [n for n, c in configs.items() if is_target(c)], bound)
+        co = coreach_in(graph, [n for n, c in configs.items() if is_target(c)],
+                        bound)
         return UpwardClosedSet.of(c for c in map(configs.get, co) if c.u == ())
     return oracle
 
@@ -497,38 +500,94 @@ def saturation_system(rng):
                         s.receiver_rules)
 
 
-class TestBoundedGraph:
-    @staticmethod
-    def per_node_reverse(s, found, mode, k):
-        """Reverse edges from the one-node `step` of every node found, in
-        discovery order."""
-        rev = {}
-        for node in found:
-            for _, succ in step(s, node, mode, k)[0]:
-                rev.setdefault(succ, []).append(node)
-        return rev
+def graph_cases(fig1, rng, k, n):
+    """(system, start nodes) pairs: a fresh copy of Figure 1 from its empty
+    configuration, and `n` `saturation_system`s from every r-empty node whose
+    l word fits `k`."""
+    fig = Ucst(fig1.alphabet, fig1.sender_states, fig1.receiver_states,
+               fig1.sender_rules, fig1.receiver_rules)
+    cases = [(fig, [fig.node(Configuration("p1", "q1", (), ()))])]
+    for _ in range(n):
+        s = saturation_system(rng)
+        words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(k)]
+        cases.append((s, [(s.pair(p, q), 0, v) for p in s.sender_states
+                          for q in s.receiver_states for v in words]))
+    return cases
 
+
+def labelled_coreach(s, starts, targets, bound, mode):
+    """Reference for `coreach_in`: the labelled-edge graph, every edge of the
+    one-node `step` of every node found forward (losses included), and a
+    backward breadth-first search over its reversed edges, at most
+    `bound.max_steps` steps deep (0 = no limit)."""
+    k = bound.max_channel_len
+    order, found = list(starts), set(starts)
+    edges = []
+    for node in order:  # grows while it is walked
+        for label, succ in step(s, node, mode, k)[0]:
+            edges.append((node, label, succ))
+            if succ not in found:
+                found.add(succ)
+                order.append(succ)
+    rev = {}
+    for n, _, succ in edges:
+        rev.setdefault(succ, []).append(n)
+    reached = {n for n in targets if n in found}
+    layer, depth = list(reached), 0
+    while layer and not (bound.max_steps and depth == bound.max_steps):
+        depth += 1
+        layer = [m for n in layer for m in rev.get(n, ()) if m not in reached
+                 and not reached.add(m)]
+    return reached
+
+
+class TestBoundedGraph:
     def test_reverse_edges_against_per_node_step(self, fig1):
-        """The reverse lists, their keys and each list's order, as stepping
-        every node found on its own gives them."""
-        rng = random.Random(29)
-        fig = Ucst(fig1.alphabet, fig1.sender_states, fig1.receiver_states,
-                   fig1.sender_rules, fig1.receiver_rules)
-        cases = [(fig, [fig.node(Configuration("p1", "q1", (), ()))], Bound(3, 0))]
-        for _ in range(6):
-            s = saturation_system(rng)
-            words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(3)]
-            cases.append((s, [(s.pair(p, q), 0, v) for p in s.sender_states
-                              for q in s.receiver_states for v in words],
-                          Bound(3, 0)))
-        edges = 0
-        for s, starts, bound in cases:
+        """The rule reverse lists, their keys and each list's order, as
+        stepping every node found on its own gives them; and each node's
+        loss predecessors from the word table's `gained` lists are exactly
+        the nodes found whose step has a LOSS edge to it."""
+        cases = graph_cases(fig1, random.Random(29), 3, 6)
+        edges = losses = 0
+        for s, starts in cases:
             for mode in MODES:
-                found, rev = bounded_graph(s, starts, bound, mode)
-                want = self.per_node_reverse(s, found, mode, bound.max_channel_len)
+                found, rev, gained = bounded_graph(s, starts, Bound(3, 0), mode)
+                want, lost = {}, {}
+                for node in found:
+                    for label, succ in step(s, node, mode, 3)[0]:
+                        into = lost if label == LOSS else want
+                        into.setdefault(succ, []).append(node)
                 assert list(rev.items()) == list(want.items()), (s, mode)
+                assert (gained is None) == (mode != LOSSY)
+                for c, u, w in found if gained else ():
+                    got = [(c, u, j) for j in gained[w] if (c, u, j) in found]
+                    assert sorted(got) == sorted(lost.pop((c, u, w), [])), (s, w)
+                    losses += len(got)
+                assert not lost, (s, mode)
                 edges += sum(map(len, rev.values()))
-        assert edges > 5000
+        assert edges > 3000 and losses > 1500, (edges, losses)
+
+    def test_coreach_against_labelled_edge_graph(self, fig1):
+        """`coreach_in` over the rule-edge graph and the word table answers
+        as a backward search over every labelled edge, losses included."""
+        rng = random.Random(31)
+        seen = Counter()
+        for bound in (Bound(3, 0), Bound(3, 1), Bound(3, 2), Bound(2, 3)):
+            for s, starts in graph_cases(fig1, rng, bound.max_channel_len, 4):
+                for mode in MODES:
+                    graph = bounded_graph(s, starts, bound, mode)
+                    nodes = list(graph[0])
+                    outside = (s.pair(s.sender_states[0], s.receiver_states[0]),
+                               s.words.id(("a",) * (bound.max_channel_len + 1)), 0)
+                    for _ in range(3):
+                        targets = rng.sample(nodes, min(len(nodes), rng.randint(1, 4)))
+                        targets.append(outside)
+                        got = coreach_in(graph, targets, bound)
+                        want = labelled_coreach(s, starts, targets, bound, mode)
+                        assert set(got) == want, (s, mode, bound, targets)
+                        assert len(got) == len(want)
+                        seen[mode, len(want) > len(targets)] += 1
+        assert all(seen[mode, True] >= 30 for mode in MODES), seen
 
 
 class TestBoundedOracle:
