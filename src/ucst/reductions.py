@@ -401,21 +401,31 @@ def bounded_oracle(bound):
     r-empty configuration whose l fits the channel bound.  Every
     configuration it gives reaches a target; a missing one is bound-relative.
 
-    The oracle explores a system's bounded graph forward once, from the
-    start nodes (pair id, ε, l word id) of every control pair and l word up
-    to the bound, enumerated by length and then in `symkey` order, and
-    answers every later target on the same system backward over that graph.
+    The oracle keeps one forward graph per system, grown as targets need
+    it.  Only a pair (p, q) whose p reaches p′ along Sender's moves and
+    whose q reaches q′ along Receiver's (channels ignored; Sender reads and
+    Receiver writes never fire) can reach a target of pair (p′, q′).  Each
+    query adds the pairs its targets need that the graph lacks, through
+    `bounded_graph`, with their start nodes (pair id, ε, l word id), one per
+    l word up to the bound, enumerated by length and then in `symkey`
+    order.  The graph expands only nodes of the pairs added so far and
+    parks the others until a later target needs their pair, so it holds
+    every node of the full graph from which the target can be reached, and
+    the target is answered backward over it.
+
     Targets become start nodes by pair id: an exact configuration is its
     own node, and a minimal element stands for the starts of its pair whose
     l word lies above it, found by walking the word table's `gained` lists
     up from the element's word, which is looked up and never numbered (the
-    graph asked the losses of every start word).  A target outside the
+    oracle asks the losses of every start word).  A target outside the
     graph (a state not in the system, an l word longer than the bound) is
     reached from nothing.  It keeps the graph of the latest system only,
     keyed by identity, so systems must not change once asked about.
     """
     k = bound.max_channel_len
-    latest = [None]  # system, its pair ids by (p, q), its graph
+    # system, its pair ids by (p, q), the states reaching each Sender and
+    # each Receiver state, start words, pair ids expanded, graph
+    latest = [None]
 
     def oracle(s, target):
         words = s.words
@@ -427,9 +437,13 @@ def bounded_oracle(bound):
             for _ in range(k):
                 level = [words.push(v, a) for v in level for a in letters]
                 start_words += level
-            starts = [(c, 0, v) for c in pairs.values() for v in start_words]
-            latest[:] = s, pairs, bounded_graph(s, starts, bound, LOSSY)
-        _, pairs, graph = latest
+            for v in start_words:
+                words.losses(v)
+            latest[:] = (s, pairs,
+                         _reaching(s.sender_states, s.sender_rules, "read"),
+                         _reaching(s.receiver_states, s.receiver_rules, "write"),
+                         start_words, set(), None)
+        _, pairs, senders, receivers, start_words, expanded, graph = latest
         if isinstance(target, UpwardClosedSet):
             nodes = [(pairs[m.p, m.q], 0, v) for m in target.minimal
                      if (m.p, m.q) in pairs
@@ -437,8 +451,34 @@ def bounded_oracle(bound):
         else:
             nodes = [s.node(c) for c in target
                      if (c.p, c.q) in pairs and len(c.v) <= k]
+        if not nodes:
+            return UpwardClosedSet()
+        new = {pairs[p, q] for goal in {s.pairs[n[0]] for n in nodes}
+               for p in senders[goal[0]] for q in receivers[goal[1]]}
+        new -= expanded
+        if new:
+            expanded |= new
+            graph = latest[-1] = bounded_graph(
+                s, [(c, 0, v) for c in new for v in start_words], bound,
+                LOSSY, expanded, graph)
         return _minimal_r_empty(s, coreach_in(graph, nodes, bound))
     return oracle
+
+
+def _reaching(states, rules, never):
+    """Each of `states` mapped to the set of states from which it can be
+    reached along `rules`, itself included, leaving out the rules whose
+    action is of kind `never`."""
+    reaching = {state: {state} for state in states}
+    moves = [(r.source, r.target) for r in rules if r.action.kind != never]
+    grew = True
+    while grew:
+        grew = False
+        for p, q in moves:
+            if not reaching[p] <= reaching[q]:
+                reaching[q] |= reaching[p]
+                grew = True
+    return reaching
 
 
 def _words_above(words, v):
@@ -461,31 +501,19 @@ def _words_above(words, v):
 
 def _minimal_r_empty(s, nodes):
     """The `UpwardClosedSet` of the r-empty nodes among `nodes`: per pair id,
-    an l word is kept when no proper subword of it is in its pair's group,
-    decided one loss at a time (`Words.losses`) and memoized per word, so
-    this holds for any set of nodes; only the kept nodes are decoded."""
+    an l word is kept when none of its one-loss words (`Words.losses`) is in
+    its pair's group, and the kept words, decoded, pass through
+    `UpwardClosedSet.of`.  Every minimal word is kept, so this holds for any
+    set of nodes; when the group is upward-closed within the bound (a
+    co-reach with no step bound), the kept words are the minimal ones."""
     losses, word = s.words.losses, s.words.word
     groups = {}
     for c, u, v in nodes:
         if u == 0:
             groups.setdefault(c, set()).add(v)
-    mins = []
-    for c, group in groups.items():
-        covered = {}  # word id -> some proper subword of it is in the group
-
-        def is_covered(v):
-            hit = covered.get(v)
-            if hit is None:
-                ws = losses(v)
-                hit = covered[v] = (not group.isdisjoint(ws)
-                                    or any(map(is_covered, ws)))
-            return hit
-
-        mins += [Configuration(*s.pairs[c], (), word[v])
-                 for v in group if not is_covered(v)]
-    # an antichain already: sorting gives it the order `UpwardClosedSet.of`
-    # would
-    return UpwardClosedSet(tuple(sorted(mins, key=_config_key)))
+    return UpwardClosedSet.of(Configuration(*s.pairs[c], (), word[v])
+                              for c, group in groups.items() for v in group
+                              if group.isdisjoint(losses(v)))
 
 
 def pre_star_z1l(s, target, oracle):
@@ -498,9 +526,9 @@ def pre_star_z1l(s, target, oracle):
     configurations from which the target is reachable; the oracle is handed
     the target itself, not a predicate, so that it can read its structure
     (a control pair and an l word per element).  `bounded_oracle` answers
-    within a channel and step bound, exploring each system's bounded graph
-    once and answering every target over it (so `s` must not change between
-    calls); an exact oracle plugs in here unchanged.
+    within a channel and step bound over one forward graph per system,
+    grown by the control pairs each target can be reached from (so `s` must
+    not change between calls); an exact oracle plugs in here unchanged.
 
     The system may only carry Sender emptiness tests on l (losses make the
     result upward-closed for exactly this fragment).

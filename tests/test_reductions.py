@@ -457,6 +457,56 @@ def forward_pre_star(s, target, bound, starts):
     return UpwardClosedSet.of(hits)
 
 
+def full_graph_oracle(bound):
+    """Reference for `bounded_oracle`: the form it had before it grew its
+    graph by control pairs.  One graph per system, from every control pair
+    times every l word up to the bound, every node expanded; a minimal
+    element stands for the starts whose configuration it lies below; and
+    the minimal elements come from a recursive search, one loss at a time,
+    that holds for any set of nodes."""
+    k = bound.max_channel_len
+    latest = [None]  # system, its start nodes, its graph
+
+    def oracle(s, target):
+        if latest[0] is not s:
+            starts = r_empty_nodes(s, k)
+            latest[:] = s, starts, bounded_graph(s, starts, bound, LOSSY)
+        _, starts, graph = latest
+        if isinstance(target, UpwardClosedSet):
+            nodes = [n for n in starts if target.contains(s.config(n))]
+        else:
+            nodes = [s.node(c) for c in target if c.p in s.sender_states
+                     and c.q in s.receiver_states and len(c.v) <= k]
+        return recursive_minimal_r_empty(s, coreach_in(graph, nodes, bound))
+    return oracle
+
+
+def recursive_minimal_r_empty(s, nodes):
+    """The `UpwardClosedSet` of the r-empty nodes among `nodes`: per pair
+    id, a word is kept when no proper subword of it is in its pair's group,
+    decided one loss at a time and memoized per word."""
+    losses, word = s.words.losses, s.words.word
+    groups = {}
+    for c, u, v in nodes:
+        if u == 0:
+            groups.setdefault(c, set()).add(v)
+    mins = []
+    for c, group in groups.items():
+        covered = {}  # word id -> some proper subword of it is in the group
+
+        def is_covered(v):
+            hit = covered.get(v)
+            if hit is None:
+                ws = losses(v)
+                hit = covered[v] = (not group.isdisjoint(ws)
+                                    or any(map(is_covered, ws)))
+            return hit
+
+        mins += [Configuration(*s.pairs[c], (), word[v])
+                 for v in group if not is_covered(v)]
+    return UpwardClosedSet(tuple(sorted(mins, key=_config_key)))
+
+
 def config_level_oracle(bound):
     """Reference for `bounded_oracle`: the configuration-level form it
     replaced.  Every node of the bounded graph is decoded, the target is a
@@ -500,6 +550,33 @@ def saturation_system(rng):
                         s.receiver_rules)
 
 
+def pinned_saturation_instances(rng, n):
+    """`n` empty-to-empty instances shaped like the benchmark's saturation
+    cases: an acyclic Sender with emptiness tests on both channels, at
+    least one on r, from (p0, q0) to a later Sender state."""
+    insts = []
+    while len(insts) < n:
+        s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                        n_sender_rules=4, n_receiver_rules=2,
+                        sender_tests=(("Z", "l"), ("Z", "r")),
+                        test_weight=0.45, forward_sender=True)
+        if not any(t.channel == R for t in classify_tests(s).tests):
+            continue
+        m = s.alphabet
+        insts.append(ReachInstance(s, "p0", rng.choice(s.sender_states[1:]),
+                                   "q0", rng.choice(s.receiver_states),
+                                   eps(m), eps(m), eps(m), eps(m)))
+    return insts
+
+
+def r_empty_nodes(s, k):
+    """Every r-empty node of `s` whose l word fits `k`: every control pair
+    times every l word of at most `k` letters."""
+    words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(k)]
+    return [(s.pair(p, q), 0, v) for p in s.sender_states
+            for q in s.receiver_states for v in words]
+
+
 def graph_cases(fig1, rng, k, n):
     """(system, start nodes) pairs: a fresh copy of Figure 1 from its empty
     configuration, and `n` `saturation_system`s from every r-empty node whose
@@ -509,9 +586,7 @@ def graph_cases(fig1, rng, k, n):
     cases = [(fig, [fig.node(Configuration("p1", "q1", (), ()))])]
     for _ in range(n):
         s = saturation_system(rng)
-        words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(k)]
-        cases.append((s, [(s.pair(p, q), 0, v) for p in s.sender_states
-                          for q in s.receiver_states for v in words]))
+        cases.append((s, r_empty_nodes(s, k)))
     return cases
 
 
@@ -551,7 +626,9 @@ class TestBoundedGraph:
         edges = losses = 0
         for s, starts in cases:
             for mode in MODES:
-                found, rev, gained = bounded_graph(s, starts, Bound(3, 0), mode)
+                found, rev, gained, parked = bounded_graph(s, starts,
+                                                           Bound(3, 0), mode)
+                assert parked == {}  # every node found was expanded
                 want, lost = {}, {}
                 for node in found:
                     for label, succ in step(s, node, mode, 3)[0]:
@@ -669,6 +746,61 @@ class TestBoundedOracle:
                                                     oracle)
         assert fig6.pairs == pairs  # no pair was numbered for them
 
+    def test_query_sequences_match_the_full_graph_oracle(self, monkeypatch):
+        """Three to five queries in a row on one oracle, exact and upward
+        targets mixed: each answer equals that of a fresh full-graph oracle,
+        while the oracle's one graph grows by the pairs each query needs."""
+        build = reductions.bounded_graph
+        grown = []  # per later growth of a graph, the pairs it expands
+
+        def counting_build(s, starts, bound, mode, pairs, graph):
+            if graph is not None:
+                grown.append(len(pairs))
+            return build(s, starts, bound, mode, pairs, graph)
+
+        monkeypatch.setattr(reductions, "bounded_graph", counting_build)
+        rng = random.Random(211)
+        answers = Counter()
+        for _ in range(8):
+            s = saturation_system(rng)
+            for bound in (Bound(4, 0), Bound(3, 2), Bound(2, 3)):
+                oracle = bounded_oracle(bound)
+                for _ in range(rng.randint(3, 5)):
+                    target = self.random_targets(rng, s, 2)
+                    if rng.random() < 0.5:
+                        target = UpwardClosedSet.of(target)
+                    got = pre_star_z1l(s, target, oracle)
+                    want = pre_star_z1l(s, target, full_graph_oracle(bound))
+                    assert got == want, (s, target, bound)
+                    asked = getattr(target, "minimal", target)
+                    answers[asked is not target,
+                            any(c not in asked for c in got.minimal)] += 1
+        assert all(answers[upward, True] >= 15 for upward in (False, True)), \
+            answers
+        # a saturation system has 3 × 2 control pairs
+        assert len(grown) >= 20 and min(grown) < 6, grown
+
+    def test_second_target_reached_through_a_parked_node(self):
+        """The first target, (p2, q0), needs the pairs (p0, q0) and (p2,
+        q0) only, so the r-write that takes (p0, q0) into (p1, q0) finds a
+        node that stays parked.  The second target, (p1, q1), is reached
+        from (p0, q0) only through that node, read by Receiver."""
+        m = ("a",)
+        s = Ucst(m, ("p0", "p1", "p2"), ("q0", "q1"),
+                 [Rule("p0", "r", Action.write("a"), "p1"),
+                  Rule("p0", "l", Action.write("a"), "p2")],
+                 [Rule("q0", "r", Action.read("a"), "q1")])
+        start = Configuration("p0", "q0", (), ())
+        first = [Configuration("p2", "q0", (), ())]
+        second = [Configuration("p1", "q1", (), ())]
+        for bound in (Bound(2, 0), Bound(2, 2)):
+            oracle = bounded_oracle(bound)
+            got = pre_star_z1l(s, first, oracle)
+            assert got.minimal == (start, first[0])
+            got = pre_star_z1l(s, second, oracle)
+            assert got.minimal == (start, second[0])
+            assert got == pre_star_z1l(s, second, full_graph_oracle(bound))
+
     def test_agrees_with_configuration_level_oracle(self, bounded_space):
         # saturation-shaped systems: every answer equals the decoded
         # predicate oracle's and one forward search per start
@@ -770,13 +902,17 @@ Vp: EPS
         assert checked >= 4
 
     def test_explores_each_system_forward_once(self, monkeypatch):
+        """All graph work is on the stripped system, in one graph that every
+        later query grows: each node is expanded at most once over all of
+        its queries, and fewer nodes in all than the full graph holds."""
         build = reductions.bounded_graph
         step_layer = explore.step_layer
         builds, expanded = [], Counter()
 
         def counting_build(s, *args):
-            builds.append(s)
-            return build(s, *args)
+            graph = build(s, *args)
+            builds.append((s, args[-1], graph))
+            return graph
 
         def counting_step_layer(s, layer, *args):
             for node in layer:
@@ -786,7 +922,8 @@ Vp: EPS
         monkeypatch.setattr(reductions, "bounded_graph", counting_build)
         monkeypatch.setattr(explore, "step_layer", counting_step_layer)
         rng = random.Random(71)
-        rounds = []
+        bound = Bound(4, 0)
+        rounds, sizes = [], []
         for _ in range(12):
             s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
                             n_sender_rules=4, n_receiver_rules=2,
@@ -795,7 +932,7 @@ Vp: EPS
             inst = random_instance(rng, s, empty_initial=True, empty_final=True)
             if not any(t.channel == "r" for t in classify_tests(s).tests):
                 continue
-            oracle = bounded_oracle(Bound(4, 0))
+            oracle = bounded_oracle(bound)
             asked = []
 
             def counting_oracle(s, target):
@@ -807,10 +944,45 @@ Vp: EPS
             decide_eereach_z1(inst, counting_oracle)
             stripped = asked[0]
             assert stripped is not s and set(asked) == {stripped}
-            assert builds == [stripped]
+            graph = builds[0][2]
+            assert builds[0][:2] == (stripped, None)
+            assert all(b is stripped and given is graph and got is graph
+                       for b, given, got in builds[1:])
             assert set(expanded.values()) == {1}
+            assert {key[0] for key in expanded} == {stripped}
             rounds.append(len(asked))
+            ours = len(expanded)
+            full = Ucst(s.alphabet, s.sender_states, s.receiver_states,
+                        stripped.sender_rules, s.receiver_rules)
+            whole = bounded_graph(full, r_empty_nodes(full, 4), bound)[0]
+            sizes.append((ours, len(whole)))
         assert max(rounds) >= 3 and sum(rounds) >= 12
+        assert all(ours <= whole for ours, whole in sizes), sizes
+        assert sum(ours for ours, _ in sizes) < sum(w for _, w in sizes), sizes
+
+    # sha256 of the `repr` of every oracle answer that `decide_eereach_z1`
+    # asks over `pinned_saturation_instances`, at each bound of
+    # `test_oracle_answers_are_pinned`, in that order
+    ORACLE_ANSWERS_SHA256 = (
+        "a3129988e73387950557833879cadee02d9997ab043553a2660c56df188154d1")
+
+    def test_oracle_answers_are_pinned(self):
+        """Every `pre_star_z1l` answer of 40 seeded saturation-shaped
+        instances, each decided at `Bound(4, 0)` and `Bound(3, 2)` with a
+        fresh oracle, hashed together: a change to the oracle keeps this
+        digest unless it means to change answers."""
+        answers = []
+        for bound in (Bound(4, 0), Bound(3, 2)):
+            for inst in pinned_saturation_instances(random.Random(19), 40):
+                def recording(s, target, oracle=bounded_oracle(bound)):
+                    answer = oracle(s, target)
+                    answers.append(repr(answer))
+                    return answer
+
+                decide_eereach_z1(inst, recording)
+        digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+        assert len(answers) >= 120
+        assert digest == self.ORACLE_ANSWERS_SHA256
 
     def test_receiver_test_fallback_is_sound(self):
         # Receiver Z/N tests leave Sender r-emptiness tests after the
