@@ -228,8 +228,9 @@ def bounded_graph(s, starts, bound, mode=LOSSY, pairs=None, graph=None):
     nodes of `pairs` are expanded, and any other node found is parked under
     its pair id.  The starts must then be nodes of `pairs` that the graph
     has not expanded, closed under loss (a loss successor of a start is a
-    start); in lossy mode they are stepped by their rule moves only, and
-    their l words' losses are asked, so that `gained` holds them.  Given
+    start); in lossy mode they are stepped by their rule moves only, so the
+    caller must have asked the losses of every start's l word (as
+    `Words.up_to` does) for `gained` to hold them.  Given
     the `graph` of an earlier call on `s` with the same bound and mode,
     this grows it in place and returns it: the nodes parked under `pairs`
     are expanded with the new starts, so no node is expanded twice.
@@ -258,8 +259,6 @@ def bounded_graph(s, starts, bound, mode=LOSSY, pairs=None, graph=None):
         layer = [n for n in layer if n not in found]
         found.update(dict.fromkeys(layer))
         if gained is not None:
-            for v in {v for _, _, v in layer}:
-                s.words.losses(v)
             layer, _ = step_layer(s, layer, RELIABLE, k, found, edges)
         layer = [n for c in pairs for n in parked.pop(c, ())] + layer
     _bfs(layer, expand, parents=found)

@@ -164,7 +164,9 @@ class Words:
     loss makes of word `i`, and `gained[i]` the words `j` whose losses were
     asked and hold `i`.  Both are filled when a word's losses are first
     asked, so a search that asked the losses of every word it met reads its
-    loss predecessors in `gained`.
+    loss predecessors in `gained`.  `up_to` fills all of this for every
+    word up to a length in one pass, with the ids, `lost` tuples and
+    `gained` lists that `push` and `losses` would give.
     """
 
     def __init__(self):
@@ -224,6 +226,48 @@ class Words:
             gained = self.gained
             for j in out:
                 gained[j].append(i)
+        return out
+
+    def up_to(self, k, letters):
+        """Ids of every word over `letters` up to length `k`, by length and
+        then in `letters` order, numbering the new ones; every word shorter
+        than `k` gets its pushes by `letters`, and every word its losses.
+
+        One level at a time: word x·a has tail tail(x)·a, and its losses
+        are x's losses pushed by `a`, then x, duplicates dropped (deleted
+        positions in order).  What the table holds already is kept, so the
+        ids, `lost` tuples and `gained` lists are those of pushing level by
+        level and then asking each word's losses in that order."""
+        ids, word, tail = self._ids, self.word, self.tail
+        pushed, lost, gained = self.pushed, self.lost, self.gained
+        level, out = [0], [0]
+        for n in range(1, k + 1):
+            nxt = []
+            for x in level:
+                row, wx, tx = pushed[x], word[x], tail[x]
+                for a in letters:
+                    i = row.get(a)
+                    if i is None:
+                        w = wx + (a,)
+                        i = ids.get(w)
+                        if i is None:
+                            i = ids[w] = len(word)
+                            word.append(w)
+                            self.length.append(n)
+                            self.head.append(w[0])
+                            tail.append(0 if tx is None else pushed[tx][a])
+                            pushed.append({})
+                            lost.append(None)
+                            gained.append([])
+                        row[a] = i
+                    if lost[i] is None:
+                        ws = lost[i] = tuple(dict.fromkeys(
+                            [pushed[y][a] for y in lost[x]] + [x]))
+                        for j in ws:
+                            gained[j].append(i)
+                    nxt.append(i)
+            out += nxt
+            level = nxt
         return out
 
 

@@ -77,6 +77,9 @@ def config_below(c, d):
     return c.p == d.p and c.q == d.q and subword(c.v, d.v)
 
 
+_R_EMPTY_ONLY = "upward-closed sets live in the r-empty slice"
+
+
 @dataclass(frozen=True)
 class UpwardClosedSet:
     """Finite antichain of minimal configurations, all with empty r.
@@ -90,7 +93,7 @@ class UpwardClosedSet:
         pairs = {}
         for c in self.minimal:
             if c.u != ():
-                raise InputError("upward-closed sets live in the r-empty slice")
+                raise InputError(_R_EMPTY_ONLY)
             vs = pairs.setdefault((c.p, c.q), [])
             if any(subword(v, c.v) or subword(c.v, v) for v in vs):
                 raise InputError("minimal elements must form an antichain")
@@ -99,13 +102,20 @@ class UpwardClosedSet:
     @staticmethod
     def of(configs):
         # in `_config_key` order nothing lies strictly below an earlier
-        # element, and each control pair's elements are contiguous
+        # element, and each control pair's elements are contiguous; what is
+        # kept is an antichain by construction, so the constructor's
+        # pairwise check is skipped and only r is checked
         mins = {}
         for c in sorted(configs, key=_config_key):
             kept = mins.setdefault((c.p, c.q), [])
             if not any(subword(m.v, c.v) for m in kept):
+                if c.u != ():
+                    raise InputError(_R_EMPTY_ONLY)
                 kept.append(c)
-        return UpwardClosedSet(tuple(c for kept in mins.values() for c in kept))
+        out = object.__new__(UpwardClosedSet)
+        object.__setattr__(out, "minimal",
+                           tuple(c for kept in mins.values() for c in kept))
+        return out
 
     def contains(self, c):
         return any(config_below(m, c) for m in self.minimal)
@@ -408,7 +418,8 @@ def bounded_oracle(bound):
     query adds the pairs its targets need that the graph lacks, through
     `bounded_graph`, with their start nodes (pair id, ε, l word id), one per
     l word up to the bound, enumerated by length and then in `symkey`
-    order.  The graph expands only nodes of the pairs added so far and
+    order.  `Words.up_to` numbers these words, with their losses, once per
+    system.  The graph expands only nodes of the pairs added so far and
     parks the others until a later target needs their pair, so it holds
     every node of the full graph from which the target can be reached, and
     the target is answered backward over it.
@@ -432,17 +443,11 @@ def bounded_oracle(bound):
         if latest[0] is not s:
             pairs = {(p, q): s.pair(p, q)
                      for p in s.sender_states for q in s.receiver_states}
-            letters = sorted(s.alphabet, key=symkey)
-            level, start_words = [0], [0]
-            for _ in range(k):
-                level = [words.push(v, a) for v in level for a in letters]
-                start_words += level
-            for v in start_words:
-                words.losses(v)
             latest[:] = (s, pairs,
                          _reaching(s.sender_states, s.sender_rules, "read"),
                          _reaching(s.receiver_states, s.receiver_rules, "write"),
-                         start_words, set(), None)
+                         words.up_to(k, sorted(s.alphabet, key=symkey)),
+                         set(), None)
         _, pairs, senders, receivers, start_words, expanded, graph = latest
         if isinstance(target, UpwardClosedSet):
             nodes = [(pairs[m.p, m.q], 0, v) for m in target.minimal
@@ -544,8 +549,10 @@ def decide_eereach_z1(inst, oracle):
     """Empty-to-empty reachability for Sender-emptiness-test systems, by
     iterated backward saturation over the runs between r-emptiness tests.
 
-    Raises `OracleInconclusive` when the union of stages has not stabilized
-    after `SATURATION_ROUNDS` rounds."""
+    The union of stages only grows, and every configuration in it reaches
+    the goal, so the answer is True as soon as it holds the start, and no
+    further query is asked.  Raises `OracleInconclusive` when it neither
+    holds the start nor has stabilized after `SATURATION_ROUNDS` rounds."""
     s = inst.system
     report = s.test_report
     if not report.only_z1():
@@ -557,22 +564,25 @@ def decide_eereach_z1(inst, oracle):
     stripped = Ucst(s.alphabet, s.sender_states, s.receiver_states,
                     [r for r in s.sender_rules if r not in zr_rules],
                     s.receiver_rules)
+    start = Configuration(inst.p_in, inst.q_in, (), ())
     goal = Configuration(inst.p_fi, inst.q_fi, (), ())
     reached = pre_star_z1l(stripped, [goal], oracle)
     for _ in range(SATURATION_ROUNDS):
+        if reached.contains(start):
+            return True
         hops = [Configuration(rule.source, c.q, (), c.v)
                 for rule in zr_rules for c in reached.minimal
                 if c.p == rule.target]
         if not hops:
-            break
+            return False
         nxt = reached.union(
             pre_star_z1l(stripped, UpwardClosedSet.of(hops), oracle))
         if nxt == reached:
-            break
+            return False
         reached = nxt
-    else:
-        raise OracleInconclusive("saturation did not stabilize within its round budget")
-    return reached.contains(Configuration(inst.p_in, inst.q_in, (), ()))
+    if reached.contains(start):
+        return True
+    raise OracleInconclusive("saturation did not stabilize within its round budget")
 
 
 # -- bridges to and from the Post embedding problem --------------------------------

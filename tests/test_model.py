@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from ucst.model import (
     Rule,
     Run,
     Ucst,
+    Words,
     classify_tests,
     commute,
     commute_case,
@@ -508,6 +510,72 @@ class TestToHeadLossy:
             assert validate_run(s, fixed)
             assert is_head_lossy(fixed)
             assert fixed.start == run.start and fixed.end == run.end
+
+
+def push_losses_up_to(words, k, letters):
+    """`Words.up_to` as the saturation oracle wrote it before: push level
+    by level, then ask each word's losses in that order."""
+    level, out = [0], [0]
+    for _ in range(k):
+        level = [words.push(v, a) for v in level for a in letters]
+        out += level
+    for v in out:
+        words.losses(v)
+    return out
+
+
+def table_state(words):
+    return (words._ids, words.word, words.length, words.head, words.tail,
+            words.pushed, words.lost, words.gained)
+
+
+class TestWordsUpTo:
+    CASES = [(k, n) for k in range(5) for n in (1, 2, 3)]
+
+    @staticmethod
+    def letters(rng, n):
+        letters = ["a", "b", "c"][:n]
+        rng.shuffle(letters)  # `up_to` follows the order it is given
+        return letters
+
+    def test_fresh_table_matches_push_losses_loop(self):
+        rng = random.Random(41)
+        for k, n in self.CASES:
+            letters = self.letters(rng, n)
+            ours, ref = Words(), Words()
+            got = ours.up_to(k, letters)
+            assert got == push_losses_up_to(ref, k, letters), (k, letters)
+            assert table_state(ours) == table_state(ref), (k, letters)
+            assert len(got) == sum(n ** i for i in range(k + 1))
+
+    def test_partly_filled_table_matches_push_losses_loop(self):
+        """Tables first filled by seeded random `id`, `push` and `losses`
+        calls, over a letter `up_to` is not given too and with words longer
+        than `k`: what the table held is kept, and the words, heads, tails,
+        pushes, `lost` tuples (in order) and `gained` lists come out as the
+        loop leaves them."""
+        rng = random.Random(43)
+        kept = 0
+        for _ in range(20):
+            for k, n in self.CASES:
+                letters = self.letters(rng, n)
+                ours = Words()
+                for _ in range(rng.randint(0, 12)):
+                    pool = letters + ["z"]
+                    i = ours.id(tuple(rng.choice(pool)
+                                      for _ in range(rng.randint(0, k + 2))))
+                    call = rng.random()
+                    if call < 0.4:
+                        ours.push(i, rng.choice(pool))
+                    elif call < 0.8:
+                        ours.losses(i)
+                ref = copy.deepcopy(ours)
+                before = len(ours.word)
+                got = ours.up_to(k, letters)
+                assert got == push_losses_up_to(ref, k, letters), (k, letters)
+                assert table_state(ours) == table_state(ref), (k, letters)
+                kept += sum(i < before for i in got)
+        assert kept >= 1000, kept
 
 
 class TestModelValidation:

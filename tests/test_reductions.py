@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from ucst import explore, reductions
-from ucst.errors import FragmentError, InputError
+from ucst.errors import FragmentError, InputError, OracleInconclusive
 from ucst.explore import (
     UNREACHABLE,
     Bound,
@@ -829,23 +829,60 @@ class TestDecideEeReach:
         oracle = bounded_oracle(Bound(3, 2000))
         assert decide_eereach_z1(fig6_instance, oracle)
 
-    def test_r_test_gated_path(self):
+    @staticmethod
+    def gated_instance():
+        """Sender writes a on r and passes a gate that opens on r empty;
+        Receiver reads the a: from (p0, q0) to (p2, q1)."""
         m = ("a",)
-        srules = [Rule("p0", "r", Action.write("a"), "p1"),
-                  Rule("p1", "r", Action.test(emptiness_test(m)), "p2")]
-        rrules = [Rule("q0", "r", Action.read("a"), "q1")]
-        s = Ucst(m, ("p0", "p1", "p2"), ("q0", "q1"), srules, rrules)
-        inst = ReachInstance(s, "p0", "p2", "q0", "q1",
+        s = Ucst(m, ("p0", "p1", "p2"), ("q0", "q1"),
+                 [Rule("p0", "r", Action.write("a"), "p1"),
+                  Rule("p1", "r", Action.test(emptiness_test(m)), "p2")],
+                 [Rule("q0", "r", Action.read("a"), "q1")])
+        return ReachInstance(s, "p0", "p2", "q0", "q1",
                              eps(m), eps(m), eps(m), eps(m))
+
+    def test_r_test_gated_path(self):
+        inst = self.gated_instance()
         oracle = bounded_oracle(Bound(3, 500))
         assert decide_eereach_z1(inst, oracle)
         assert bounded_reach(inst, Bound(3, 500), LOSSY).reachable
         # starve the Receiver: r can never be drained, so the gate never opens
-        s2 = Ucst(m, ("p0", "p1", "p2"), ("q0", "q1"), srules, [])
-        inst2 = ReachInstance(s2, "p0", "p2", "q0", "q0",
-                              eps(m), eps(m), eps(m), eps(m))
+        s = inst.system
+        s2 = Ucst(s.alphabet, s.sender_states, s.receiver_states,
+                  s.sender_rules, [])
+        inst2 = ReachInstance(s2, "p0", "p2", "q0", "q0", *inst.constraints())
         assert not decide_eereach_z1(inst2, oracle)
         assert not bounded_reach(inst2, Bound(3, 500), LOSSY).reachable
+
+    def test_stops_once_the_start_is_covered(self):
+        # the answer also holds the gate's target, so saturating on to the
+        # fixpoint would hop back through the gate and ask again
+        start = Configuration("p0", "q0", (), ())
+        answer = UpwardClosedSet.of([start, Configuration("p2", "q1", (), ())])
+        asked = []
+
+        def oracle(s, target):
+            asked.append(target)
+            return answer
+
+        assert decide_eereach_z1(self.gated_instance(), oracle)
+        assert asked == [[Configuration("p2", "q1", (), ())]]
+
+    def test_inconclusive_when_neither_covered_nor_stable(self):
+        # each answer lies strictly below the one before, at the gate's
+        # target pair: the union grows every round, always has a hop back
+        # through the gate, and never covers the start
+        rounds = reductions.SATURATION_ROUNDS
+        asked = []
+
+        def oracle(s, target):
+            asked.append(target)
+            word = ("a",) * (rounds + 1 - len(asked))
+            return UpwardClosedSet.of([Configuration("p2", "q1", (), word)])
+
+        with pytest.raises(OracleInconclusive):
+            decide_eereach_z1(self.gated_instance(), oracle)
+        assert len(asked) == rounds + 1
 
     def test_identical_r_tests_parsed_from_text(self):
         # equal rule texts share one automaton, so the two gates are equal
@@ -904,7 +941,10 @@ Vp: EPS
     def test_explores_each_system_forward_once(self, monkeypatch):
         """All graph work is on the stripped system, in one graph that every
         later query grows: each node is expanded at most once over all of
-        its queries, and fewer nodes in all than the full graph holds."""
+        its queries, and fewer nodes in all than the full graph holds.  The
+        first answer covers the start of most systems, which then ask one
+        query only, so the battery is large enough to hold systems that
+        ask three."""
         build = reductions.bounded_graph
         step_layer = explore.step_layer
         builds, expanded = [], Counter()
@@ -924,7 +964,7 @@ Vp: EPS
         rng = random.Random(71)
         bound = Bound(4, 0)
         rounds, sizes = [], []
-        for _ in range(12):
+        for _ in range(60):
             s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
                             n_sender_rules=4, n_receiver_rules=2,
                             sender_tests=(("Z", "l"), ("Z", "r")),
@@ -962,9 +1002,11 @@ Vp: EPS
 
     # sha256 of the `repr` of every oracle answer that `decide_eereach_z1`
     # asks over `pinned_saturation_instances`, at each bound of
-    # `test_oracle_answers_are_pinned`, in that order
+    # `test_oracle_answers_are_pinned`, in that order; per instance, these
+    # answers are a prefix of those asked when saturation ran to its
+    # fixpoint even after reaching the start
     ORACLE_ANSWERS_SHA256 = (
-        "a3129988e73387950557833879cadee02d9997ab043553a2660c56df188154d1")
+        "4ebc6e3c1df697b7a8c25abcc7dd71420f2a33fa644b7d744c2e43b58c6c091f")
 
     def test_oracle_answers_are_pinned(self):
         """Every `pre_star_z1l` answer of 40 seeded saturation-shaped
