@@ -36,12 +36,10 @@ from .model import (
     MODES,
     RELIABLE,
     Configuration,
-    ReachInstance,
     Run,
     step,
     step_layer,
 )
-from .regdata import Nfa
 
 REACHABLE = "reachable"
 NOT_WITHIN_BOUND = "not-within-bound"
@@ -325,49 +323,3 @@ def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):
         return LassoWitness(_run(s, _path(parents, anchor), mode, k), cycle)
     return None
 
-
-def ucs_recurrent_decide(s, p_in, q_in, p, q, reach_oracle):
-    """Exact recurrent-reachability decision for test-free systems.
-
-    True iff some configuration with control pair (p, q) is reachable
-    (answered by `reach_oracle(s, p_in, q_in, p, q)`) and either p lies on a
-    cycle of Sender's rule graph or q lies on a Receiver cycle built from
-    rules that consume nothing.
-    """
-    if any(r.action.kind == "test" for r in s.rules):
-        raise InputError("recurrent decision procedure requires a test-free system")
-    if not reach_oracle(s, p_in, q_in, p, q):
-        return False
-    if _on_cycle(p, [(r.source, r.target) for r in s.sender_rules]):
-        return True
-    nop_edges = [(r.source, r.target) for r in s.receiver_rules
-                 if r.action.kind == "nop"]
-    return _on_cycle(q, nop_edges)
-
-
-def _on_cycle(state, edges):
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-    seen = set()
-    frontier = list(adj.get(state, ()))
-    while frontier:
-        cur = frontier.pop()
-        if cur == state:
-            return True
-        if cur in seen:
-            continue
-        seen.add(cur)
-        frontier.extend(adj.get(cur, ()))
-    return False
-
-
-def control_pair_oracle(bound, mode=LOSSY):
-    """Bounded realization of "some (p, q, ., .) is reachable"."""
-    def oracle(s, p_in, q_in, p, q):
-        anyw = Nfa.all_words(s.alphabet)
-        eps = Nfa.literal((), s.alphabet)
-        inst = ReachInstance(s, p_in, p, q_in, q, eps, eps, anyw, anyw)
-        return bounded_reach(inst, bound, mode).reachable
-
-    return oracle

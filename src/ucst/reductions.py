@@ -432,6 +432,9 @@ def bounded_oracle(bound):
     graph (a state not in the system, an l word longer than the bound) is
     reached from nothing.  It keeps the graph of the latest system only,
     keyed by identity, so systems must not change once asked about.
+
+    `decide_eereach_z1` hands it systems already trimmed to their
+    start-to-goal states, so its control pairs are the trimmed pairs.
     """
     k = bound.max_channel_len
     # system, its pair ids by (p, q), the states reaching each Sender and
@@ -484,6 +487,20 @@ def _reaching(states, rules, never):
                 reaching[q] |= reaching[p]
                 grew = True
     return reaching
+
+
+def control_trim(inst):
+    """The Sender states on some p_in→p_fi path and the Receiver states on
+    some q_in→q_fi path, over the control graphs alone: Sender's with its
+    tests and without its reads, Receiver's without its writes.  Channels
+    and tests only remove runs, so every run from the start to the goal
+    stays in these states; when either set is empty (a start state cannot
+    reach its goal state), the instance is unreachable at every bound."""
+    s = inst.system
+    senders = _reaching(s.sender_states, s.sender_rules, "read")
+    receivers = _reaching(s.receiver_states, s.receiver_rules, "write")
+    return ({p for p in senders[inst.p_fi] if inst.p_in in senders[p]},
+            {q for q in receivers[inst.q_fi] if inst.q_in in receivers[q]})
 
 
 def _words_above(words, v):
@@ -549,6 +566,16 @@ def decide_eereach_z1(inst, oracle):
     """Empty-to-empty reachability for Sender-emptiness-test systems, by
     iterated backward saturation over the runs between r-emptiness tests.
 
+    Each agent is first trimmed to its start-to-goal states (`control_trim`).
+    When a start state cannot reach its goal state, the answer is False and
+    the oracle is not asked.  Otherwise the oracle sees only the trimmed
+    states, the rules (r-tests left out) whose both ends are kept, and hops
+    back over the kept r-test rules only.  This keeps the answer: every
+    state on a path between a trimmed pair and a trimmed target is reached
+    from the start and reaches the goal, so each oracle answer is the
+    untrimmed one restricted to trimmed pairs, and a minimal element at a
+    pair outside the trim can neither cover the start nor hop into it.
+
     The union of stages only grows, and every configuration in it reaches
     the goal, so the answer is True as soon as it holds the start, and no
     further query is asked.  Raises `OracleInconclusive` when it neither
@@ -560,10 +587,19 @@ def decide_eereach_z1(inst, oracle):
     for nfa in inst.constraints():
         if not _is_eps_language(nfa):
             raise FragmentError("decision procedure expects an empty-to-empty instance")
+    senders, receivers = control_trim(inst)
+    if not (senders and receivers):
+        return False
     zr_rules = [s.rules[t.rule_id] for t in report.tests if t.channel == R]
-    stripped = Ucst(s.alphabet, s.sender_states, s.receiver_states,
-                    [r for r in s.sender_rules if r not in zr_rules],
-                    s.receiver_rules)
+    stripped = Ucst(s.alphabet,
+                    [p for p in s.sender_states if p in senders],
+                    [q for q in s.receiver_states if q in receivers],
+                    [r for r in s.sender_rules if r not in zr_rules
+                     and r.source in senders and r.target in senders],
+                    [r for r in s.receiver_rules
+                     if r.source in receivers and r.target in receivers])
+    zr_rules = [r for r in zr_rules
+                if r.source in senders and r.target in senders]
     start = Configuration(inst.p_in, inst.q_in, (), ())
     goal = Configuration(inst.p_fi, inst.q_fi, (), ())
     reached = pre_star_z1l(stripped, [goal], oracle)

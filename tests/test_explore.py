@@ -13,9 +13,7 @@ from ucst.explore import (
     UNREACHABLE,
     bounded_reach,
     bounded_recurrent,
-    control_pair_oracle,
     reachable_nodes,
-    ucs_recurrent_decide,
 )
 from ucst.generators import SemiThueSystem, gen_thue_recurrent
 from ucst.model import (
@@ -955,35 +953,6 @@ class TestLassoAgainstTarjan:
         assert all(seen[mode, True] >= 30 and seen[mode, False] >= 30
                    for mode in MODES), seen
         assert seen["shorter stem"] >= 10, seen
-
-
-class TestUcsRecurrentDecide:
-    def test_fig1_sender_self_loop(self, fig1):
-        oracle = control_pair_oracle(Bound(4, 2000))
-        assert ucs_recurrent_decide(fig1, "p1", "q1", "p3", "q2", oracle)
-
-    def test_acyclic_sender_reading_receiver(self):
-        m = ("a",)
-        s = Ucst(m, ("p0", "p1"), ("q0", "q1"),
-                 [Rule("p0", "r", Action.write("a"), "p1")],
-                 [Rule("q0", "r", Action.read("a"), "q1"),
-                  Rule("q1", "r", Action.read("a"), "q0")])
-        oracle = control_pair_oracle(Bound(2, 100))
-        assert not ucs_recurrent_decide(s, "p0", "q0", "p1", "q1", oracle)
-
-    def test_receiver_nop_cycle(self):
-        m = ("a",)
-        s = Ucst(m, ("p0",), ("q0", "q1"),
-                 [],
-                 [Rule("q0", "r", Action.nop(), "q1"),
-                  Rule("q1", "r", Action.nop(), "q0")])
-        oracle = control_pair_oracle(Bound(1, 100))
-        assert ucs_recurrent_decide(s, "p0", "q0", "p0", "q1", oracle)
-
-    def test_rejects_systems_with_tests(self, fig6):
-        oracle = control_pair_oracle(Bound(1, 10))
-        with pytest.raises(InputError):
-            ucs_recurrent_decide(fig6, "p_in", "q_in", "p_fi", "q_fi", oracle)
 
 
 class TestBounds:

@@ -534,20 +534,16 @@ def config_level_oracle(bound):
 
 
 def saturation_system(rng):
-    """A system as `decide_eereach_z1` hands it to the oracle: random, with
-    Sender emptiness tests on both channels and an acyclic Sender, then with
-    its r-test rules dropped."""
+    """A system as `decide_eereach_z1` strips it for the oracle, before its
+    control trim: random, with Sender emptiness tests on both channels and
+    an acyclic Sender, then with its r-test rules dropped."""
     while True:
         s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
                         n_sender_rules=4, n_receiver_rules=2,
                         sender_tests=(("Z", "l"), ("Z", "r")),
                         test_weight=0.4, forward_sender=True)
-        zr = [s.rules[t.rule_id] for t in classify_tests(s).tests
-              if t.channel == R]
-        if zr:
-            return Ucst(s.alphabet, s.sender_states, s.receiver_states,
-                        [r for r in s.sender_rules if r not in zr],
-                        s.receiver_rules)
+        if any(t.channel == R for t in classify_tests(s).tests):
+            return r_tests_stripped(s)
 
 
 def pinned_saturation_instances(rng, n):
@@ -567,6 +563,62 @@ def pinned_saturation_instances(rng, n):
                                    "q0", rng.choice(s.receiver_states),
                                    eps(m), eps(m), eps(m), eps(m)))
     return insts
+
+
+def control_cut(inst):
+    """Whether p_in cannot reach p_fi over Sender's rules, reads left out,
+    or q_in cannot reach q_fi over Receiver's, writes left out."""
+    s = inst.system
+
+    def reaches(rules, never, start, goal):
+        seen = {start}
+        todo = [start]
+        for state in todo:
+            for r in rules:
+                if (r.source == state and r.action.kind != never
+                        and r.target not in seen):
+                    seen.add(r.target)
+                    todo.append(r.target)
+        return goal in seen
+
+    return not (reaches(s.sender_rules, "read", inst.p_in, inst.p_fi)
+                and reaches(s.receiver_rules, "write", inst.q_in, inst.q_fi))
+
+
+def r_tests_stripped(s):
+    """`s` without its Sender r-emptiness test rules, every state kept."""
+    zr = [s.rules[t.rule_id] for t in classify_tests(s).tests if t.channel == R]
+    return Ucst(s.alphabet, s.sender_states, s.receiver_states,
+                [r for r in s.sender_rules if r not in zr], s.receiver_rules)
+
+
+def untrimmed_decide_eereach_z1(inst, stripped, oracle):
+    """Reference for `decide_eereach_z1`: the procedure before it trimmed
+    each agent to its start-to-goal states, saturating over `stripped`,
+    `inst`'s system without its r-test rules (`r_tests_stripped`), and
+    hopping back over every r-test rule."""
+    s = inst.system
+    zr_rules = [s.rules[t.rule_id] for t in classify_tests(s).tests
+                if t.channel == R]
+    start = Configuration(inst.p_in, inst.q_in, (), ())
+    goal = Configuration(inst.p_fi, inst.q_fi, (), ())
+    reached = pre_star_z1l(stripped, [goal], oracle)
+    for _ in range(reductions.SATURATION_ROUNDS):
+        if reached.contains(start):
+            return True
+        hops = [Configuration(rule.source, c.q, (), c.v)
+                for rule in zr_rules for c in reached.minimal
+                if c.p == rule.target]
+        if not hops:
+            return False
+        nxt = reached.union(
+            pre_star_z1l(stripped, UpwardClosedSet.of(hops), oracle))
+        if nxt == reached:
+            return False
+        reached = nxt
+    if reached.contains(start):
+        return True
+    raise OracleInconclusive("saturation did not stabilize within its round budget")
 
 
 def r_empty_nodes(s, k):
@@ -941,10 +993,11 @@ Vp: EPS
     def test_explores_each_system_forward_once(self, monkeypatch):
         """All graph work is on the stripped system, in one graph that every
         later query grows: each node is expanded at most once over all of
-        its queries, and fewer nodes in all than the full graph holds.  The
-        first answer covers the start of most systems, which then ask one
-        query only, so the battery is large enough to hold systems that
-        ask three."""
+        its queries, and fewer nodes in all than the full graph holds.  A
+        system whose start states cannot reach their goal states asks
+        nothing.  The first answer covers the start of most other systems,
+        which then ask one query only, so the battery is large enough to
+        hold a system that asks three (the first is its 62nd draw)."""
         build = reductions.bounded_graph
         step_layer = explore.step_layer
         builds, expanded = [], Counter()
@@ -963,8 +1016,8 @@ Vp: EPS
         monkeypatch.setattr(explore, "step_layer", counting_step_layer)
         rng = random.Random(71)
         bound = Bound(4, 0)
-        rounds, sizes = [], []
-        for _ in range(60):
+        rounds, sizes, cut = [], [], 0
+        for _ in range(80):
             s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
                             n_sender_rules=4, n_receiver_rules=2,
                             sender_tests=(("Z", "l"), ("Z", "r")),
@@ -982,6 +1035,11 @@ Vp: EPS
             builds.clear()
             expanded.clear()
             decide_eereach_z1(inst, counting_oracle)
+            if control_cut(inst):
+                assert asked == [] and builds == [] and not expanded
+                cut += 1
+                continue
+            assert asked
             stripped = asked[0]
             assert stripped is not s and set(asked) == {stripped}
             graph = builds[0][2]
@@ -992,10 +1050,10 @@ Vp: EPS
             assert {key[0] for key in expanded} == {stripped}
             rounds.append(len(asked))
             ours = len(expanded)
-            full = Ucst(s.alphabet, s.sender_states, s.receiver_states,
-                        stripped.sender_rules, s.receiver_rules)
+            full = r_tests_stripped(s)
             whole = bounded_graph(full, r_empty_nodes(full, 4), bound)[0]
             sizes.append((ours, len(whole)))
+        assert cut >= 1
         assert max(rounds) >= 3 and sum(rounds) >= 12
         assert all(ours <= whole for ours, whole in sizes), sizes
         assert sum(ours for ours, _ in sizes) < sum(w for _, w in sizes), sizes
@@ -1006,16 +1064,17 @@ Vp: EPS
     # answers are a prefix of those asked when saturation ran to its
     # fixpoint even after reaching the start
     ORACLE_ANSWERS_SHA256 = (
-        "4ebc6e3c1df697b7a8c25abcc7dd71420f2a33fa644b7d744c2e43b58c6c091f")
+        "119bf0245831b57dac1c1c95035d19bbaf216aa71a3b201935e6f201db2630ed")
 
     def test_oracle_answers_are_pinned(self):
-        """Every `pre_star_z1l` answer of 40 seeded saturation-shaped
+        """Every `pre_star_z1l` answer of 70 seeded saturation-shaped
         instances, each decided at `Bound(4, 0)` and `Bound(3, 2)` with a
         fresh oracle, hashed together: a change to the oracle keeps this
-        digest unless it means to change answers."""
+        digest unless it means to change answers.  Instances that the
+        control cut answers ask nothing, hence 70 of them."""
         answers = []
         for bound in (Bound(4, 0), Bound(3, 2)):
-            for inst in pinned_saturation_instances(random.Random(19), 40):
+            for inst in pinned_saturation_instances(random.Random(19), 70):
                 def recording(s, target, oracle=bounded_oracle(bound)):
                     answer = oracle(s, target)
                     answers.append(repr(answer))
@@ -1025,6 +1084,68 @@ Vp: EPS
         digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
         assert len(answers) >= 120
         assert digest == self.ORACLE_ANSWERS_SHA256
+
+    def test_trim_keeps_answers(self):
+        """Against the untrimmed procedure it replaced, `decide_eereach_z1`
+        gives the same answer, which `bounded_reach` gives too, and each
+        answer it receives is the untrimmed oracle's answer to the same
+        target, restricted to the trimmed control pairs."""
+        seen = Counter()
+        for bound in (Bound(4, 0), Bound(3, 2)):
+            for inst in pinned_saturation_instances(random.Random(19), 40):
+                asked = []
+
+                def recording(s, target, oracle=bounded_oracle(bound)):
+                    answer = oracle(s, target)
+                    asked.append((s, target, answer))
+                    return answer
+
+                got = decide_eereach_z1(inst, recording)
+                full = r_tests_stripped(inst.system)
+                assert got == untrimmed_decide_eereach_z1(
+                    inst, full, bounded_oracle(bound)), inst
+                assert got == bounded_reach(inst, bound, LOSSY).reachable, inst
+                reference = bounded_oracle(bound)
+                for s, target, answer in asked:
+                    whole = reference(full, target)
+                    assert answer == UpwardClosedSet.of(
+                        c for c in whole.minimal
+                        if c.p in s.sender_states and c.q in s.receiver_states)
+                    seen["restricted"] += len(answer) < len(whole)
+                seen["cut"] += not asked
+                seen[got] += 1
+        # both answers, instances the cut answers, and answers the trim shrank
+        assert seen[True] >= 20 and seen[False] >= 20, seen
+        assert seen["cut"] >= 10 and seen["restricted"] >= 10, seen
+
+    def test_receiver_test_fallback_asks_nothing_when_cut(self):
+        # cyclic Sender, Receiver tests on both channels: the reductions
+        # leave Sender r-emptiness tests, and each instance whose start
+        # states cannot reach their goal states is answered without a query
+        rng = random.Random(3)
+        cut = 0
+        while cut < 4:
+            s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
+                            n_sender_rules=3, n_receiver_rules=3,
+                            sender_tests=(("Z", "l"), ("Z", "r")),
+                            receiver_tests=(("Z", "r"), ("N", "l")),
+                            test_weight=0.4)
+            inst = random_instance(rng, s, empty_initial=True, empty_final=True)
+            if not control_cut(inst):
+                continue
+            with pytest.raises(FragmentError):
+                run_pipeline(inst, to="pep")
+            final = run_pipeline(inst, to="eez1").final_instance
+            asked = []
+
+            def oracle(s, target):
+                asked.append(target)
+                return UpwardClosedSet()
+
+            assert not decide_eereach_z1(final, oracle)
+            assert asked == []
+            assert not bounded_reach(inst, Bound(4, 0), LOSSY).reachable
+            cut += 1
 
     def test_receiver_test_fallback_is_sound(self):
         # Receiver Z/N tests leave Sender r-emptiness tests after the

@@ -29,8 +29,6 @@ ALLOWED = {
                    "to channel systems",
     "bounded_recurrent": "checks the lasso target that `ucst gen thue` prints",
     "LassoWitness": "the answer of bounded_recurrent",
-    "ucs_recurrent_decide": "decides the lasso target of test-free systems",
-    "control_pair_oracle": "the reachability oracle of ucs_recurrent_decide",
 }
 
 
