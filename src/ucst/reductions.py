@@ -26,9 +26,9 @@ from .model import (
 )
 from .pep import PepInstance, PreSolutionContext
 from .regdata import (
+    EPSILON,
     Nfa,
     _distances,
-    _letter_index,
     _product,
     cached_on_nfa,
     subword,
@@ -255,14 +255,11 @@ def elim_initial(inst):
 
 # -- stage 3: eliminate Sender nonemptiness tests ---------------------------------
 
-def _buffer_name(q, x, y):
-    return f"{q}[{x or '-'},{y or '-'}]"
-
-
 def elim_n1(inst):
     """Give Sender a one-letter buffer per channel: writes fill an empty
     buffer, nonemptiness tests read off buffer occupancy, emptiness tests
-    additionally require the buffer empty, and buffers flush at any time."""
+    additionally require the buffer empty, and buffers flush at any time.
+    The buffer states `q[x,y]` are named fresh against Receiver's states."""
     s = inst.system
     report = s.test_report
     if report.has_receiver_tests() or not report.within({"Z", "N"}):
@@ -271,68 +268,67 @@ def elim_n1(inst):
         raise FragmentError("buffering stage expects empty initial constraints")
     label_of = {t.rule_id: t.label for t in report.tests}
     bufs = (None,) + s.alphabet
-    states = [_buffer_name(q, x, y) for q in s.sender_states
-              for x in bufs for y in bufs]
+    names = _Names(s.receiver_states)
+    buf = {(q, x, y): names.fresh(f"{q}[{x or '-'},{y or '-'}]")
+           for q in s.sender_states for x in bufs for y in bufs}
     rules = []
     for rid, rule in enumerate(s.sender_rules):
         kind = rule.action.kind
         src, dst = rule.source, rule.target
         if kind == "write" and rule.channel == R:
             for y in bufs:
-                rules.append(Rule(_buffer_name(src, None, y), R, Action.nop(),
-                                  _buffer_name(dst, rule.action.msg, y)))
+                rules.append(Rule(buf[src, None, y], R, Action.nop(),
+                                  buf[dst, rule.action.msg, y]))
         elif kind == "write" and rule.channel == L:
             for x in bufs:
-                rules.append(Rule(_buffer_name(src, x, None), R, Action.nop(),
-                                  _buffer_name(dst, x, rule.action.msg)))
+                rules.append(Rule(buf[src, x, None], R, Action.nop(),
+                                  buf[dst, x, rule.action.msg]))
         elif kind == "test" and label_of[rid] == "N":
             for x in bufs:
                 for y in bufs:
                     occupied = x if rule.channel == R else y
                     if occupied is not None:
-                        rules.append(Rule(_buffer_name(src, x, y), R,
-                                          Action.nop(), _buffer_name(dst, x, y)))
+                        rules.append(Rule(buf[src, x, y], R,
+                                          Action.nop(), buf[dst, x, y]))
         elif kind == "test":  # emptiness: channel and buffer both empty
             if rule.channel == R:
                 for y in bufs:
-                    rules.append(Rule(_buffer_name(src, None, y), R,
-                                      rule.action, _buffer_name(dst, None, y)))
+                    rules.append(Rule(buf[src, None, y], R,
+                                      rule.action, buf[dst, None, y]))
             else:
                 for x in bufs:
-                    rules.append(Rule(_buffer_name(src, x, None), L,
-                                      rule.action, _buffer_name(dst, x, None)))
+                    rules.append(Rule(buf[src, x, None], L,
+                                      rule.action, buf[dst, x, None]))
         else:  # nop
             for x in bufs:
                 for y in bufs:
-                    rules.append(Rule(_buffer_name(src, x, y), R, Action.nop(),
-                                      _buffer_name(dst, x, y)))
+                    rules.append(Rule(buf[src, x, y], R, Action.nop(),
+                                      buf[dst, x, y]))
     for q in s.sender_states:
         for x in bufs:
             for y in bufs:
                 if x is not None:
-                    rules.append(Rule(_buffer_name(q, x, y), R, Action.write(x),
-                                      _buffer_name(q, None, y)))
+                    rules.append(Rule(buf[q, x, y], R, Action.write(x),
+                                      buf[q, None, y]))
                 if y is not None:
-                    rules.append(Rule(_buffer_name(q, x, y), L, Action.write(y),
-                                      _buffer_name(q, x, None)))
-    system = Ucst(s.alphabet, states, s.receiver_states, rules, s.receiver_rules)
+                    rules.append(Rule(buf[q, x, y], L, Action.write(y),
+                                      buf[q, x, None]))
+    system = Ucst(s.alphabet, list(buf.values()), s.receiver_states, rules,
+                  s.receiver_rules)
     return ReachInstance(system,
-                         _buffer_name(inst.p_in, None, None),
-                         _buffer_name(inst.p_fi, None, None),
+                         buf[inst.p_in, None, None],
+                         buf[inst.p_fi, None, None],
                          inst.q_in, inst.q_fi,
                          inst.U, inst.V, inst.Up, inst.Vp)
 
 
 # -- stage 4: eliminate regular final constraints ---------------------------------
 
-def _mode_name(p, x, y):
-    return f"{p}<{x}{y}>"
-
-
 def elim_final(inst):
     """Sender marks, once per channel, the point where the final contents
     start; Receiver then cleans the markers and consumes words of the final
-    constraints.  Emptiness tests are forbidden after the channel's marker."""
+    constraints.  Emptiness tests are forbidden after the channel's marker.
+    The mode states `p<xy>` are named fresh against Receiver's states."""
     s = inst.system
     report = s.test_report
     if not report.only_z1():
@@ -343,19 +339,17 @@ def elim_final(inst):
     m2 = s.alphabet + ("#",)
     z2 = emptiness_test(m2)
     modes = ("T", "#")
-    names = _Names(set(s.receiver_states)
-                   | {_mode_name(p, x, y) for p in s.sender_states
-                      for x in modes for y in modes})
-    sender_states = [_mode_name(p, x, y) for p in s.sender_states
-                     for x in modes for y in modes]
+    names = _Names(s.receiver_states)
+    mode = {(p, x, y): names.fresh(f"{p}<{x}{y}>")
+            for p in s.sender_states for x in modes for y in modes}
     sender_rules = []
     for p in s.sender_states:
         for y in modes:
-            sender_rules.append(Rule(_mode_name(p, "T", y), R,
-                                     Action.write("#"), _mode_name(p, "#", y)))
+            sender_rules.append(Rule(mode[p, "T", y], R,
+                                     Action.write("#"), mode[p, "#", y]))
         for x in modes:
-            sender_rules.append(Rule(_mode_name(p, x, "T"), L,
-                                     Action.write("#"), _mode_name(p, x, "#")))
+            sender_rules.append(Rule(mode[p, x, "T"], L,
+                                     Action.write("#"), mode[p, x, "#"]))
     for rule in s.sender_rules:
         act = rule.action
         if act.kind == "test":
@@ -367,9 +361,9 @@ def elim_final(inst):
                         continue
                     if rule.channel == L and y == "#":
                         continue
-                sender_rules.append(Rule(_mode_name(rule.source, x, y),
+                sender_rules.append(Rule(mode[rule.source, x, y],
                                          rule.channel, act,
-                                         _mode_name(rule.target, x, y)))
+                                         mode[rule.target, x, y]))
 
     receiver_states = list(s.receiver_states)
     receiver_rules = list(s.receiver_rules)
@@ -394,12 +388,12 @@ def elim_final(inst):
     if not vp_trivial:
         _emit_writer(vp_lifted, L, v_entry, q_f, Action.read, names,
                      receiver_states, receiver_rules)
-    system = Ucst(m2, sender_states, receiver_states, sender_rules,
+    system = Ucst(m2, list(mode.values()), receiver_states, sender_rules,
                   receiver_rules)
     eps = Nfa.literal((), m2)
     return ReachInstance(system,
-                         _mode_name(inst.p_in, "T", "T"),
-                         _mode_name(inst.p_fi, "#", "#"),
+                         mode[inst.p_in, "T", "T"],
+                         mode[inst.p_fi, "#", "#"],
                          inst.q_in, q_f, eps, eps, eps, eps)
 
 
@@ -654,69 +648,52 @@ def bridge_context(inst):
         test_letters=tests)
 
 
-def _path_nfa(states, rules, rule_letters, start, goal, sigma):
-    idx = {st: i for i, st in enumerate(states)}
-    trans = [(idx[rule.source], letter, idx[rule.target])
-             for rule, letter in zip(rules, rule_letters)]
-    return Nfa(sigma, len(states), {idx[start]}, {idx[goal]}, trans)
-
-
-def _r_parts(ctx):
-    """E_r*, P1 and P2, the automata whose product is R.  E_r* alternates
-    r-silent letters with write/read pairs on r; a middle state remembers
-    the written letter, one state per such letter."""
-    inst, sigma = ctx.instance, ctx.letters
-    s = inst.system
-    n1 = s.n_sender_rules
-    p1 = _path_nfa(s.sender_states, s.sender_rules, sigma[:n1],
-                   inst.p_in, inst.p_fi, sigma)
-    p2 = _path_nfa(s.receiver_states, s.receiver_rules, sigma[n1:],
-                   inst.q_in, inst.q_fi, sigma)
-    written = tuple(dict.fromkeys(
-        ctx.write_r[a][0] for a in sigma if ctx.write_r[a]))
-    mid = {sym: i + 1 for i, sym in enumerate(written)}
-    trans = []
-    for a in sigma:
-        if not ctx.write_r[a] and not ctx.read_r[a]:
-            trans.append((0, a, 0))
-        elif ctx.write_r[a]:
-            trans.append((0, a, mid[ctx.write_r[a][0]]))
-    for a in sigma:
-        if ctx.read_r[a] and ctx.read_r[a][0] in mid:
-            trans.append((mid[ctx.read_r[a][0]], a, 0))
-    return Nfa(sigma, 1 + len(written), {0}, {0}, trans), p1, p2
-
-
 def ucst_to_pep(inst):
     """Post embedding instance whose solutions are the rule words of runs:
-    letters are rules, images read and write the lossy channel, R is one
-    product of E_r* (reliable-channel writes are read back immediately) and
-    the Sender and Receiver path automata P1 and P2, and the codirect
-    suffixes start at the emptiness tests."""
+    letters are rules, images read and write the lossy channel, and the
+    codirect suffixes start at the emptiness tests, R′ = (test letters)·Σ*.
+
+    R = E_r* ∩ (P1 ⧢ P2).  P1 and P2 are the Sender and Receiver path
+    automata, whose edges are the rules; E_r* reads back each reliable-channel
+    write right after it, and its state is 0 or the letter written on r and
+    not yet read.  R is one `_product` over (E_r* state, Sender state,
+    Receiver state) triples, stepped straight from the rules with no
+    automaton built for a part: a triple steps, in `symkey` order, the
+    letters of the rules leaving its two control states that E_r* allows.
+    So R is `er_star.intersect(p1.shuffle(p2))` state for state."""
     ctx = bridge_context(inst)
     sigma = ctx.letters
-    parts = _r_parts(ctx)
-    # E_r* ∩ (P1 ⧢ P2), stepping (e, i, j) by the letters P1 or P2 offers, in
-    # `symkey` order: each letter labels one edge of P1 or P2, so this is
-    # `er_star.intersect(p1.shuffle(p2))` state for state, with no shuffle
+    s = inst.system
     rank = {a: k for k, a in enumerate(sorted(sigma, key=symkey))}
-    e_out, p1_out, p2_out = (_letter_index(a)[1] for a in parts)
+    # control state -> [(rank, letter, E_r* state before, after, target)];
+    # Sender and Receiver states are disjoint, so one index serves both
+    out = {}
+    for a, rule in zip(sigma, s.rules):
+        if ctx.write_r[a]:
+            before, after = 0, ctx.write_r[a][0]
+        elif ctx.read_r[a]:
+            before, after = ctx.read_r[a][0], 0
+        else:
+            before = after = 0
+        out.setdefault(rule.source, []).append(
+            (rank[a], a, before, after, rule.target))
 
     def moves(triple):
-        e, i, j = triple
-        allowed = e_out.get(e, {})
-        out = [(a, (f, k, j)) for a, ks in p1_out.get(i, {}).items()
-               if a in allowed for f in allowed[a] for k in ks]
-        out += [(a, (f, i, k)) for a, ks in p2_out.get(j, {}).items()
-                if a in allowed for f in allowed[a] for k in ks]
-        out.sort(key=lambda move: rank[move[0]])
-        return out
+        e, p, q = triple
+        step = [(k, a, (f, t, q)) for k, a, need, f, t in out.get(p, ())
+                if need == e]
+        step += [(k, a, (f, p, t)) for k, a, need, f, t in out.get(q, ())
+                 if need == e]
+        step.sort()
+        return [(a, nxt) for _, a, nxt in step]
 
-    big_r = _product(parts, sigma, moves)
-    rp = Nfa.one_of(sorted(ctx.test_letters), sigma).concat(Nfa.all_words(sigma))
-    pep = PepInstance(sigma, inst.system.alphabet, dict(ctx.read_l),
-                      dict(ctx.write_l), big_r, rp)
-    return pep
+    goal = (0, inst.p_fi, inst.q_fi)
+    big_r = _product([(0, inst.p_in, inst.q_in)], lambda t: t == goal, sigma,
+                     moves)
+    rp = Nfa(sigma, 3, {0}, {2}, [(0, a, 1) for a in sorted(ctx.test_letters)]
+             + [(2, a, 2) for a in sigma] + [(1, EPSILON, 2)])
+    return PepInstance(sigma, s.alphabet, dict(ctx.read_l),
+                       dict(ctx.write_l), big_r, rp)
 
 
 def pep_to_ucst(pinst):

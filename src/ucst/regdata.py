@@ -12,8 +12,10 @@ Every language query steps one lazy subset memo per automaton (`Nfa._subsets`):
 solver's `live_moves`.
 
 Every product of automata is one `_product`: `intersect`, `shuffle` and the
-embedding problem's R (`reductions.ucst_to_pep`) differ only in the letters
-each tuple of states steps.
+embedding problem's R (`reductions.ucst_to_pep`) differ only in their start
+tuples, their accepting test and the letters each tuple steps.  R steps its
+tuples straight from the rules of a channel system, with no automaton for
+its parts.
 """
 
 from collections import deque
@@ -291,7 +293,7 @@ class Nfa:
             return [(sym, (i, j)) for sym in fewer if sym in more
                     for i in here[sym] for j in there[sym]]
 
-        return _product((a, b), a.alphabet, moves)
+        return _product(*_pairs(a, b), a.alphabet, moves)
 
     def complement(self):
         dfa = self.determinize()
@@ -345,7 +347,7 @@ class Nfa:
         a, b = self.normalize(), other.normalize()
         alphabet = tuple(dict.fromkeys(self.alphabet + other.alphabet))
         a_out, b_out = _out_index(a.transitions), _out_index(b.transitions)
-        return _product((a, b), alphabet, lambda p: (
+        return _product(*_pairs(a, b), alphabet, lambda p: (
             [(sym, (i, p[1])) for sym, i in a_out.get(p[0], ())]
             + [(sym, (p[0], j)) for sym, j in b_out.get(p[1], ())]))
 
@@ -471,9 +473,8 @@ def _explore(starts, moves):
 def _letter_index(nfa):
     """(state -> epsilon targets, state -> {letter: [dst]}): the one source
     of subset steps, for `accepts`, `live_moves` and `has_word_longer_than`,
-    and of the letters a product steps, for `intersect` and
-    `reductions.ucst_to_pep`.  Letters and targets keep transition order,
-    which in a normal form is `symkey` order."""
+    and of the letters `intersect` steps.  Letters and targets keep
+    transition order, which in a normal form is `symkey` order."""
     out = {}
     for src, sym, dst in nfa.transitions:
         if sym is not EPSILON:
@@ -514,14 +515,20 @@ def _out_index(transitions):
     return out
 
 
-def _product(parts, alphabet, moves):
-    """Product of epsilon-free `parts` over the tuples of states that `moves`
-    reaches, numbered by `_explore` from the tuples of sorted initial states;
-    a tuple accepts when every part accepts its component."""
-    starts = list(product(*(sorted(p.initial) for p in parts)))
+def _pairs(a, b):
+    """The start pairs and the accepting test of a product of epsilon-free
+    `a` and `b`: the pairs of sorted initial states, and the pairs whose
+    both components accept."""
+    return (list(product(sorted(a.initial), sorted(b.initial))),
+            lambda pair: pair[0] in a.accepting and pair[1] in b.accepting)
+
+
+def _product(starts, accepts, alphabet, moves):
+    """Product automaton over the tuples of states that `moves` reaches from
+    the distinct tuples `starts`, numbered by `_explore`; the starts are the
+    initial states, and a tuple accepts when `accepts(tuple)` holds."""
     ids, trans = _explore(starts, moves)
-    accepting = {n for states, n in ids.items()
-                 if all(s in p.accepting for s, p in zip(states, parts))}
+    accepting = {n for states, n in ids.items() if accepts(states)}
     return Nfa(alphabet, max(len(ids), 1), range(len(starts)), accepting, trans)
 
 

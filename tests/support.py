@@ -12,8 +12,8 @@ from ucst.pep import (
     postpone_stabilize,
     run_from_postpone_stable,
 )
-from ucst.reductions import _r_parts, bridge_context
-from ucst.regdata import language_equal, symkey
+from ucst.reductions import bridge_context
+from ucst.regdata import Nfa, language_equal, symkey
 from ucst.validate import CheckResult
 
 # -- bounded reachable sets ------------------------------------------------------
@@ -102,11 +102,48 @@ def instance_equal(a, b):
                for x, y in zip(a.constraints(), b.constraints()))
 
 
+def _path_nfa(states, rules, rule_letters, start, goal, sigma):
+    idx = {st: i for i, st in enumerate(states)}
+    trans = [(idx[rule.source], letter, idx[rule.target])
+             for rule, letter in zip(rules, rule_letters)]
+    return Nfa(sigma, len(states), {idx[start]}, {idx[goal]}, trans)
+
+
+def _r_parts(ctx):
+    """E_r*, P1 and P2, the automata whose product is R.  E_r* alternates
+    r-silent letters with write/read pairs on r; a middle state remembers
+    the written letter, one state per such letter."""
+    inst, sigma = ctx.instance, ctx.letters
+    s = inst.system
+    n1 = s.n_sender_rules
+    p1 = _path_nfa(s.sender_states, s.sender_rules, sigma[:n1],
+                   inst.p_in, inst.p_fi, sigma)
+    p2 = _path_nfa(s.receiver_states, s.receiver_rules, sigma[n1:],
+                   inst.q_in, inst.q_fi, sigma)
+    written = tuple(dict.fromkeys(
+        ctx.write_r[a][0] for a in sigma if ctx.write_r[a]))
+    mid = {sym: i + 1 for i, sym in enumerate(written)}
+    trans = []
+    for a in sigma:
+        if not ctx.write_r[a] and not ctx.read_r[a]:
+            trans.append((0, a, 0))
+        elif ctx.write_r[a]:
+            trans.append((0, a, mid[ctx.write_r[a][0]]))
+    for a in sigma:
+        if ctx.read_r[a] and ctx.read_r[a][0] in mid:
+            trans.append((mid[ctx.read_r[a][0]], a, 0))
+    return Nfa(sigma, 1 + len(written), {0}, {0}, trans), p1, p2
+
+
 def shuffle_built_r(inst):
-    """The R of `ucst_to_pep(inst)` built in three automata, as
-    `er_star.intersect(p1.shuffle(p2))`, together with E_r*."""
-    er_star, p1, p2 = _r_parts(bridge_context(inst))
-    return er_star.intersect(p1.shuffle(p2)), er_star
+    """The R and R′ of `ucst_to_pep(inst)` built from their parts, as
+    `er_star.intersect(p1.shuffle(p2))` and `one_of(test letters) ·
+    all_words(sigma)`, together with E_r*."""
+    ctx = bridge_context(inst)
+    er_star, p1, p2 = _r_parts(ctx)
+    rp = Nfa.one_of(sorted(ctx.test_letters), ctx.letters).concat(
+        Nfa.all_words(ctx.letters))
+    return er_star.intersect(p1.shuffle(p2)), rp, er_star
 
 
 # -- runs and solutions ---------------------------------------------------------

@@ -4,6 +4,8 @@ from ucst.cli import main
 from ucst.errors import ReplayError
 from ucst.fileformat import parse_pep, parse_ucst
 from ucst.model import LOSSY, validate_run
+from ucst.pep import bounded_solve, postpone_stabilize, run_from_postpone_stable
+from ucst.reductions import bridge_context, run_pipeline
 from tests.test_fileformat import FIG6_TEXT
 
 
@@ -263,6 +265,42 @@ class TestWitnessesRevalidate:
         inst, _ = parse_ucst(FIG6_TEXT)
         trace = run_pipeline(inst, to="pep")
         word = bounded_solve(trace.pep, 6)
+        ctx = bridge_context(trace.final_instance)
+        run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, word))
+        assert validate_run(trace.final_instance.system, run, LOSSY)
+
+
+class TestStageNamesAvoidReceiverStates:
+    # Receiver states spelled like the Sender states the stages make: the
+    # mode state `p1<##>` of elim_final, and the buffer state `p2[-,-]` of
+    # elim_n1 (whose modes are then `p1[-,-]<xy>`, so only its name clashes)
+    CLASHES = {
+        "elim_final": ("p0 p1", "p1<##> q1", "", ["input", "eez1"]),
+        "elim_n1": ("p0 p1 p2", "p1<##> p2[-,-] q1",
+                    "rule s: p1 -> p2 : l=ANY ANY*\n",
+                    ["input", "egz1", "eez1"]),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(CLASHES))
+    def test_pipeline_answers_reachable(self, stage, tmp_path, capsys):
+        sender, receiver, n_test, stages = self.CLASHES[stage]
+        text = (f"alphabet: a\nsender: {sender}\nreceiver: {receiver}\n"
+                f"rule s: p0 -> p1 : l!a\n{n_test}"
+                "rule r: p1<##> -> q1 : l?a\n"
+                "instance: p0 p1 p1<##> q1\n"
+                "U: EPS\nV: EPS\nUp: EPS\nVp: a | EPS\n")
+        path = tmp_path / "clash.ucst"
+        path.write_text(text)
+        assert main(["reach", str(path), "--method", "explore"]) == 0
+        capsys.readouterr()
+        assert main(["reach", str(path), "--method", "pipeline"]) == 0
+        assert "\nREACHABLE\n" in capsys.readouterr().out
+        assert main(["reduce", str(path), "--to", "pep"]) == 0
+
+        inst, _ = parse_ucst(text)
+        trace = run_pipeline(inst, to="pep")
+        assert [st.name for st in trace.stages] == stages
+        word = bounded_solve(trace.pep, 8)
         ctx = bridge_context(trace.final_instance)
         run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, word))
         assert validate_run(trace.final_instance.system, run, LOSSY)

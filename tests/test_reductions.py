@@ -1285,16 +1285,19 @@ def pin_r(nfa):
 
 
 class TestOneProductR:
-    """`ucst_to_pep` builds R as one product of E_r*, P1 and P2; it is the
-    automaton `er_star.intersect(p1.shuffle(p2))` builds, state for state."""
+    """`ucst_to_pep` builds R as one product stepped from the rules; it is
+    the automaton `er_star.intersect(p1.shuffle(p2))` builds, state for
+    state, and R′ is `one_of(test letters).concat(all_words(sigma))`."""
 
     def test_z1l_instances(self):
         rng = random.Random(1313)
         middles = 0
         for _ in range(60):
             inst = random_z1l_instance(rng, n_rules=rng.randint(2, 7))
-            old, er_star = shuffle_built_r(inst)
-            assert pin_r(ucst_to_pep(inst).R) == pin_r(old)
+            old, old_rp, er_star = shuffle_built_r(inst)
+            pep = ucst_to_pep(inst)
+            assert pin_r(pep.R) == pin_r(old)
+            assert pin_r(pep.Rp) == pin_r(old_rp)
             middles += er_star.n_states > 1
         assert middles >= 30  # r-writes give E_r* its middle states
 
@@ -1310,8 +1313,9 @@ class TestOneProductR:
                 test_weight=0.5)
             inst = random_instance(rng, system)
             trace = run_pipeline(inst, to="pep")
-            old, er_star = shuffle_built_r(trace.final_instance)
+            old, old_rp, er_star = shuffle_built_r(trace.final_instance)
             assert pin_r(trace.pep.R) == pin_r(old)
+            assert pin_r(trace.pep.Rp) == pin_r(old_rp)
             past_ten += len(trace.final_instance.system.rules) > 10
             middles += er_star.n_states > 1
         assert past_ten >= 10 and middles >= 6
@@ -1341,6 +1345,29 @@ class TestPipeline:
         assert classify_tests(final.system).only_z1()
         for nfa in final.constraints():
             assert language_equal(nfa, eps(final.system.alphabet))
+
+    def test_stage_texts_are_pinned(self):
+        # sha256 of `print_ucst` of every stage of 20 seeded Sender Z/N
+        # instances, computed before elim_n1 and elim_final drew their state
+        # names through `_Names`: where no name clashes, none changes
+        rng = random.Random(2323)
+        digest = hashlib.sha256()
+        buffered = both_final = 0
+        for _ in range(20):
+            system = random_ucst(
+                rng, n_sender=2, n_receiver=2, n_sender_rules=3,
+                n_receiver_rules=3, sender_tests=(("Z", L), ("N", L), ("N", R)),
+                test_weight=0.5)
+            inst = random_instance(rng, system)
+            trace = run_pipeline(inst, to="eez1")
+            for st in trace.stages:
+                digest.update(print_ucst(st.instance, stage=st.name).encode())
+            buffered += "egz1" in [st.name for st in trace.stages]
+            # both q_clean writers of elim_final run
+            both_final += not (_is_eps_language(inst.Up)
+                               or _is_eps_language(inst.Vp))
+        assert buffered >= 10 and both_final >= 10
+        assert digest.hexdigest()[:16] == "d26fa95a695138c0"
 
     def test_pipeline_rejects_r_tests_at_pep(self):
         m = ("a",)
