@@ -49,6 +49,8 @@ def _emit(text, out):
 def cmd_reach(args):
     inst, _ = _read_instance(args.file)
     bound = Bound(args.bound, args.steps)
+    if args.pep_len < 0:
+        raise InputError(f"--pep-len must be nonnegative, not {args.pep_len}")
     if args.method == "explore":
         verdict = bounded_reach(inst, bound, args.mode)
         print(verdict)

@@ -13,16 +13,13 @@ when the closure finished without pruning anything, including the
 enumeration of initial words.
 
 Co-reach comes in two parts, both on nodes: `bounded_graph` explores a
-system's bounded graph forward from start nodes, and `coreach_in` answers
-one set of target nodes backward over it, so a caller asking many targets
-of one (immutable) system explores it once.  The graph may also grow by
-control pairs: it expands only nodes of the pairs added so far and parks
-the others until their pair is added, so a caller whose targets can be
-reached from a few pairs expands only those, still each node once.  The
-graph keeps reverse lists of rule moves only: a loss keeps the pair and r,
-so in a lossy graph the loss predecessors of node (c, u, w) are the nodes
-(c, u, j) found with j in the word table's `gained[w]`, since every node
-found in an expanded pair had its l word's losses asked.
+system's bounded graph forward once from start nodes, and `coreach_in`
+answers one set of target nodes backward over it, so a caller asking many
+targets of one (immutable) system explores it once.  The graph keeps
+reverse lists of rule moves only: a loss keeps the pair and r, so in a
+lossy graph the loss predecessors of node (c, u, w) are the nodes (c, u,
+j) found with j in the word table's `gained[w]`, since expanding a node
+asked its l word's losses.
 Lassos use `_bfs` too: the stem is a path of the forward search, and each
 candidate anchor's cycle is a `_bfs` from its successors back to it.
 """
@@ -34,7 +31,6 @@ from .errors import InputError
 from .model import (
     LOSSY,
     MODES,
-    RELIABLE,
     Configuration,
     Run,
     step,
@@ -111,7 +107,7 @@ def _stepper(s, mode, k, edges=None):
     return lambda layer, parents: step_layer(s, layer, mode, k, parents, edges)
 
 
-def _bfs(starts, expand, goal=None, max_depth=0, max_nodes=None, parents=None):
+def _bfs(starts, expand, goal=None, max_depth=0, max_nodes=None):
     """Layered breadth-first search from the nodes `starts`.
 
     Nodes are (pair id, r word id, l word id).  `expand(layer, parents)`
@@ -127,15 +123,11 @@ def _bfs(starts, expand, goal=None, max_depth=0, max_nodes=None, parents=None):
     "length-bound" (nothing new, but some successor was discarded),
     "step-bound" (a layer remains after `max_depth` expansions; 0 = no
     limit) or "budget" (more than `max_nodes` nodes found, checked once per
-    layer).  Given `parents`, the search continues it: a start already in
-    it keeps its finder, and nothing it holds is found again.
+    layer).
     """
     goal_pair, is_goal = goal or (-1, None)
-    if parents is None:
-        parents = {}
-    layer = list(dict.fromkeys(starts))
-    for n in layer:
-        parents.setdefault(n, None)
+    parents = dict.fromkeys(starts)
+    layer = list(parents)
     pruned = False
     depth = 0
     while layer:
@@ -211,58 +203,19 @@ def reachable_nodes(s, starts, bound, mode=LOSSY):
     return parents.keys()
 
 
-def bounded_graph(s, starts, bound, mode=LOSSY, pairs=None, graph=None):
-    """The bounded graph of `s`, by one forward `_bfs` from the nodes
-    `starts`, whose channels must fit the channel bound.
-
-    Returns (found, rev, gained, parked): the nodes found, in discovery
-    order (as the keys of a dict); the reverse rule edges, each node mapped
-    to the list of its rule predecessors, one entry per edge in expansion
-    order, labels dropped; in lossy mode, the word table's `gained` lists,
-    from which `coreach_in` reads loss predecessors (None otherwise); and
-    the nodes found but not expanded, by pair id.
-
-    With `pairs`, a set of pair ids, the graph grows by whole pairs: only
-    nodes of `pairs` are expanded, and any other node found is parked under
-    its pair id.  The starts must then be nodes of `pairs` that the graph
-    has not expanded, closed under loss (a loss successor of a start is a
-    start); in lossy mode they are stepped by their rule moves only, so the
-    caller must have asked the losses of every start's l word (as
-    `Words.up_to` does) for `gained` to hold them.  Given
-    the `graph` of an earlier call on `s` with the same bound and mode,
-    this grows it in place and returns it: the nodes parked under `pairs`
-    are expanded with the new starts, so no node is expanded twice.
-    """
-    k = bound.max_channel_len
-    if graph is None:
-        graph = {}, {}, s.words.gained if mode == LOSSY else None, {}
-    found, rev, gained, parked = graph
-    layer = list(dict.fromkeys(starts))
+def bounded_graph(s, starts, bound, mode=LOSSY):
+    """One forward `_bfs` from the nodes `starts`, whose channels must fit
+    the channel bound.  Returns the nodes found, in discovery order (as the
+    keys of a dict); the reverse rule edges, each node mapped to the list
+    of its rule predecessors, one entry per edge in expansion order, labels
+    dropped; and, in lossy mode, the word table's `gained` lists, from
+    which `coreach_in` reads loss predecessors (None otherwise)."""
     edges = []
-    step = _stepper(s, mode, k, edges)
-
-    def expand(layer, parents):
-        if pairs is not None:
-            kept = []
-            for n in layer:
-                if n[0] in pairs:
-                    kept.append(n)
-                else:
-                    parked.setdefault(n[0], []).append(n)
-            layer = kept
-        return step(layer, parents)
-
-    if pairs is not None:
-        # a start found before is parked, and is expanded as parked nodes are
-        layer = [n for n in layer if n not in found]
-        found.update(dict.fromkeys(layer))
-        if gained is not None:
-            layer, _ = step_layer(s, layer, RELIABLE, k, found, edges)
-        layer = [n for c in pairs for n in parked.pop(c, ())] + layer
-    _bfs(layer, expand, parents=found)
+    parents, _, _ = _bfs(starts, _stepper(s, mode, bound.max_channel_len, edges))
+    rev = {}
     for n, _, succ in edges:
         rev.setdefault(succ, []).append(n)
-    return graph
+    return parents.keys(), rev, s.words.gained if mode == LOSSY else None
 
 
 def coreach_in(graph, targets, bound):
@@ -271,9 +224,8 @@ def coreach_in(graph, targets, bound):
     backward `_bfs` over its reverse rule edges and, in a lossy graph, its
     loss predecessors: the nodes found whose l word one loss turns into the
     node's.  A target outside the graph is reached from nothing and is left
-    out.  In a graph grown by pairs, the answer is whole for a target when
-    every pair that can reach its pair has been expanded."""
-    found, rev, gained, _ = graph
+    out."""
+    found, rev, gained = graph
 
     def expand(layer, parents):
         new = []

@@ -405,18 +405,14 @@ def bounded_oracle(bound):
     r-empty configuration whose l fits the channel bound.  Every
     configuration it gives reaches a target; a missing one is bound-relative.
 
-    The oracle keeps one forward graph per system, grown as targets need
-    it.  Only a pair (p, q) whose p reaches p′ along Sender's moves and
-    whose q reaches q′ along Receiver's (channels ignored; Sender reads and
-    Receiver writes never fire) can reach a target of pair (p′, q′).  Each
-    query adds the pairs its targets need that the graph lacks, through
-    `bounded_graph`, with their start nodes (pair id, ε, l word id), one per
-    l word up to the bound, enumerated by length and then in `symkey`
-    order.  `Words.up_to` numbers these words, with their losses, once per
-    system.  The graph expands only nodes of the pairs added so far and
-    parks the others until a later target needs their pair, so it holds
-    every node of the full graph from which the target can be reached, and
-    the target is answered backward over it.
+    On its first query about a system, the oracle builds that system's
+    `bounded_graph` once, from every control pair times every l word up to
+    the bound, as start nodes (pair id, ε, l word id); the words are
+    enumerated by length and then in `symkey` order, and `Words.up_to`
+    numbers them with their losses.  Each query is then answered backward
+    over that graph by `coreach_in`.  `decide_eereach_z1` hands it systems
+    already trimmed to their start-to-goal states, so the graph holds only
+    the trimmed pairs.
 
     Targets become start nodes by pair id: an exact configuration is its
     own node, and a minimal element stands for the starts of its pair whose
@@ -426,26 +422,20 @@ def bounded_oracle(bound):
     graph (a state not in the system, an l word longer than the bound) is
     reached from nothing.  It keeps the graph of the latest system only,
     keyed by identity, so systems must not change once asked about.
-
-    `decide_eereach_z1` hands it systems already trimmed to their
-    start-to-goal states, so its control pairs are the trimmed pairs.
     """
     k = bound.max_channel_len
-    # system, its pair ids by (p, q), the states reaching each Sender and
-    # each Receiver state, start words, pair ids expanded, graph
-    latest = [None]
+    latest = [None]  # system, its pair ids by (p, q), its graph
 
     def oracle(s, target):
         words = s.words
         if latest[0] is not s:
             pairs = {(p, q): s.pair(p, q)
                      for p in s.sender_states for q in s.receiver_states}
-            latest[:] = (s, pairs,
-                         _reaching(s.sender_states, s.sender_rules, "read"),
-                         _reaching(s.receiver_states, s.receiver_rules, "write"),
-                         words.up_to(k, sorted(s.alphabet, key=symkey)),
-                         set(), None)
-        _, pairs, senders, receivers, start_words, expanded, graph = latest
+            start_words = words.up_to(k, sorted(s.alphabet, key=symkey))
+            latest[:] = s, pairs, bounded_graph(
+                s, [(c, 0, v) for c in pairs.values() for v in start_words],
+                bound, LOSSY)
+        _, pairs, graph = latest
         if isinstance(target, UpwardClosedSet):
             nodes = [(pairs[m.p, m.q], 0, v) for m in target.minimal
                      if (m.p, m.q) in pairs
@@ -453,16 +443,6 @@ def bounded_oracle(bound):
         else:
             nodes = [s.node(c) for c in target
                      if (c.p, c.q) in pairs and len(c.v) <= k]
-        if not nodes:
-            return UpwardClosedSet()
-        new = {pairs[p, q] for goal in {s.pairs[n[0]] for n in nodes}
-               for p in senders[goal[0]] for q in receivers[goal[1]]}
-        new -= expanded
-        if new:
-            expanded |= new
-            graph = latest[-1] = bounded_graph(
-                s, [(c, 0, v) for c in new for v in start_words], bound,
-                LOSSY, expanded, graph)
         return _minimal_r_empty(s, coreach_in(graph, nodes, bound))
     return oracle
 
@@ -543,8 +523,8 @@ def pre_star_z1l(s, target, oracle):
     the target itself, not a predicate, so that it can read its structure
     (a control pair and an l word per element).  `bounded_oracle` answers
     within a channel and step bound over one forward graph per system,
-    grown by the control pairs each target can be reached from (so `s` must
-    not change between calls); an exact oracle plugs in here unchanged.
+    built on its first query (so `s` must not change between calls); an
+    exact oracle plugs in here unchanged.
 
     The system may only carry Sender emptiness tests on l (losses make the
     result upward-closed for exactly this fragment).

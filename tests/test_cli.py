@@ -28,6 +28,21 @@ Up: EPS
 Vp: EPS
 """
 
+# Sender passes an r-emptiness test, so the pipeline answers by saturation
+R_TEST_TEXT = """\
+alphabet: a
+sender: p0 p1 p2
+receiver: q0 q1
+rule s: p0 -> p1 : r!a
+rule s: p1 -> p2 : r=EPS
+rule r: q0 -> q1 : r?a
+instance: p0 p2 q0 q1
+U: EPS
+V: EPS
+Up: EPS
+Vp: EPS
+"""
+
 
 class TestReach:
     def test_explore_fig6(self, fig6_file, capsys):
@@ -73,6 +88,20 @@ class TestReach:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "'EPS'" in err
 
+    def test_negative_pep_len_exits_2_before_any_output(self, fig6_file,
+                                                        tmp_path, capsys):
+        # both pipeline paths: the embedding solver (fig6) and the
+        # saturation fallback (a Sender r-emptiness test)
+        rtest = tmp_path / "rtest.ucst"
+        rtest.write_text(R_TEST_TEXT)
+        for path in (fig6_file, str(rtest)):
+            code = main(["reach", path, "--method", "pipeline",
+                         "--pep-len", "-1"])
+            out, err = capsys.readouterr()
+            assert code == 2, path
+            assert out == "", path
+            assert err.startswith("error: ") and "--pep-len" in err
+
     def test_internal_replay_failure_exits_2(self, fig6_file, capsys, monkeypatch):
         def fail(ctx, word):
             raise ReplayError(3, "rule 4 not enabled")
@@ -84,21 +113,8 @@ class TestReach:
         assert err.startswith("error: internal: replay failed at position 3")
 
     def test_saturation_fallback_for_r_tests(self, tmp_path, capsys):
-        text = """\
-alphabet: a
-sender: p0 p1 p2
-receiver: q0 q1
-rule s: p0 -> p1 : r!a
-rule s: p1 -> p2 : r=EPS
-rule r: q0 -> q1 : r?a
-instance: p0 p2 q0 q1
-U: EPS
-V: EPS
-Up: EPS
-Vp: EPS
-"""
         path = tmp_path / "rtest.ucst"
-        path.write_text(text)
+        path.write_text(R_TEST_TEXT)
         code = main(["reach", str(path), "--method", "pipeline", "--bound", "3"])
         out = capsys.readouterr().out
         assert code == 0

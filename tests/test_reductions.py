@@ -458,12 +458,12 @@ def forward_pre_star(s, target, bound, starts):
 
 
 def full_graph_oracle(bound):
-    """Reference for `bounded_oracle`: the form it had before it grew its
-    graph by control pairs.  One graph per system, from every control pair
-    times every l word up to the bound, every node expanded; a minimal
-    element stands for the starts whose configuration it lies below; and
-    the minimal elements come from a recursive search, one loss at a time,
-    that holds for any set of nodes."""
+    """Reference for `bounded_oracle`: one graph per system, from every
+    control pair times every l word up to the bound, every node expanded,
+    as the oracle builds it; but a minimal element stands for the starts
+    whose configuration it lies below, and the minimal elements come from
+    a recursive search, one loss at a time, that holds for any set of
+    nodes."""
     k = bound.max_channel_len
     latest = [None]  # system, its start nodes, its graph
 
@@ -546,16 +546,17 @@ def saturation_system(rng):
             return r_tests_stripped(s)
 
 
-def pinned_saturation_instances(rng, n):
+def pinned_saturation_instances(rng, n, forward_sender=True):
     """`n` empty-to-empty instances shaped like the benchmark's saturation
-    cases: an acyclic Sender with emptiness tests on both channels, at
-    least one on r, from (p0, q0) to a later Sender state."""
+    cases: a Sender with emptiness tests on both channels, at least one on
+    r, from (p0, q0) to a later Sender state.  The Sender is acyclic, as in
+    the benchmark, unless `forward_sender` is False."""
     insts = []
     while len(insts) < n:
         s = random_ucst(rng, alphabet=("a", "b"), n_sender=3, n_receiver=2,
                         n_sender_rules=4, n_receiver_rules=2,
                         sender_tests=(("Z", "l"), ("Z", "r")),
-                        test_weight=0.45, forward_sender=True)
+                        test_weight=0.45, forward_sender=forward_sender)
         if not any(t.channel == R for t in classify_tests(s).tests):
             continue
         m = s.alphabet
@@ -678,9 +679,7 @@ class TestBoundedGraph:
         edges = losses = 0
         for s, starts in cases:
             for mode in MODES:
-                found, rev, gained, parked = bounded_graph(s, starts,
-                                                           Bound(3, 0), mode)
-                assert parked == {}  # every node found was expanded
+                found, rev, gained = bounded_graph(s, starts, Bound(3, 0), mode)
                 want, lost = {}, {}
                 for node in found:
                     for label, succ in step(s, node, mode, 3)[0]:
@@ -798,19 +797,11 @@ class TestBoundedOracle:
                                                     oracle)
         assert fig6.pairs == pairs  # no pair was numbered for them
 
-    def test_query_sequences_match_the_full_graph_oracle(self, monkeypatch):
+    def test_query_sequences_match_the_full_graph_oracle(self):
         """Three to five queries in a row on one oracle, exact and upward
-        targets mixed: each answer equals that of a fresh full-graph oracle,
-        while the oracle's one graph grows by the pairs each query needs."""
-        build = reductions.bounded_graph
-        grown = []  # per later growth of a graph, the pairs it expands
-
-        def counting_build(s, starts, bound, mode, pairs, graph):
-            if graph is not None:
-                grown.append(len(pairs))
-            return build(s, starts, bound, mode, pairs, graph)
-
-        monkeypatch.setattr(reductions, "bounded_graph", counting_build)
+        targets mixed: each answer equals that of a fresh full-graph
+        oracle, though the oracle answers them all over the graph it built
+        for the first."""
         rng = random.Random(211)
         answers = Counter()
         for _ in range(8):
@@ -829,14 +820,13 @@ class TestBoundedOracle:
                             any(c not in asked for c in got.minimal)] += 1
         assert all(answers[upward, True] >= 15 for upward in (False, True)), \
             answers
-        # a saturation system has 3 × 2 control pairs
-        assert len(grown) >= 20 and min(grown) < 6, grown
 
     def test_second_target_reached_through_a_parked_node(self):
-        """The first target, (p2, q0), needs the pairs (p0, q0) and (p2,
-        q0) only, so the r-write that takes (p0, q0) into (p1, q0) finds a
-        node that stays parked.  The second target, (p1, q1), is reached
-        from (p0, q0) only through that node, read by Receiver."""
+        """The first target, (p2, q0), can be reached from the pairs (p0,
+        q0) and (p2, q0) only, so an oracle that expanded only those pairs
+        would leave unexpanded the node that the r-write takes (p0, q0)
+        into (p1, q0).  The second target, (p1, q1), is reached from (p0,
+        q0) only through that node, read by Receiver."""
         m = ("a",)
         s = Ucst(m, ("p0", "p1", "p2"), ("q0", "q1"),
                  [Rule("p0", "r", Action.write("a"), "p1"),
@@ -991,21 +981,22 @@ Vp: EPS
         assert checked >= 4
 
     def test_explores_each_system_forward_once(self, monkeypatch):
-        """All graph work is on the stripped system, in one graph that every
-        later query grows: each node is expanded at most once over all of
-        its queries, and fewer nodes in all than the full graph holds.  A
-        system whose start states cannot reach their goal states asks
-        nothing.  The first answer covers the start of most other systems,
-        which then ask one query only, so the battery is large enough to
-        hold a system that asks three (the first is its 62nd draw)."""
+        """All graph work is on the stripped system, in one graph built on
+        its first query: each node is expanded once over all of its
+        queries, the graph is the one from every r-empty node of the
+        stripped system, and fewer nodes in all than the graphs of the
+        untrimmed systems hold.  A system whose start states cannot reach
+        their goal states asks nothing.  The first answer covers the start
+        of most other systems, which then ask one query only, so the
+        battery is large enough to hold a system that asks three (the first
+        is its 62nd draw)."""
         build = reductions.bounded_graph
         step_layer = explore.step_layer
         builds, expanded = [], Counter()
 
         def counting_build(s, *args):
-            graph = build(s, *args)
-            builds.append((s, args[-1], graph))
-            return graph
+            builds.append(s)
+            return build(s, *args)
 
         def counting_step_layer(s, layer, *args):
             for node in layer:
@@ -1042,17 +1033,16 @@ Vp: EPS
             assert asked
             stripped = asked[0]
             assert stripped is not s and set(asked) == {stripped}
-            graph = builds[0][2]
-            assert builds[0][:2] == (stripped, None)
-            assert all(b is stripped and given is graph and got is graph
-                       for b, given, got in builds[1:])
+            assert builds == [stripped]
             assert set(expanded.values()) == {1}
             assert {key[0] for key in expanded} == {stripped}
             rounds.append(len(asked))
-            ours = len(expanded)
+            ours = {node for _, node in expanded}
+            own = bounded_graph(stripped, r_empty_nodes(stripped, 4), bound)[0]
+            assert ours == set(own)
             full = r_tests_stripped(s)
             whole = bounded_graph(full, r_empty_nodes(full, 4), bound)[0]
-            sizes.append((ours, len(whole)))
+            sizes.append((len(ours), len(whole)))
         assert cut >= 1
         assert max(rounds) >= 3 and sum(rounds) >= 12
         assert all(ours <= whole for ours, whole in sizes), sizes
@@ -1062,28 +1052,37 @@ Vp: EPS
     # asks over `pinned_saturation_instances`, at each bound of
     # `test_oracle_answers_are_pinned`, in that order; per instance, these
     # answers are a prefix of those asked when saturation ran to its
-    # fixpoint even after reaching the start
+    # fixpoint even after reaching the start.  The first digest is of
+    # acyclic Senders, the second of cyclic ones.
     ORACLE_ANSWERS_SHA256 = (
         "119bf0245831b57dac1c1c95035d19bbaf216aa71a3b201935e6f201db2630ed")
+    CYCLIC_ORACLE_ANSWERS_SHA256 = (
+        "9211bac5753c76959d32483200bf7b913e890a3278b8fb2b7b23d275ca8d805e")
 
     def test_oracle_answers_are_pinned(self):
-        """Every `pre_star_z1l` answer of 70 seeded saturation-shaped
+        """Every `pre_star_z1l` answer of seeded saturation-shaped
         instances, each decided at `Bound(4, 0)` and `Bound(3, 2)` with a
-        fresh oracle, hashed together: a change to the oracle keeps this
-        digest unless it means to change answers.  Instances that the
-        control cut answers ask nothing, hence 70 of them."""
-        answers = []
-        for bound in (Bound(4, 0), Bound(3, 2)):
-            for inst in pinned_saturation_instances(random.Random(19), 70):
-                def recording(s, target, oracle=bounded_oracle(bound)):
-                    answer = oracle(s, target)
-                    answers.append(repr(answer))
-                    return answer
+        fresh oracle, hashed together, once for 70 instances with acyclic
+        Senders and once for 100 with cyclic ones: a change to the oracle
+        keeps these digests unless it means to change answers.  Instances
+        that the control cut answers ask nothing, hence so many of them
+        (the cut answers most of the cyclic ones)."""
+        pins = {True: (70, self.ORACLE_ANSWERS_SHA256),
+                False: (100, self.CYCLIC_ORACLE_ANSWERS_SHA256)}
+        for forward_sender, (n, pin) in pins.items():
+            answers = []
+            for bound in (Bound(4, 0), Bound(3, 2)):
+                for inst in pinned_saturation_instances(random.Random(19), n,
+                                                        forward_sender):
+                    def recording(s, target, oracle=bounded_oracle(bound)):
+                        answer = oracle(s, target)
+                        answers.append(repr(answer))
+                        return answer
 
-                decide_eereach_z1(inst, recording)
-        digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-        assert len(answers) >= 120
-        assert digest == self.ORACLE_ANSWERS_SHA256
+                    decide_eereach_z1(inst, recording)
+            digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+            assert len(answers) >= 120, (forward_sender, len(answers))
+            assert digest == pin, (forward_sender, digest)
 
     def test_trim_keeps_answers(self):
         """Against the untrimmed procedure it replaced, `decide_eereach_z1`
