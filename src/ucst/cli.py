@@ -201,9 +201,12 @@ def build_parser():
                    help="solution length bound for the pipeline method")
     p.set_defaults(run=cmd_reach)
 
-    p = sub.add_parser("reduce", help="run reduction stages and emit the result")
+    p = sub.add_parser("reduce",
+                       help="run reduction stages, each output trimmed to its "
+                            "start-to-goal control states, and emit the result")
     p.add_argument("file")
-    p.add_argument("--to", required=True, choices=STAGE_ORDER)
+    p.add_argument("--to", required=True, choices=STAGE_ORDER,
+                   help="last stage to run; the input itself is not trimmed")
     p.add_argument("-o", "--output")
     p.set_defaults(run=cmd_reduce)
 

@@ -447,20 +447,27 @@ def bounded_oracle(bound):
     return oracle
 
 
-def _reaching(states, rules, never):
-    """Each of `states` mapped to the set of states from which it can be
-    reached along `rules`, itself included, leaving out the rules whose
-    action is of kind `never`."""
-    reaching = {state: {state} for state in states}
-    moves = [(r.source, r.target) for r in rules if r.action.kind != never]
-    grew = True
-    while grew:
-        grew = False
-        for p, q in moves:
-            if not reaching[p] <= reaching[q]:
-                reaching[q] |= reaching[p]
-                grew = True
-    return reaching
+def _on_paths(rules, never, start, goal):
+    """The states on some `start`→`goal` path along `rules`, leaving out the
+    rules whose action is of kind `never`: those reached forward from
+    `start` that also reach `goal`, by one search each way."""
+    forward, backward = {}, {}
+    for r in rules:
+        if r.action.kind != never:
+            forward.setdefault(r.source, []).append(r.target)
+            backward.setdefault(r.target, []).append(r.source)
+
+    def search(edges, root):
+        seen = {root}
+        todo = [root]
+        for state in todo:
+            for nxt in edges.get(state, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    return search(forward, start) & search(backward, goal)
 
 
 def control_trim(inst):
@@ -468,13 +475,34 @@ def control_trim(inst):
     some q_in→q_fi path, over the control graphs alone: Sender's with its
     tests and without its reads, Receiver's without its writes.  Channels
     and tests only remove runs, so every run from the start to the goal
-    stays in these states; when either set is empty (a start state cannot
-    reach its goal state), the instance is unreachable at every bound."""
+    stays in these states.  When a start state cannot reach its goal state,
+    the instance is unreachable at every bound, and both sets are empty."""
     s = inst.system
-    senders = _reaching(s.sender_states, s.sender_rules, "read")
-    receivers = _reaching(s.receiver_states, s.receiver_rules, "write")
-    return ({p for p in senders[inst.p_fi] if inst.p_in in senders[p]},
-            {q for q in receivers[inst.q_fi] if inst.q_in in receivers[q]})
+    senders = _on_paths(s.sender_rules, "read", inst.p_in, inst.p_fi)
+    receivers = _on_paths(s.receiver_rules, "write", inst.q_in, inst.q_fi)
+    if not (senders and receivers):
+        return set(), set()
+    return senders, receivers
+
+
+def restrict(inst, senders, receivers, drop=()):
+    """`inst` on the given Sender and Receiver states plus its four
+    endpoints, with the rules whose both ends are given, less those in
+    `drop`.  Every run of the result is a run of `inst`, and given
+    `control_trim`'s sets (and no `drop`), every run of `inst` from the
+    start to the goal is one of the result, so the two answer alike in
+    every mode and at every bound; a cut instance keeps no rule at all."""
+    s = inst.system
+    ends = (inst.p_in, inst.p_fi, inst.q_in, inst.q_fi)
+    system = Ucst(s.alphabet,
+                  [p for p in s.sender_states if p in senders or p in ends],
+                  [q for q in s.receiver_states if q in receivers or q in ends],
+                  [r for r in s.sender_rules if r.source in senders
+                   and r.target in senders and r not in drop],
+                  [r for r in s.receiver_rules
+                   if r.source in receivers and r.target in receivers])
+    return ReachInstance(system, inst.p_in, inst.p_fi, inst.q_in, inst.q_fi,
+                         inst.U, inst.V, inst.Up, inst.Vp)
 
 
 def _words_above(words, v):
@@ -543,12 +571,13 @@ def decide_eereach_z1(inst, oracle):
     Each agent is first trimmed to its start-to-goal states (`control_trim`).
     When a start state cannot reach its goal state, the answer is False and
     the oracle is not asked.  Otherwise the oracle sees only the trimmed
-    states, the rules (r-tests left out) whose both ends are kept, and hops
-    back over the kept r-test rules only.  This keeps the answer: every
-    state on a path between a trimmed pair and a trimmed target is reached
-    from the start and reaches the goal, so each oracle answer is the
-    untrimmed one restricted to trimmed pairs, and a minimal element at a
-    pair outside the trim can neither cover the start nor hop into it.
+    states and the rules (r-tests left out) whose both ends are kept
+    (`restrict`), and hops back over the kept r-test rules only.  This
+    keeps the answer: every state on a path between a trimmed pair and a
+    trimmed target is reached from the start and reaches the goal, so each
+    oracle answer is the untrimmed one restricted to trimmed pairs, and a
+    minimal element at a pair outside the trim can neither cover the start
+    nor hop into it.
 
     The union of stages only grows, and every configuration in it reaches
     the goal, so the answer is True as soon as it holds the start, and no
@@ -562,16 +591,10 @@ def decide_eereach_z1(inst, oracle):
         if not _is_eps_language(nfa):
             raise FragmentError("decision procedure expects an empty-to-empty instance")
     senders, receivers = control_trim(inst)
-    if not (senders and receivers):
+    if not senders:
         return False
     zr_rules = [s.rules[t.rule_id] for t in report.tests if t.channel == R]
-    stripped = Ucst(s.alphabet,
-                    [p for p in s.sender_states if p in senders],
-                    [q for q in s.receiver_states if q in receivers],
-                    [r for r in s.sender_rules if r not in zr_rules
-                     and r.source in senders and r.target in senders],
-                    [r for r in s.receiver_rules
-                     if r.source in receivers and r.target in receivers])
+    stripped = restrict(inst, senders, receivers, zr_rules).system
     zr_rules = [r for r in zr_rules
                 if r.source in senders and r.target in senders]
     start = Configuration(inst.p_in, inst.q_in, (), ())
@@ -786,7 +809,9 @@ def _proxy_receiver(alphabet):
 # The elimination stages in order: (name, whether the instance still has the
 # feature the stage removes, the stage, its bound-inflation note).  Stages are
 # looked up by module name on each call, so a wrapper installed on the module
-# attribute (as perfbench's tracer does) sees them.
+# attribute (as perfbench's tracer does) sees them.  `run_pipeline` trims each
+# stage's output to its start-to-goal control states before the next feature
+# check, so a stage sees, and a check asks about, only rules a run can use.
 STAGES = (
     ("z1n1", lambda inst: inst.system.test_report.has_receiver_tests(),
      lambda inst: elim_receiver_tests(inst),
@@ -845,7 +870,15 @@ class PipelineTrace:
 
 def run_pipeline(inst, to="pep"):
     """Run the reduction prefix up to `to`, skipping stages whose feature is
-    already absent; the trace records each stage and its bound-inflation note."""
+    already absent; the trace records each stage and its bound-inflation note.
+
+    Each stage's output is trimmed (`restrict` to `control_trim`) before the
+    next stage's feature is checked, and the trace records the trimmed
+    instance.  This is sound: tests and channels only remove runs, so no run
+    from the start to the goal leaves the states on a start-to-goal path of
+    each agent's control graph, and the trimmed instance has exactly those
+    runs.  A feature found only on rules off every such path is gone, and
+    its stage is skipped.  The parsed input itself is not trimmed."""
     if to not in STAGE_ORDER:
         raise InputError(f"unknown pipeline target {to!r}")
     trace = PipelineTrace([PipelineStage("input", inst, "")])
@@ -855,6 +888,7 @@ def run_pipeline(inst, to="pep"):
     for name, has_feature, stage, note in STAGES:
         if has_feature(cur):
             cur = stage(cur)
+            cur = restrict(cur, *control_trim(cur))
             trace.stages.append(PipelineStage(name, cur, note))
         if name == to:
             return trace

@@ -18,10 +18,12 @@ from .pep import (
 from .randomgen import random_instance, random_ucst, random_z1l_instance
 from .reductions import (
     bridge_context,
+    control_trim,
     elim_final,
     elim_initial,
     elim_n1,
     elim_receiver_tests,
+    restrict,
     ucst_to_pep,
 )
 
@@ -127,6 +129,46 @@ def check_stage_equivalence(seed, samples, bound_len=3, max_steps=2500):
     return out
 
 
+def check_stage_trim(seed, samples, bound_len=3, max_steps=3000):
+    """Each stage's output, drawn as in `check_stage_equivalence`, and its
+    trim (`restrict` to `control_trim`, as `run_pipeline` applies it) have
+    the same start-to-goal runs, so within one bound the explorer finds a
+    witness on both or on neither (in particular, never REACHABLE on one
+    and UNREACHABLE on the other), and a witness on the trim validates
+    there."""
+    rng = random.Random(seed)
+    res = CheckResult("stage trim")
+    families = (
+        (elim_receiver_tests, {"sender_tests": (("Z", "l"), ("N", "r")),
+                               "receiver_tests": (("Z", "l"), ("N", "l"),
+                                                  ("Z", "r"))}, False),
+        (elim_initial, {"sender_tests": (("Z", "l"), ("N", "r"))}, False),
+        (elim_n1, {"sender_tests": (("Z", "l"), ("N", "l"), ("N", "r"))}, True),
+        (elim_final, {"sender_tests": (("Z", "l"), ("Z", "r"))}, True),
+    )
+    bound = Bound(bound_len + 1, max_steps)
+    for stage, tests, empty_initial in families:
+        for _ in range(samples):
+            s = random_ucst(rng, **tests)
+            inst = random_instance(rng, s, empty_initial=empty_initial,
+                                   bias_reachable=0.6)
+            whole = stage(inst)
+            trimmed = restrict(whole, *control_trim(whole))
+            a = bounded_reach(whole, bound, LOSSY)
+            b = bounded_reach(trimmed, bound, LOSSY)
+            if a.reachable != b.reachable:
+                res.failed += 1
+                res.notes.append(f"{stage.__name__}: untrimmed {a}, trimmed {b}")
+            elif b.reachable and not validate_run(trimmed.system, b.witness,
+                                                  LOSSY):
+                res.failed += 1
+                res.notes.append(f"{stage.__name__}: witness on the trim "
+                                 "does not validate")
+            else:
+                res.passed += 1
+    return res
+
+
 def check_pep_roundtrips(seed, samples, bound_len=4, max_steps=400):
     """Witness runs become solutions; solved words replay into runs."""
     rng = random.Random(seed)
@@ -197,4 +239,5 @@ def run_validation(seed, samples, bound_len=3):
     results.extend(check_stage_equivalence(seed, samples, bound_len))
     results.append(check_pep_roundtrips(seed + 1, samples * 2))
     results.append(check_write_lossy_equivalence(seed + 2, max(samples, 10)))
+    results.append(check_stage_trim(seed + 3, samples, bound_len))
     return results

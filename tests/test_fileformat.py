@@ -225,13 +225,22 @@ class TestPepFormat:
 
 class TestPrintPepPins:
     # sha256 prefixes of `print_pep` on seeded Sender Z/N instances with
-    # regular constraints, reduced to PEP: (stages run, digest) per instance
-    PINS = {0: (("input", "eg", "eez1"), "367b1946ac50329b"),
-            2: (("input", "eg", "eez1"), "179e3ad142208ab5"),
-            6: (("input", "eg", "eez1"), "e0e348119625f185"),
-            7: (("input", "eg", "eez1"), "13e94883136a71ba"),
-            10: (("input", "eg", "egz1", "eez1"), "a9af956e4d3f8b8c"),
-            11: (("input", "eg", "eez1"), "9801682c63fca52a")}
+    # regular constraints, reduced to PEP: (stages run, digest) per instance.
+    # The first six are control-cut: the trimmed stages keep no rule, so R
+    # is empty and each prints the same text; the last six are not.
+    CUT = "71ae747194d254a6"
+    PINS = {0: (("input", "eg", "eez1"), CUT),
+            2: (("input", "eg", "eez1"), CUT),
+            6: (("input", "eg", "eez1"), CUT),
+            7: (("input", "eg", "eez1"), CUT),
+            10: (("input", "eg", "eez1"), CUT),
+            11: (("input", "eg", "eez1"), CUT),
+            13: (("input", "eg", "eez1"), "767dbe8f21a78dda"),
+            17: (("input", "eg", "eez1"), "5381ea3e62a94ccf"),
+            21: (("input", "eg", "eez1"), "9e861ae3660cc593"),
+            22: (("input", "eg", "eez1"), "4a77903ee494f489"),
+            23: (("input", "eg", "egz1", "eez1"), "8ac18863ca7a6eb3"),
+            25: (("input", "eg", "eez1"), "dac3cfa79cb769e4")}
 
     def test_reduced_zn_instances(self):
         rng = random.Random(43)

