@@ -216,7 +216,12 @@ def build_parser():
     p.add_argument("--seed", type=int, default=20140801)
     p.set_defaults(run=cmd_validate)
 
-    p = sub.add_parser("gen", help="emit a generated stress instance")
+    p = sub.add_parser(
+        "gen", help="emit a generated stress instance",
+        description="Emit a generated stress instance.  A thue file ends with "
+                    "its lasso target, a control pair; no ucst command checks "
+                    "it, and the test suite checks it with the lasso search in "
+                    "tests/support.py.")
     p.add_argument("kind", choices=["queue-parity", "queue-head", "thue",
                                     "writelossy"])
     p.add_argument("--ops", default="w:a,r:a",

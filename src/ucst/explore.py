@@ -1,4 +1,4 @@
-"""Bounded explicit-state oracle: forward/backward reachability and lassos.
+"""Bounded explicit-state oracle: forward and backward reachability.
 
 All searches run one breadth-first core, `_bfs`, over nodes (pair id, r
 word id, l word id) of the system's numbered pairs and words, a whole layer
@@ -7,10 +7,10 @@ that would outgrow it is discarded, never truncated, so every witness is a
 genuine run, and its word is never numbered.  `_bfs` keeps only each node's
 first finder; a witness gets each step's label back by stepping the finder
 again with `model.step`.  Nodes become `Configuration` values only at the
-edges: the configurations `reachable_nodes` and `bounded_recurrent` start
-from, and witness runs.  A certified "unreachable" verdict is only produced
-when the closure finished without pruning anything, including the
-enumeration of initial words.
+edges: the configurations `reachable_nodes` starts from, and witness runs.
+A certified "unreachable" verdict is only produced when the closure
+finished without pruning anything, including the enumeration of initial
+words.
 
 Co-reach comes in two parts, both on nodes: `bounded_graph` explores a
 system's bounded graph forward once from start nodes, and `coreach_in`
@@ -20,8 +20,6 @@ reverse lists of rule moves only: a loss keeps the pair and r, so in a
 lossy graph the loss predecessors of node (c, u, w) are the nodes (c, u,
 j) found with j in the word table's `gained[w]`, since expanding a node
 asked its l word's losses.
-Lassos use `_bfs` too: the stem is a path of the forward search, and each
-candidate anchor's cycle is a `_bfs` from its successors back to it.
 """
 
 from dataclasses import dataclass
@@ -31,7 +29,6 @@ from .errors import InputError
 from .model import (
     LOSSY,
     MODES,
-    Configuration,
     Run,
     step,
     step_layer,
@@ -69,16 +66,6 @@ class Verdict:
 
     def __str__(self):
         return self.status.upper().replace("_", "-")
-
-
-@dataclass(frozen=True)
-class LassoWitness:
-    stem: Run   # from the initial configuration to the anchor
-    cycle: Run  # from the anchor back to itself, at least one step
-
-    @property
-    def anchor(self):
-        return self.stem.end
 
 
 def _initial_nodes(inst, bound):
@@ -246,32 +233,3 @@ def coreach_in(graph, targets, bound):
     parents, _, _ = _bfs([n for n in targets if n in found], expand,
                          max_depth=bound.max_steps)
     return parents.keys()
-
-
-def bounded_recurrent(s, p_in, q_in, p, q, bound, max_states=None, mode=LOSSY):
-    """Search for a stem plus a cycle through a configuration with control
-    pair (p, q) inside the bounded graph; None when not found.
-
-    Anchors are tried in `_bfs` discovery order, so the stem is a shortest
-    one; an anchor's cycle is the shortest way back to it, found by a `_bfs`
-    from its successors.
-    """
-    k = bound.max_channel_len
-    expand = _stepper(s, mode, k)
-    start = s.node(Configuration(p_in, q_in, (), ()))
-    parents, _, stop = _bfs([start], expand, max_nodes=max_states)
-    if stop == "budget":
-        return None
-    pair = s.pair(p, q)
-    for anchor in parents:
-        if anchor[0] != pair:
-            continue
-        out, _ = step(s, anchor, mode, k)
-        found, hit, _ = _bfs([succ for _, succ in out], expand,
-                             (pair, lambda n: n == anchor))
-        if hit is None:
-            continue
-        cycle = _run(s, [anchor] + _path(found, anchor), mode, k)
-        return LassoWitness(_run(s, _path(parents, anchor), mode, k), cycle)
-    return None
-

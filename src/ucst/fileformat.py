@@ -1,6 +1,7 @@
 """Line-oriented text formats for systems (.ucst) and embedding instances (.pep).
 
-A system file has `alphabet`, `sender`, `receiver`, `rule`, `instance` and
+Systems are read and written; embedding instances are only written.  A
+system file has `alphabet`, `sender`, `receiver`, `rule`, `instance` and
 constraint lines; `//` starts a comment.  The reserved signal symbols z, n
 and # are rejected in user alphabets; files emitted by the reduction stages
 carry a `stage:` header, which lifts that restriction on re-parsing.
@@ -8,9 +9,8 @@ carry a `stage:` header, which lifts that restriction on re-parsing.
 
 from .errors import InputError
 from .model import Action, ReachInstance, Rule, Ucst
-from .pep import PepInstance
 from .reductions import RESERVED_SYMBOLS
-from .regdata import KEYWORDS, Nfa, language_equal, parse_regex
+from .regdata import KEYWORDS, parse_regex
 
 _BAD_SYMBOL_CHARS = set("()|*+:!?=")
 
@@ -302,60 +302,3 @@ def print_pep(inst):
     lines.append("R: " + nfa_to_regex(inst.R))
     lines.append("Rp: " + nfa_to_regex(inst.Rp))
     return "\n".join(lines) + "\n"
-
-
-def _parse_image(text, gamma):
-    text = text.strip()
-    if text == "EPS" or not text:
-        return ()
-    out = tuple(text.split())
-    for sym in out:
-        if sym not in gamma:
-            raise InputError(f"image symbol {sym!r} not in gamma")
-    return out
-
-
-def parse_pep(text):
-    sigma = gamma = None
-    u, v = {}, {}
-    r_text = rp_text = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//")[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
-        if key == "sigma":
-            sigma = tuple(rest.split())
-            _check_keywords(sigma)
-        elif key == "gamma":
-            gamma = tuple(rest.split())
-            _check_keywords(gamma)
-        elif key in ("u", "v"):
-            letter, _, image = rest.partition("->")
-            letter = letter.strip()
-            if sigma is None or letter not in sigma:
-                raise InputError(f"line {lineno}: unknown letter {letter!r}")
-            (u if key == "u" else v)[letter] = _parse_image(image, gamma or ())
-        elif key == "R":
-            r_text = rest
-        elif key == "Rp":
-            rp_text = rest
-        else:
-            raise InputError(f"line {lineno}: unknown directive {key!r}")
-    if sigma is None or gamma is None or r_text is None or rp_text is None:
-        raise InputError("file needs sigma, gamma, R and Rp lines")
-
-    def constraint(text_):
-        if text_ == "NONE":
-            return Nfa.nothing(sigma)
-        return parse_regex(text_, sigma)
-
-    return PepInstance(sigma, gamma, u, v, constraint(r_text),
-                       constraint(rp_text))
-
-
-def pep_equal(a, b):
-    if (a.sigma, a.gamma, a.u, a.v) != (b.sigma, b.gamma, b.u, b.v):
-        return False
-    return language_equal(a.R, b.R) and language_equal(a.Rp, b.Rp)

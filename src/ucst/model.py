@@ -25,17 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import FragmentError, InputError
-from .regdata import (
-    Nfa,
-    cached_on_nfa,
-    is_downward_closed,
-    is_upward_closed,
-    language_equal,
-    subword,
-    subword_one,
-    word_str,
-)
+from .errors import InputError
+from .regdata import Nfa, cached_on_nfa, language_equal, word_str
 
 R = "r"
 L = "l"
@@ -617,218 +608,6 @@ def first_invalid_step(s, run, mode=LOSSY):
 
 def validate_run(s, run, mode=LOSSY):
     return first_invalid_step(s, run, mode) is None
-
-
-def _non_head_loss_weight(run):
-    """Sum, over the losses that do not remove the head of l, of the number
-    of rule steps that follow each one."""
-    configs = run.configs()
-    weight = rules_after = 0
-    for i in range(len(run.steps) - 1, -1, -1):
-        label, nxt = run.steps[i]
-        if label != LOSS:
-            rules_after += 1
-        elif nxt.v != configs[i].v[1:]:
-            weight += rules_after
-    return weight
-
-
-def is_head_lossy(run):
-    """Every loss removes the head of l, or happens after the last rule step."""
-    return _non_head_loss_weight(run) == 0
-
-
-# -- commuting adjacent steps ---------------------------------------------------
-
-def _step_info(s, label):
-    """(agent, action_kind, channel, rule) with loss encoded as (None, 'loss', L)."""
-    if label == LOSS:
-        return None, "loss", L, None
-    rule = s.rule(label)
-    agent = s.agent_of(label)
-    channel = None if rule.action.kind == "nop" else rule.channel
-    return agent, rule.action.kind, channel, rule
-
-
-def _case_no_contact(i1, i2):
-    agent1, kind1, ch1, _ = i1
-    agent2, kind2, ch2, _ = i2
-    if kind1 == "loss":
-        return kind2 == "loss" or (ch2 is not None and ch2 != L)
-    if ch1 is None:
-        return False
-    if kind2 == "loss":
-        return ch1 != L
-    return ch2 is not None and agent1 != agent2 and ch1 != ch2
-
-
-@cached_on_nfa
-def _stable_behind_head(lang):
-    """Inserting a letter behind the head never leaves `lang`: a⁻¹L is
-    upward-closed for every letter a.  True of Z, N and head tests."""
-    return all(is_upward_closed(lang.quotient(a)) for a in lang.alphabet)
-
-
-def _case_postponable_loss(i1, i2, src, mid):
-    # the loss admits an interpretation behind the head of l, and the next
-    # step cannot tell: an l-test must survive the letter not yet lost
-    if i1[1] != "loss":
-        return False
-    _, kind2, ch2, rule2 = i2
-    if kind2 == "test" and ch2 == L and not _stable_behind_head(rule2.action.lang):
-        return False
-    v, v2 = src.v, mid.v
-    return len(v) >= 2 and v2[:1] == v[:1] and subword_one(v2[1:], v[1:])
-
-
-def _case_advanceable_sender(i1, i2):
-    agent1, kind1, ch1, rule1 = i1
-    agent2, kind2, ch2, rule2 = i2
-    if not (kind1 == "loss" or agent1 == RECEIVER):
-        return False
-    if agent2 != SENDER:
-        return False
-    if kind2 == "test":
-        # sound only for tests stable under channel growth (e.g. nonemptiness)
-        return is_upward_closed(rule2.action.lang)
-    if kind1 == "test" and kind2 == "write" and ch1 == ch2:
-        # a Receiver test overtaken by a write to the tested channel must
-        # also be growth-stable: an emptiness test would fail afterwards
-        return is_upward_closed(rule1.action.lang)
-    return True
-
-
-def _case_advanceable_loss(i1, i2):
-    agent1, kind1, ch1, rule1 = i1
-    if i2[1] != "loss":
-        return False
-    if agent1 == SENDER and kind1 == "write" and ch1 == L:
-        return False
-    if kind1 == "test" and ch1 == L:
-        # sound only for tests stable under losses (e.g. emptiness)
-        return is_downward_closed(rule1.action.lang)
-    return True
-
-
-def commute_case(s, run, i):
-    """Name of the first commuting case that covers steps i, i+1, or None."""
-    if not (0 <= i and i + 1 < len(run.steps)):
-        raise InputError("index must address two consecutive steps")
-    configs = run.configs()
-    lab1, lab2 = run.steps[i][0], run.steps[i + 1][0]
-    info1, info2 = _step_info(s, lab1), _step_info(s, lab2)
-    if _case_no_contact(info1, info2):
-        return "no-contact"
-    if _case_postponable_loss(info1, info2, configs[i], configs[i + 1]):
-        return "postponable-loss"
-    if _case_advanceable_sender(info1, info2):
-        return "advanceable-sender"
-    if _case_advanceable_loss(info1, info2):
-        return "advanceable-loss"
-    return None
-
-
-def commute(s, run, i, mode=LOSSY):
-    """Swap steps i and i+1 if a commuting case applies; else None.
-
-    The middle configuration is recomputed; when a case condition holds the
-    swapped order must validate, so failure to find it is an internal error.
-    """
-    case = commute_case(s, run, i)
-    if case is None:
-        return None
-    configs = run.configs()
-    lab1, lab2 = run.steps[i][0], run.steps[i + 1][0]
-    target = configs[i + 2]
-    # the unswapped middle goes last: after two losses it matches too, but
-    # choosing it would report a swap that did not happen
-    candidates = sorted(successors(s, configs[i], mode),
-                        key=lambda step: step[1] == configs[i + 1])
-    for labm, mid in candidates:
-        if labm != lab2:
-            continue
-        for labe, end in successors(s, mid, mode):
-            if labe == lab1 and end == target:
-                steps = list(run.steps)
-                steps[i] = (lab2, mid)
-                steps[i + 1] = (lab1, target)
-                return Run(run.start, tuple(steps))
-    raise RuntimeError(f"commuting case {case} held but no swapped order validates")
-
-
-def _canonical_losses(c, w):
-    """Loss steps from `c` down to l = w (a subword of c.v): the most head
-    losses possible, then deletions behind the head, leftmost first."""
-    v = c.v
-    h = 0
-    while h < len(v) and subword(w, v[h + 1:]):
-        h += 1
-    cur = v[h:]
-    steps = [(LOSS, Configuration(c.p, c.q, c.u, v[k:])) for k in range(1, h + 1)]
-    # w embeds in cur but not in cur[1:], so the leftmost embedding uses
-    # cur[0]: the first position where cur and w differ is never the head
-    while cur != w:
-        k = next((k for k, (x, y) in enumerate(zip(cur, w)) if x != y), len(w))
-        cur = cur[:k] + cur[k + 1:]
-        steps.append((LOSS, Configuration(c.p, c.q, c.u, cur)))
-    return steps
-
-
-def to_head_lossy(s, run, mode=LOSSY):
-    """Equivalent head-lossy run with the same endpoints.
-
-    Each round takes the first maximal block of consecutive losses that a
-    rule step follows and that holds a loss behind the head of l.  The block
-    goes from l = v to l = w; it is rewritten as the most head losses
-    possible (the largest h with w a subword of v[h:]) followed by single
-    deletions behind the head from v[h:] down to w.  The block's last loss,
-    if it is behind the head, is then pushed past the rule step by
-    `commute` (the no-contact case for a rule on r, the postponable-loss
-    case otherwise).
-
-    Termination measure: the sum, over losses behind the head, of the rule
-    steps that follow each one; the run is head-lossy when it is 0.  The
-    rewrite never raises it: the block keeps its length and gains head
-    losses, if anything.  A rewrite that leaves no loss behind the head in
-    the block lowers it, and so does the push.  Each round checks that it
-    fell.
-
-    Sound for l-tests that a letter inserted behind the head cannot flip
-    (a⁻¹L upward-closed for every letter a): Z, N and head tests.  A run
-    that needs a loss pushed past any other l-test, such as a parity test,
-    raises FragmentError naming that rule.
-    """
-    cur = run
-    weight = _non_head_loss_weight(cur)
-    while weight:
-        configs = cur.configs()
-        labels = cur.labels()
-        last_rule = max(i for i, label in enumerate(labels) if label != LOSS)
-        i = next(i for i in range(last_rule)
-                 if labels[i] == LOSS and configs[i + 1].v != configs[i].v[1:])
-        start = end = i
-        while start and labels[start - 1] == LOSS:
-            start -= 1
-        while labels[end] == LOSS:
-            end += 1
-        block = _canonical_losses(configs[start], configs[end].v)
-        cur = Run(cur.start, cur.steps[:start] + tuple(block) + cur.steps[end:])
-        j = start + len(block) - 1  # the block keeps its length, so j + 1 == end
-        before = block[-2][1] if len(block) > 1 else configs[start]
-        if block[-1][1].v != before.v[1:]:
-            pushed = commute(s, cur, j, mode)
-            if pushed is None:
-                rid = labels[end]
-                raise FragmentError(
-                    f"a loss behind the head of l cannot be postponed past rule "
-                    f"{rid} ({s.rule(rid)}): its test is not stable under a "
-                    f"letter inserted behind the head")
-            cur = pushed
-        new_weight = _non_head_loss_weight(cur)
-        if new_weight >= weight:
-            raise RuntimeError("head-lossy normalization made no progress")
-        weight = new_weight
-    return cur
 
 
 def format_run(s, run):

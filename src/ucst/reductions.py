@@ -5,7 +5,7 @@ Sender; regular initial constraints are materialized by a generating prefix;
 Sender's nonemptiness tests are absorbed into one-letter write buffers; and
 regular final constraints are consumed by Receiver after a marker.  A system
 whose only remaining tests are Sender emptiness tests on the lossy channel
-maps to a Post embedding instance and back.
+maps to a Post embedding instance.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,6 @@ from .pep import PepInstance, PreSolutionContext
 from .regdata import (
     EPSILON,
     Nfa,
-    _distances,
     _product,
     cached_on_nfa,
     subword,
@@ -618,7 +617,7 @@ def decide_eereach_z1(inst, oracle):
     raise OracleInconclusive("saturation did not stabilize within its round budget")
 
 
-# -- bridges to and from the Post embedding problem --------------------------------
+# -- the bridge to the Post embedding problem ----------------------------------------
 
 def _rule_projections(s):
     read_r, write_r, read_l, write_l = {}, {}, {}, {}
@@ -697,111 +696,6 @@ def ucst_to_pep(inst):
              + [(2, a, 2) for a in sigma] + [(1, EPSILON, 2)])
     return PepInstance(sigma, s.alphabet, dict(ctx.read_l),
                        dict(ctx.write_l), big_r, rp)
-
-
-def pep_to_ucst(pinst):
-    """Channel system that guesses a solution letter by letter: Sender tracks
-    the R automaton and one state set of the complement-of-R' automaton (one
-    fresh copy per committed position), writes the u image on r and the v
-    image on l, and must drain l before any uncommitted position; Receiver
-    reads matching letters off both channels."""
-    rdfa = pinst.R.determinize()
-    rp = pinst.Rp.determinize()
-    not_rp_acc = frozenset(range(rp.n_states)) - rp.accepting
-    rdist = _distances(rdfa.as_nfa())
-    # the complement is built from the same determinization: same states
-    comp_alive = _distances(pinst.Rp.complement())
-    m = tuple(pinst.gamma)
-    eps = Nfa.literal((), m)
-    z_test = emptiness_test(m)
-    receiver_states, receiver_rules = _proxy_receiver(m)
-    names = _Names(receiver_states)
-    core_name = {}
-
-    def core(rs, copies):
-        key = (rs, copies)
-        if key not in core_name:
-            core_name[key] = names.fresh(f"s{rs}_{len(core_name)}")
-        return core_name[key]
-
-    if rdist[rdfa.initial] is None:
-        # R is empty: no solution and no run; emit the minimal dead instance
-        system = Ucst(m, ("s_dead_in", "s_dead_fi"), receiver_states,
-                      [], receiver_rules)
-        return ReachInstance(system, "s_dead_in", "s_dead_fi",
-                             "q_loop", "q_loop", eps, eps, eps, eps)
-
-    start = (rdfa.initial, frozenset())
-    todo = [start]
-    seen = {start}
-    sender_states = [core(*start)]
-    sender_rules = []
-    p_fi = names.fresh("p_fi")
-    emit_after = []
-    while todo:
-        rs, copies = todo.pop(0)
-        here = core(rs, copies)
-        if rs in rdfa.accepting and set(copies) <= not_rp_acc:
-            sender_rules.append(Rule(here, R, Action.nop(), p_fi))
-        moves = []
-        for a in sorted(pinst.sigma, key=symkey):
-            rs2 = rdfa.transitions[(rs, a)]
-            if rdist[rs2] is None:
-                continue
-            stepped = frozenset(rp.transitions[(t, a)] for t in copies)
-            committed = stepped | {rp.transitions[(rp.initial, a)]}
-            if all(comp_alive[t] is not None for t in stepped):
-                moves.append((a, "wait", (rs2, stepped)))
-            if all(comp_alive[t] is not None for t in committed):
-                moves.append((a, "commit", (rs2, committed)))
-        gates = {}
-        for a, how, succ in moves:
-            if how not in gates:
-                gate = names.fresh(f"{here}.{how}")
-                sender_states.append(gate)
-                if how == "wait":
-                    sender_rules.append(Rule(here, L, Action.test(z_test), gate))
-                else:
-                    sender_rules.append(Rule(here, R, Action.nop(), gate))
-                gates[how] = gate
-            if succ not in seen:
-                seen.add(succ)
-                sender_states.append(core(*succ))
-                todo.append(succ)
-            emit_after.append((gates[how], a, core(*succ)))
-    for gate, a, target in emit_after:
-        cur = gate
-        writes = [(R, sym) for sym in pinst.u[a]] + [(L, sym) for sym in pinst.v[a]]
-        for k, (ch, sym) in enumerate(writes):
-            nxt = target if k == len(writes) - 1 else names.fresh(f"{gate}.{a}.{k}")
-            if nxt != target:
-                sender_states.append(nxt)
-            sender_rules.append(Rule(cur, ch, Action.write(sym), nxt))
-            cur = nxt
-        if not writes:
-            sender_rules.append(Rule(cur, R, Action.nop(), target))
-    sender_states.append(p_fi)
-    system = Ucst(m, sender_states, receiver_states,
-                  sender_rules, receiver_rules)
-    return ReachInstance(system, core(*start), p_fi, "q_loop", "q_loop",
-                         eps, eps, eps, eps)
-
-
-def _proxy_receiver(alphabet):
-    """q_loop reading one letter from r then the same letter from l.
-
-    The order matters here: if Receiver picked the letter off l first, it
-    could smuggle a pre-wait l-letter past Sender's emptiness test and match
-    it against a later r-letter, voiding the suffix conditions.
-    """
-    states = ["q_loop"]
-    rules = []
-    for sym in alphabet:
-        aux = f"q_got_{sym}"
-        states.append(aux)
-        rules.append(Rule("q_loop", R, Action.read(sym), aux))
-        rules.append(Rule(aux, L, Action.read(sym), "q_loop"))
-    return states, rules
 
 
 # -- pipeline driver -----------------------------------------------------------------

@@ -8,14 +8,17 @@ tokens), so every deterministic enumeration sorts them with `symkey`.
 
 Every language query steps one lazy subset memo per automaton (`Nfa._subsets`):
 `accepts`, `determinize`, `minimal_dfa`, `words_up_to`,
-`has_word_longer_than`, `language_equal`, `quotient` and the embedding
-solver's `live_moves`.
+`has_word_longer_than`, `language_equal` and the embedding solver's
+`live_moves`.
 
-Every product of automata is one `_product`: `intersect`, `shuffle` and the
-embedding problem's R (`reductions.ucst_to_pep`) differ only in their start
-tuples, their accepting test and the letters each tuple steps.  R steps its
-tuples straight from the rules of a channel system, with no automaton for
-its parts.
+Every product of automata is one `_product`: the embedding problem's R
+(`reductions.ucst_to_pep`), `intersect` and `shuffle` differ only in their
+start tuples, their accepting test and the letters each tuple steps.  R
+steps its tuples straight from the rules of a channel system, with no
+automaton for its parts.
+
+No command calls `determinize`, `complement`, `intersect` or `shuffle`.
+They stay on `Nfa` because perfbench's tracer wraps them by name.
 """
 
 from collections import deque
@@ -144,9 +147,9 @@ class Nfa:
         Subsets are epsilon-closed state sets.  `steps` maps (subset, letter)
         to the next subset as each step is first taken, by `accepts` and
         `live_moves` alike; `live_moves` keeps its answers per subset.
-        `determinize`, `minimal_dfa`, `words_up_to`, `language_equal` and
-        `quotient` step through `live_moves`; `has_word_longer_than` starts
-        from the initial subset and ends in `distance`.
+        `determinize`, `minimal_dfa`, `words_up_to` and `language_equal`
+        step through `live_moves`; `has_word_longer_than` starts from the
+        initial subset and ends in `distance`.
         """
         if self._steps is None:
             object.__setattr__(self, "_steps", (
@@ -372,28 +375,6 @@ class Nfa:
             trans.append((src + n, sym, dst))
         return Nfa(alphabet, 2 * n, a.initial, a.accepting, trans)
 
-    def quotient(self, sym):
-        """Left quotient sym⁻¹L: the words w with sym.w in L."""
-        after = self.live_moves(self.initial_subset()).get(sym, ())
-        return Nfa(self.alphabet, self.n_states, after, self.accepting, self.transitions)
-
-    def upward_closure(self):
-        """Words having some word of L as a scattered subword."""
-        a = self.normalize()
-        trans = list(a.transitions)
-        for s in range(a.n_states):
-            for sym in a.alphabet:
-                trans.append((s, sym, s))
-        return Nfa(a.alphabet, a.n_states, a.initial, a.accepting, trans)
-
-    def downward_closure(self):
-        """Scattered subwords of words of L."""
-        a = self.normalize()
-        trans = list(a.transitions)
-        for src, sym, dst in a.transitions:
-            trans.append((src, EPSILON, dst))
-        return Nfa(a.alphabet, a.n_states, a.initial, a.accepting, trans).normalize()
-
     # -- enumeration -----------------------------------------------------------
 
     def words_up_to(self, max_len):
@@ -473,8 +454,9 @@ def _explore(starts, moves):
 def _letter_index(nfa):
     """(state -> epsilon targets, state -> {letter: [dst]}): the one source
     of subset steps, for `accepts`, `live_moves` and `has_word_longer_than`,
-    and of the letters `intersect` steps.  Letters and targets keep
-    transition order, which in a normal form is `symkey` order."""
+    and of the letters `intersect` steps (only perfbench's tracer calls it).
+    Letters and targets keep transition order, which in a normal form is
+    `symkey` order."""
     out = {}
     for src, sym, dst in nfa.transitions:
         if sym is not EPSILON:
@@ -553,16 +535,6 @@ def language_equal(a, b):
     return True
 
 
-@cached_on_nfa
-def is_upward_closed(nfa):
-    return language_equal(nfa.upward_closure(), nfa)
-
-
-@cached_on_nfa
-def is_downward_closed(nfa):
-    return language_equal(nfa.downward_closure(), nfa)
-
-
 def subword(w1, w2):
     """w1 is a scattered subword (subsequence) of w2; greedy two-pointer scan."""
     i = 0
@@ -570,11 +542,6 @@ def subword(w1, w2):
         if i < len(w1) and w1[i] == sym:
             i += 1
     return i == len(w1)
-
-
-def subword_one(w1, w2):
-    """w1 is w2 with exactly one occurrence deleted."""
-    return len(w1) + 1 == len(w2) and subword(w1, w2)
 
 
 # -- surface regex ------------------------------------------------------------

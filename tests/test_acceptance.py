@@ -8,11 +8,7 @@ import itertools
 import random
 import time
 
-from ucst.explore import (
-    Bound,
-    bounded_reach,
-    bounded_recurrent,
-)
+from ucst.explore import Bound, bounded_reach
 from ucst.generators import SemiThueSystem, gen_thue_recurrent
 from ucst.model import (
     LOSS,
@@ -20,11 +16,7 @@ from ucst.model import (
     WRITE_LOSSY,
     Configuration,
     classify_tests,
-    commute,
-    commute_case,
-    is_head_lossy,
     successors,
-    to_head_lossy,
     validate_run,
 )
 from ucst.pep import (
@@ -51,7 +43,18 @@ from ucst.reductions import (
 from ucst.regdata import Nfa, parse_regex, subword
 from ucst.validate import check_stage_equivalence, check_write_lossy_equivalence
 
-from support import coreach_set, random_lossy_run, thue_find_loop
+from support import (
+    bounded_recurrent,
+    commute,
+    commute_case,
+    coreach_set,
+    downward_closure,
+    is_head_lossy,
+    random_lossy_run,
+    thue_find_loop,
+    to_head_lossy,
+    upward_closure,
+)
 
 SOL = ("d0", "d4", "d1", "d5", "d2", "d3")
 RUN_ORDER = ("d0", "d1", "d2", "d4", "d3", "d5")
@@ -262,7 +265,7 @@ def test_criterion_8_automaton_numerics():
         for rex in corpus:
             lang = parse_regex(rex, alphabet)
             comp = lang.complement()
-            up, down = lang.upward_closure(), lang.downward_closure()
+            up, down = upward_closure(lang), downward_closure(lang)
             members = [w for w in words if lang.accepts(w)]
             for w in words:
                 if comp.accepts(w) == lang.accepts(w):

@@ -2,11 +2,13 @@ import pytest
 
 from ucst.cli import main
 from ucst.errors import ReplayError
-from ucst.fileformat import parse_pep, parse_ucst
+from ucst.fileformat import parse_ucst
 from ucst.model import LOSSY, validate_run
 from ucst.pep import bounded_solve, postpone_stabilize, run_from_postpone_stable
 from ucst.reductions import bridge_context, run_pipeline
 from tests.test_fileformat import FIG6_TEXT
+
+from support import parse_pep
 
 
 @pytest.fixture

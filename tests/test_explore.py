@@ -7,12 +7,10 @@ from ucst import explore
 from ucst.errors import InputError
 from ucst.explore import (
     Bound,
-    LassoWitness,
     NOT_WITHIN_BOUND,
     REACHABLE,
     UNREACHABLE,
     bounded_reach,
-    bounded_recurrent,
     reachable_nodes,
 )
 from ucst.generators import SemiThueSystem, gen_thue_recurrent
@@ -38,7 +36,7 @@ from ucst.model import (
 from ucst.randomgen import random_instance, random_ucst
 from ucst.regdata import Nfa, parse_regex
 
-from support import coreach_set, reachable_set
+from support import LassoWitness, bounded_recurrent, coreach_set, reachable_set
 
 
 def eps(m):

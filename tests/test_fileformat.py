@@ -7,9 +7,7 @@ from ucst.errors import InputError
 from ucst.fileformat import (
     _Alternation,
     nfa_to_regex,
-    parse_pep,
     parse_ucst,
-    pep_equal,
     print_pep,
     print_ucst,
 )
@@ -17,7 +15,7 @@ from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import run_pipeline, ucst_to_pep
 from ucst.regdata import Nfa, language_equal, parse_regex
 
-from support import instance_equal
+from support import instance_equal, parse_pep, pep_equal
 
 FIG6_TEXT = """\
 // the six-rule worked example

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ucst.errors import InputError
-from ucst.explore import Bound, bounded_reach, bounded_recurrent
+from ucst.explore import Bound, bounded_reach
 from ucst.generators import (
     QueueAutomaton,
     SemiThueSystem,
@@ -17,6 +17,7 @@ from ucst.generators import (
 from ucst.model import LOSSY, WRITE_LOSSY, Configuration, classify_tests, validate_run
 
 from support import (
+    bounded_recurrent,
     queue_reaches_final_empty,
     reachable_set,
     thue_find_loop,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ucst import model, regdata
+from ucst import model
 from ucst.errors import FragmentError, InputError
 from ucst.model import (
     LOSS,
@@ -17,24 +17,28 @@ from ucst.model import (
     Ucst,
     Words,
     classify_tests,
-    commute,
-    commute_case,
     emptiness_test,
     even_length_test,
     first_invalid_step,
     head_test,
-    is_head_lossy,
     nonemptiness_test,
     odd_length_test,
     successors,
-    to_head_lossy,
     validate_run,
 )
 from ucst import randomgen
 from ucst.randomgen import random_ucst
 from ucst.regdata import Nfa, language_equal, parse_regex
 
-from support import random_lossy_run
+import support
+from support import (
+    _stable_behind_head,
+    commute,
+    commute_case,
+    is_head_lossy,
+    random_lossy_run,
+    to_head_lossy,
+)
 
 
 class TestSuccessors:
@@ -313,13 +317,13 @@ class TestTestLabelCache:
         assert calls == []
 
     def test_stability_behind_the_head_is_computed_once(self, count_language_equal):
-        calls = count_language_equal(regdata)
+        calls = count_language_equal(support)
         m = ("a", "b")
         for lang in [nonemptiness_test(m), even_length_test(m)]:
-            answer = model._stable_behind_head(lang)
+            answer = _stable_behind_head(lang)
             assert calls
             calls.clear()
-            assert model._stable_behind_head(lang) == answer
+            assert _stable_behind_head(lang) == answer
             assert calls == []
 
 

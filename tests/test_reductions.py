@@ -54,14 +54,19 @@ from ucst.reductions import (
     elim_initial,
     elim_n1,
     elim_receiver_tests,
-    pep_to_ucst,
     pre_star_z1l,
     run_pipeline,
     ucst_to_pep,
 )
 from ucst.regdata import Nfa, language_equal, parse_regex
 
-from support import coreach_set, enumerate_solutions, shuffle_built_r
+from support import (
+    coreach_set,
+    enumerate_solutions,
+    pep_to_ucst,
+    shuffle_built_r,
+    upward_closure,
+)
 
 
 def eps(m):
@@ -454,7 +459,7 @@ def forward_pre_star(s, target, bound, starts):
     closures for an `UpwardClosedSet`), minimized over the starts that hit."""
     m = s.alphabet
     if isinstance(target, UpwardClosedSet):
-        langs = [(c, Nfa.literal(c.v, m).upward_closure()) for c in target.minimal]
+        langs = [(c, upward_closure(Nfa.literal(c.v, m))) for c in target.minimal]
     else:
         langs = [(c, Nfa.literal(c.v, m)) for c in target]
     hits = [c for c in starts

@@ -20,15 +20,24 @@ from ucst.reductions import ucst_to_pep
 from ucst.regdata import (
     Dfa,
     Nfa,
-    is_downward_closed,
-    is_upward_closed,
     language_equal,
     parse_regex,
     subword,
-    subword_one,
 )
 
-from support import dfa_accepts, dfa_distances, dfa_run, language_subset
+import support
+from support import (
+    dfa_accepts,
+    dfa_distances,
+    dfa_run,
+    downward_closure,
+    is_downward_closed,
+    is_upward_closed,
+    language_subset,
+    quotient,
+    subword_one,
+    upward_closure,
+)
 
 AB = ("a", "b")
 
@@ -295,28 +304,28 @@ class TestSubword:
 
 class TestClosures:
     def test_upward_of_a(self):
-        up = Nfa.literal(t("a"), AB).upward_closure()
+        up = upward_closure(Nfa.literal(t("a"), AB))
         for good in ["ba", "ab", "bab", "a"]:
             assert up.accepts(t(good))
         for bad in ["b", ""]:
             assert not up.accepts(t(bad))
 
     def test_downward_of_ab(self):
-        down = Nfa.literal(t("ab"), AB).downward_closure()
+        down = downward_closure(Nfa.literal(t("ab"), AB))
         accepted = {w for w in words_over(AB, 3) if down.accepts(w)}
         assert accepted == {(), t("a"), t("b"), t("ab")}
 
     def test_upward_idempotent(self):
         lang = parse_regex("a b* | b b", AB)
-        once = lang.upward_closure()
-        assert language_equal(once.upward_closure(), once)
+        once = upward_closure(lang)
+        assert language_equal(upward_closure(once), once)
 
     def test_against_brute_force(self):
         corpus = ["EPS", "a", "a b", "(a | b) a*", "(ANY ANY)*", "b+"]
         small = list(words_over(AB, 5))
         for rex in corpus:
             lang = parse_regex(rex, AB)
-            up, down = lang.upward_closure(), lang.downward_closure()
+            up, down = upward_closure(lang), downward_closure(lang)
             members = [w for w in small if lang.accepts(w)]
             for w in small:
                 in_up = any(subword(m, w) for m in members) or any(
@@ -339,9 +348,9 @@ class TestQuotient:
         for rex in corpus:
             lang = parse_regex(rex, AB)
             for sym in AB:
-                quotient = lang.quotient(sym)
+                after = quotient(lang, sym)
                 for w in words_over(AB, 4):
-                    assert quotient.accepts(w) == lang.accepts((sym,) + w), (rex, sym, w)
+                    assert after.accepts(w) == lang.accepts((sym,) + w), (rex, sym, w)
 
 
 class TestLanguageEqual:
@@ -689,7 +698,7 @@ class TestCachedNormalize:
 
 class TestClosureCaches:
     def test_each_answer_is_computed_once(self, count_language_equal):
-        calls = count_language_equal(regdata)
+        calls = count_language_equal(support)
         for rex, up, down in [("ANY+", True, False), ("EPS", False, True),
                               ("a b*", False, False), ("ANY*", True, True)]:
             lang = parse_regex(rex, AB)
