@@ -257,6 +257,15 @@ class TestPrintPepPins:
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, i
             assert pep_equal(parse_pep(text), trace.pep)
 
+    def test_z1l_instances(self):
+        # the Sender l-emptiness family that the `pipeline` benchmark prints:
+        # one sha256 prefix over the texts of 200 seeded draws
+        rng = random.Random(2027)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            digest.update(print_pep(ucst_to_pep(random_z1l_instance(rng))).encode())
+        assert digest.hexdigest()[:16] == "7f4157d829539394"
+
 
 class TestRandomPepRoundTrip:
     def test_random_z1l_instances(self):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import types
@@ -628,6 +629,13 @@ class TestMinimalDfa:
         # epsilon moves, extra initial states, a letter never read
         for nfa in drawn_automata(random_nfa, random.Random(1401), 300):
             self.assert_same(nfa)
+
+    def test_text_is_pinned(self, random_nfa):
+        # one sha256 prefix over the texts of the random battery
+        digest = hashlib.sha256()
+        for nfa in drawn_automata(random_nfa, random.Random(1404), 300):
+            digest.update(nfa_to_regex(nfa).encode() + b"\n")
+        assert digest.hexdigest()[:16] == "38ccce4d9df950d6"
 
     def test_empty_language_and_empty_alphabet(self, random_nfa):
         rng = random.Random(1402)
