@@ -55,8 +55,6 @@ class _Alternation:
 
 
 def _cat(x, y):
-    if x is None or y is None:
-        return None
     parts = []
     for node in (x, y):
         if node == ("eps",):
@@ -93,11 +91,14 @@ def _render(node, prec=0):
 def nfa_to_regex(nfa):
     """Surface-syntax expression for L(nfa), by transitive state elimination.
 
-    Runs on the canonically numbered minimal DFA (`Nfa.minimal_dfa`, dead
-    state included), eliminating states with the fewest incident paths
-    first, so re-emitting a reparsed instance reproduces the same expression.
+    Runs on the canonically numbered minimal trim DFA (`Nfa.minimal_dfa`),
+    eliminating states with the fewest incident paths first, so re-emitting
+    a reparsed instance reproduces the same expression.  A dead state would
+    have no out-edge, so it would go first and add no edge to the text.
     """
     a = nfa.minimal_dfa()
+    if not a.n_states:
+        return "NONE"
     start, end = -1, -2
     edges = {}  # (i, j) -> _Alternation
     # per state, its other ends of the edges into and out of it, loops left
@@ -112,9 +113,13 @@ def nfa_to_regex(nfa):
                 outs[i][j] = ins[j][i] = None
         edges[(i, j)].add(node)
 
-    # the moves are listed by source, then letter in `symkey` order
+    # an edge starts as the alternation of all its letters; the moves are
+    # listed by source, then letter in `symkey` order
+    letters = {}
     for (src, sym), dst in a.transitions.items():
-        add(src, dst, ("sym", sym))
+        letters.setdefault((src, dst), []).append(("sym", sym))
+    for (i, j), nodes in letters.items():
+        add(i, j, nodes[0] if len(nodes) == 1 else ("alt", tuple(nodes)))
     add(start, a.initial, ("eps",))
     for i in sorted(a.accepting):
         add(i, end, ("eps",))
@@ -132,8 +137,7 @@ def nfa_to_regex(nfa):
         for i, rin in into:
             for j, rout in out:
                 add(i, j, _cat(rin, _cat(loop, rout)))
-    result = edges.get((start, end), _Alternation()).node
-    return "NONE" if result is None else _render(result)
+    return _render(edges[(start, end)].node)  # every state is live
 
 
 # -- system files -----------------------------------------------------------------

@@ -7,9 +7,9 @@ letters are strings, rule letters in constraint alphabets may be other
 tokens), so every deterministic enumeration sorts them with `symkey`.
 
 Every language query steps one lazy subset memo per automaton (`Nfa._subsets`):
-`accepts`, `determinize`, `minimal_dfa`, `words_up_to`,
-`has_word_longer_than`, `language_equal` and the embedding solver's
-`live_moves`.
+`accepts`, `determinize` (a total DFA), `minimal_dfa` (a trim one, with no
+dead state), `words_up_to`, `has_word_longer_than`, `language_equal` and the
+embedding solver's `live_moves`.
 
 Every product of automata is one `_product`: the embedding problem's R
 (`reductions.ucst_to_pep`), `intersect` and `shuffle` differ only in their
@@ -147,9 +147,9 @@ class Nfa:
         Subsets are epsilon-closed state sets.  `steps` maps (subset, letter)
         to the next subset as each step is first taken, by `accepts` and
         `live_moves` alike; `live_moves` keeps its answers per subset.
-        `determinize`, `minimal_dfa`, `words_up_to` and `language_equal`
-        step through `live_moves`; `has_word_longer_than` starts from the
-        initial subset and ends in `distance`.
+        `determinize` (total), `minimal_dfa` (trim), `words_up_to` and
+        `language_equal` step through `live_moves`; `has_word_longer_than`
+        starts from the initial subset and ends in `distance`.
         """
         if self._steps is None:
             object.__setattr__(self, "_steps", (
@@ -305,15 +305,16 @@ class Nfa:
                    dfa.transitions).as_nfa()
 
     def minimal_dfa(self):
-        """The minimal total DFA of L, numbered canonically.
+        """The minimal trim DFA of L (no dead state), numbered canonically.
 
         The walk numbers the subsets that `live_moves` reaches from
         `initial_subset` (this automaton's own memo); every letter it leaves
         out steps to the empty subset, the dead state.  Moore refinement
         signs a state by its class and its live moves, leaving out the moves
         into the dead state's class: two states get equal signatures exactly
-        when they agree on every letter.  The classes are numbered by
-        `_explore` from the initial class, letters in `symkey` order.
+        when they agree on every letter.  The live classes are numbered by
+        `_explore` from the initial class over their live moves, letters in
+        `symkey` order; an empty language has no states, and initial None.
         """
         ids, trans = _explore([self.initial_subset()],
                               lambda cur: self.live_moves(cur).items())
@@ -335,13 +336,11 @@ class Nfa:
             if renumbered == classes:
                 break
             classes = renumbered
-        member = {}  # class -> the live moves of its first state
-        for c, moves in zip(classes, live):
-            member.setdefault(c, moves)
-        letters = sorted(self.alphabet, key=symkey)
-        numbers, trans = _explore([classes[0]], lambda c: [
-            (a, classes[member[c].get(a, dead)]) for a in letters])
-        return Dfa(self.alphabet, len(numbers), 0,
+        # at the fixpoint, a class's signature lists its moves into live classes
+        moves = {c: out for (_, out), c in signatures.items()}
+        starts = [classes[0]] if classes[0] != base else []
+        numbers, trans = _explore(starts, moves.get)
+        return Dfa(self.alphabet, len(numbers), 0 if numbers else None,
                    {numbers[classes[s]] for s in accepting},
                    {(src, a): dst for src, a, dst in trans})
 
@@ -400,8 +399,8 @@ class Nfa:
 
 
 class Dfa:
-    """Total deterministic automaton produced by `Nfa.determinize` and
-    `Nfa.minimal_dfa`."""
+    """Deterministic automaton: total from `Nfa.determinize`, trim (no dead
+    state) from `Nfa.minimal_dfa`."""
 
     __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions")
 
@@ -426,8 +425,8 @@ def _explore(starts, moves):
     first number); every other state gets the next number when it is first
     reached, in breadth-first order, taking the states in number order and
     each state's moves in the order listed.  `normalize`, `determinize` and
-    `minimal_dfa` (its subset walk and its classes) rely on this numbering
-    for their canonical output.
+    `minimal_dfa` (its subset walk, and its live classes over their live
+    moves) rely on this numbering for their canonical output.
 
     Returns (ids, transitions): ids maps each reached state to its number,
     and transitions lists every (number, letter, number) move in the order

@@ -1,9 +1,10 @@
-"""Helpers that only the tests use: brute-force references, random walks and
-walks over total DFAs.  It also holds the paper's results that no command
-runs, as references for the code that does: the commutation lemma and the
-head-lossy normal form, the lasso search, a reader for `.pep` files and the
-reverse reduction from the embedding problem to channel systems.  None of
-them is part of the toolkit."""
+"""Helpers that only the tests use: brute-force references, random walks,
+the total minimal DFA that `Nfa.minimal_dfa` trims, and walks over total
+DFAs.  It also holds the paper's results that no command runs, as
+references for the code that does: the commutation lemma and the head-lossy
+normal form, the lasso search, a reader for `.pep` files and the reverse
+reduction from the embedding problem to channel systems.  None of them is
+part of the toolkit."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -47,8 +48,10 @@ from ucst.pep import (
 from ucst.reductions import _Names, bridge_context
 from ucst.regdata import (
     EPSILON,
+    Dfa,
     Nfa,
     _distances,
+    _explore,
     cached_on_nfa,
     language_equal,
     parse_regex,
@@ -77,7 +80,51 @@ def coreach_set(s, starts, targets, bound, mode=LOSSY):
             for n in coreach_in(graph, [s.node(c) for c in targets], bound)}
 
 
-# -- total DFAs (`Nfa.determinize`) ---------------------------------------------
+# -- total DFAs (`Nfa.determinize`, `total_minimal_dfa`) ------------------------
+
+
+def total_minimal_dfa(self):
+    """The minimal total DFA of L, numbered canonically: the reference for
+    `Nfa.minimal_dfa`, which is this automaton with the dead state and every
+    move into it left out.
+
+    The walk numbers the subsets that `live_moves` reaches from
+    `initial_subset` (this automaton's own memo); every letter it leaves
+    out steps to the empty subset, the dead state.  Moore refinement
+    signs a state by its class and its live moves, leaving out the moves
+    into the dead state's class: two states get equal signatures exactly
+    when they agree on every letter.  The classes are numbered by
+    `_explore` from the initial class, letters in `symkey` order.
+    """
+    ids, trans = _explore([self.initial_subset()],
+                          lambda cur: self.live_moves(cur).items())
+    # a fresh dead state: no live move leads to the empty subset (an
+    # empty initial subset has no moves and merges with it)
+    dead = len(ids)
+    live = [{} for _ in range(dead + 1)]
+    for src, sym, dst in trans:
+        live[src][sym] = dst
+    accepting = {s for cur, s in ids.items() if cur & self.accepting}
+    classes = [int(s in accepting) for s in range(len(live))]
+    while True:
+        base = classes[dead]
+        signatures = {}
+        renumbered = [signatures.setdefault(
+            (c, tuple((a, classes[t]) for a, t in moves.items()
+                      if classes[t] != base)),
+            len(signatures)) for c, moves in zip(classes, live)]
+        if renumbered == classes:
+            break
+        classes = renumbered
+    member = {}  # class -> the live moves of its first state
+    for c, moves in zip(classes, live):
+        member.setdefault(c, moves)
+    letters = sorted(self.alphabet, key=symkey)
+    numbers, trans = _explore([classes[0]], lambda c: [
+        (a, classes[member[c].get(a, dead)]) for a in letters])
+    return Dfa(self.alphabet, len(numbers), 0,
+               {numbers[classes[s]] for s in accepting},
+               {(src, a): dst for src, a, dst in trans})
 
 
 def dfa_run(dfa, word, state=None):

@@ -37,6 +37,7 @@ from support import (
     language_subset,
     quotient,
     subword_one,
+    total_minimal_dfa,
     upward_closure,
 )
 
@@ -485,8 +486,9 @@ def pin(nfa):
 
 
 class TestCanonicalNumbering:
-    """Exact outputs of `normalize` and `minimal_dfa`: instance printing and
-    the writer state names of the reductions depend on them."""
+    """Exact outputs of `normalize` and of the total minimal DFA, whose trim
+    form is `minimal_dfa`: instance printing and the writer state names of
+    the reductions depend on them."""
 
     def test_standard_tests(self):
         one, two = {0}, {1}
@@ -510,7 +512,7 @@ class TestCanonicalNumbering:
         ]
         for lang, normal, minimal in cases:
             assert pin(lang.normalize()) == normal
-            assert pin(lang.minimal_dfa()) == minimal
+            assert pin(total_minimal_dfa(lang)) == minimal
 
     def test_fig6_constraint(self, fig6_instance):
         big_r = ucst_to_pep(fig6_instance).R
@@ -524,7 +526,7 @@ class TestCanonicalNumbering:
                 (4, "d1"): 5, (5, "d5"): 6, (6, "d2"): 7, (7, "d3"): 8}
         letters = ("d0", "d1", "d2", "d3", "d4", "d5")
         moves = {(s, a): live.get((s, a), 2) for s in range(9) for a in letters}
-        assert pin(big_r.minimal_dfa()) == (9, 0, {8}, moves)
+        assert pin(total_minimal_dfa(big_r)) == (9, 0, {8}, moves)
 
 
 def dense_minimize(dfa):
@@ -561,19 +563,20 @@ class TestSparseMinimize:
                       {s for s in range(n) if rng.random() < 0.4},
                       {(s, a): rng.randrange(n) for s in range(n) for a in sigma})
             for lang, total in ((nfa, nfa.determinize()), (dfa.as_nfa(), dfa)):
-                assert pin(lang.minimal_dfa()) == pin(dense_minimize(total))
+                assert pin(total_minimal_dfa(lang)) == pin(dense_minimize(total))
 
 
 def chained_minimal_dfa(nfa):
-    """The construction `minimal_dfa` replaced: the subset DFA, Moore
+    """The construction the total minimal DFA replaced: the subset DFA, Moore
     refinement (`dense_minimize`, whose output the sparse refinement matched
     exactly), then a normal form, which renumbers letters in `symkey` order."""
     return dense_minimize(nfa.determinize()).as_nfa().normalize()
 
 
 def chained_nfa_to_regex(nfa):
-    """`nfa_to_regex` as it read before `minimal_dfa`: the same state
-    elimination over the transitions of `chained_minimal_dfa`."""
+    """`nfa_to_regex` as it read before the minimal DFA was built from the
+    subset memo: the same state elimination over the transitions of
+    `chained_minimal_dfa`, dead state included."""
     a = chained_minimal_dfa(nfa)
     start, end = -1, -2
     edges = {}
@@ -612,17 +615,35 @@ def chained_nfa_to_regex(nfa):
     return "NONE" if result is None else _render(result)
 
 
+def trim_of(dfa):
+    """`dfa` without its dead states and the moves into them, the live states
+    keeping their order: what `minimal_dfa` is of the total reference."""
+    live = [s for s, d in enumerate(dfa_distances(dfa)) if d is not None]
+    rank = {s: k for k, s in enumerate(live)}
+    return Dfa(dfa.alphabet, len(live), rank.get(dfa.initial),
+               {rank[s] for s in dfa.accepting},
+               {(rank[src], a): rank[dst]
+                for (src, a), dst in dfa.transitions.items() if dst in rank})
+
+
 class TestMinimalDfa:
-    """`minimal_dfa` walks the automaton's own subset memo; it must give
-    exactly the automaton, and `nfa_to_regex` exactly the text, of the
-    chain of constructions it replaced."""
+    """`minimal_dfa` walks the automaton's own subset memo and leaves out the
+    dead state; it must give exactly the trim of the total minimal DFA
+    (`total_minimal_dfa`), which in turn is exactly the automaton of the
+    chain of constructions it replaced, and `nfa_to_regex` exactly that
+    chain's text."""
 
     @staticmethod
     def assert_same(nfa):
         want = chained_minimal_dfa(nfa)
-        got = nfa.minimal_dfa()
+        total = total_minimal_dfa(nfa)
+        assert total.alphabet == nfa.alphabet
+        assert pin(total.as_nfa()) == pin(want)
+        got, trim = nfa.minimal_dfa(), trim_of(total)
         assert got.alphabet == nfa.alphabet
-        assert pin(got.as_nfa()) == pin(want)
+        assert pin(got) == pin(trim)
+        # the elimination adds edges in this order
+        assert list(got.transitions.items()) == list(trim.transitions.items())
         assert nfa_to_regex(nfa) == chained_nfa_to_regex(nfa)
 
     def test_random_automata(self, random_nfa):
@@ -650,6 +671,31 @@ class TestMinimalDfa:
         assert nfa_to_regex(Nfa.nothing(())) == "NONE"
         assert nfa_to_regex(Nfa.literal((), ())) == "EPS"
 
+    def test_trim_edge_cases(self):
+        # a total automaton: no dead class, so trim and total agree
+        every = Nfa.all_words(AB)
+        self.assert_same(every)
+        assert pin(every.minimal_dfa()) == pin(total_minimal_dfa(every)) == (
+            1, 0, {0}, {(0, "a"): 0, (0, "b"): 0})
+        # an empty language, and no initial state: no states at all
+        for empty in (Nfa.nothing(AB), Nfa(AB, 2, (), {0}, [(0, "a", 1)])):
+            self.assert_same(empty)
+            assert pin(empty.minimal_dfa()) == (0, None, set(), {})
+            assert pin(total_minimal_dfa(empty)) == (
+                1, 0, set(), {(0, "a"): 0, (0, "b"): 0})
+            assert nfa_to_regex(empty) == "NONE"
+
+    def test_dead_class_between_live_classes(self, fig6_instance):
+        # the total form numbers fig6's dead class 2, so every live class
+        # after it moves down by one in the trim form
+        big_r = ucst_to_pep(fig6_instance).R
+        self.assert_same(big_r)
+        total = total_minimal_dfa(big_r)
+        assert [s for s, d in enumerate(dfa_distances(total)) if d is None] == [2]
+        moves = {(0, "d0"): 1, (0, "d4"): 2, (1, "d4"): 3, (2, "d0"): 3,
+                 (3, "d1"): 4, (4, "d5"): 5, (5, "d2"): 6, (6, "d3"): 7}
+        assert pin(big_r.minimal_dfa()) == (8, 0, {7}, moves)
+
     def test_alphabets_out_of_symkey_order(self, random_nfa):
         rng = random.Random(1403)
         twelve = tuple(f"d{i}" for i in range(12))  # d10 sorts before d2
@@ -668,12 +714,25 @@ class TestMinimalDfa:
         def refuse(self):
             raise AssertionError("nfa_to_regex built a copy of the automaton")
 
+        built = []
+
+        def recorded(self):
+            built.append(minimal_dfa(self))
+            return built[-1]
+
         lang = parse_regex("a (b | a)* | b", AB)
+        minimal_dfa = Nfa.minimal_dfa
         monkeypatch.setattr(Nfa, "normalize", refuse)
         monkeypatch.setattr(Nfa, "determinize", refuse)
+        monkeypatch.setattr(Nfa, "minimal_dfa", recorded)
         assert nfa_to_regex(lang) == "a (a | b)* | b"
         # the walk stepped the automaton's own memo
         assert lang.initial_subset() in lang._subsets()[2]
+        # and the elimination ran on the trim form, not on the total one,
+        # where every letter after the word "b" leads to a dead state
+        (dfa,) = built
+        assert None not in dfa_distances(dfa)
+        assert total_minimal_dfa(lang).n_states == dfa.n_states + 1
 
 
 def fields(nfa):
@@ -840,7 +899,7 @@ class TestLazySubsetQueries:
         for a in automata:
             same_sigma = [b for b in automata if b.alphabet == a.alphabet]
             for b in (rng.choice(same_sigma), a.normalize(),
-                      a.minimal_dfa().as_nfa()):
+                      total_minimal_dfa(a).as_nfa()):
                 got = language_equal(a, b)
                 assert got == eager_language_equal(a, b)
                 equal += got
