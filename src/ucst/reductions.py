@@ -620,6 +620,7 @@ def decide_eereach_z1(inst, oracle):
 # -- the bridge to the Post embedding problem ----------------------------------------
 
 def _rule_projections(s):
+    """The fields of a bridge context for system `s`, all but its instance."""
     read_r, write_r, read_l, write_l = {}, {}, {}, {}
     letters = tuple(f"d{i}" for i in range(len(s.rules)))
     for i, rule in enumerate(s.rules):
@@ -629,25 +630,28 @@ def _rule_projections(s):
         read_l[a] = (act.msg,) if act.kind == "read" and rule.channel == L else ()
         write_r[a] = (act.msg,) if act.kind == "write" and rule.channel == R else ()
         write_l[a] = (act.msg,) if act.kind == "write" and rule.channel == L else ()
-    return letters, read_r, write_r, read_l, write_l
+    tests = frozenset(letters[i] for i, rule in enumerate(s.rules)
+                      if rule.action.kind == "test")
+    return dict(letters=letters, rule_ids={a: i for i, a in enumerate(letters)},
+                read_r=read_r, write_r=write_r, read_l=read_l,
+                write_l=write_l, test_letters=tests)
 
 
 def bridge_context(inst):
-    """Per-letter projections of an empty-to-empty Sender-l-emptiness instance."""
+    """Per-letter projections of an empty-to-empty Sender-l-emptiness
+    instance.  They are built once and kept on the instance, as a system
+    keeps its `test_report`; the context, which refers back to the
+    instance, is made per call."""
     s = inst.system
     if not s.test_report.only_z1l():
         raise FragmentError("PEP bridge expects Sender l-emptiness tests only")
     for nfa in inst.constraints():
         if not _is_eps_language(nfa):
             raise FragmentError("PEP bridge expects an empty-to-empty instance")
-    letters, read_r, write_r, read_l, write_l = _rule_projections(s)
-    tests = frozenset(letters[i] for i, rule in enumerate(s.rules)
-                      if rule.action.kind == "test")
-    return PreSolutionContext(
-        instance=inst, letters=letters,
-        rule_ids={a: i for i, a in enumerate(letters)},
-        read_r=read_r, write_r=write_r, read_l=read_l, write_l=write_l,
-        test_letters=tests)
+    memo = vars(inst)
+    if "bridge_projections" not in memo:
+        memo["bridge_projections"] = _rule_projections(s)
+    return PreSolutionContext(instance=inst, **memo["bridge_projections"])
 
 
 def ucst_to_pep(inst):

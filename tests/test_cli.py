@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from ucst import reductions
 from ucst.cli import main
 from ucst.errors import ReplayError
-from ucst.fileformat import parse_ucst
+from ucst.fileformat import parse_ucst, print_ucst
 from ucst.model import LOSSY, validate_run
 from ucst.pep import bounded_solve, postpone_stabilize, run_from_postpone_stable
+from ucst.randomgen import random_z1l_instance
 from ucst.reductions import bridge_context, run_pipeline
 from tests.test_fileformat import FIG6_TEXT
 
@@ -286,6 +290,29 @@ class TestWitnessesRevalidate:
         ctx = bridge_context(trace.final_instance)
         run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, word))
         assert validate_run(trace.final_instance.system, run, LOSSY)
+
+
+class TestBridgeContextBuiltOnce:
+    def test_one_build_per_pipeline_answer(self, tmp_path, capsys,
+                                           monkeypatch):
+        # `ucst_to_pep` builds the final instance's bridge context, and the
+        # transport of a REACHABLE answer reuses it
+        builds = []
+        projections = reductions._rule_projections
+        monkeypatch.setattr(reductions, "_rule_projections",
+                            lambda s: builds.append(s) or projections(s))
+        rng = random.Random(5)
+        texts = [FIG6_TEXT] + [print_ucst(random_z1l_instance(rng))
+                               for _ in range(30)]
+        codes = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"z1l-{i}.ucst"
+            path.write_text(text)
+            builds.clear()
+            codes.append(main(["reach", str(path), "--method", "pipeline"]))
+            assert len(builds) == 1, i
+        capsys.readouterr()
+        assert codes.count(0) >= 10 and codes.count(1) >= 5
 
 
 class TestStageNamesAvoidReceiverStates:
