@@ -1,11 +1,12 @@
-"""Cross-check suite: stage verdict agreement, run/solution round trips, and
-the lossy vs write-lossy equivalence harness.  Used by the command line and
-by the acceptance tests; everything is seeded and deterministic."""
+"""Cross-check suite: stage verdict agreement, run/solution round trips,
+printed languages, and the lossy vs write-lossy equivalence harness.  Used
+by the command line and by the acceptance tests; seeded and deterministic."""
 
 import random
 from dataclasses import dataclass, field
 
 from .explore import Bound, UNREACHABLE, bounded_reach, reachable_nodes
+from .fileformat import nfa_to_regex
 from .model import LOSS, LOSSY, WRITE_LOSSY, Configuration, validate_run
 from .pep import (
     advance_stabilize,
@@ -26,6 +27,7 @@ from .reductions import (
     restrict,
     ucst_to_pep,
 )
+from .regdata import language_equal, parse_regex
 
 
 @dataclass
@@ -39,6 +41,14 @@ class CheckResult:
     @property
     def ok(self):
         return self.failed == 0
+
+    def record(self, ok, note):
+        """One check: passed, or failed with `note`."""
+        if ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+            self.notes.append(note)
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
@@ -181,11 +191,8 @@ def check_pep_roundtrips(seed, samples, bound_len=4, max_steps=400):
         if verdict.reachable:
             word = run_to_presolution(ctx, verdict.witness)
             stable = advance_stabilize(ctx, word)
-            if is_solution(pep, stable):
-                res.passed += 1
-            else:
-                res.failed += 1
-                res.notes.append(f"stabilized word {stable} is not a solution")
+            res.record(is_solution(pep, stable),
+                       f"stabilized word {stable} is not a solution")
             solved = bounded_solve(pep, len(word))
         else:
             solved = bounded_solve(pep, 4)
@@ -194,14 +201,25 @@ def check_pep_roundtrips(seed, samples, bound_len=4, max_steps=400):
                 res.inconclusive += 1
             continue
         run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, solved))
-        good = (validate_run(inst.system, run, LOSSY)
-                and run.start == Configuration(inst.p_in, inst.q_in, (), ())
-                and run.end == Configuration(inst.p_fi, inst.q_fi, (), ()))
-        if good:
-            res.passed += 1
-        else:
-            res.failed += 1
-            res.notes.append(f"solved word {solved} did not replay")
+        res.record(validate_run(inst.system, run, LOSSY)
+                   and run.start == Configuration(inst.p_in, inst.q_in, (), ())
+                   and run.end == Configuration(inst.p_fi, inst.q_fi, (), ()),
+                   f"solved word {solved} did not replay")
+    return res
+
+
+def check_printed_languages(seed, samples):
+    """The expressions that `print_pep` writes for R and R′ denote the
+    languages they were printed from, on the samples that
+    `check_pep_roundtrips` draws from the same seed."""
+    rng = random.Random(seed)
+    res = CheckResult("print")
+    for _ in range(samples):
+        pep = ucst_to_pep(random_z1l_instance(rng))
+        for lang in (pep.R, pep.Rp):
+            text = nfa_to_regex(lang)
+            res.record(language_equal(parse_regex(text, pep.sigma), lang),
+                       f"{text!r} denotes another language")
     return res
 
 
@@ -224,12 +242,8 @@ def check_write_lossy_equivalence(seed, samples, bound_len=4):
             # one system, one word table: equal nodes are equal configurations
             lossy = reachable_nodes(s, [start], bound, LOSSY)
             wrlo = reachable_nodes(s, [start], bound, WRITE_LOSSY)
-            if lossy == wrlo:
-                res.passed += 1
-            else:
-                res.failed += 1
-                differ = sorted(str(s.config(n)) for n in lossy ^ wrlo)
-                res.notes.append(f"sets differ by {differ[:3]}")
+            differ = sorted(str(s.config(n)) for n in lossy ^ wrlo)
+            res.record(lossy == wrlo, f"sets differ by {differ[:3]}")
     return res
 
 
@@ -238,6 +252,7 @@ def run_validation(seed, samples, bound_len=3):
     results = []
     results.extend(check_stage_equivalence(seed, samples, bound_len))
     results.append(check_pep_roundtrips(seed + 1, samples * 2))
+    results.append(check_printed_languages(seed + 1, samples * 2))
     results.append(check_write_lossy_equivalence(seed + 2, max(samples, 10)))
     results.append(check_stage_trim(seed + 3, samples, bound_len))
     return results

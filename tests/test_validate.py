@@ -5,6 +5,7 @@ from ucst.reductions import bridge_context, ucst_to_pep
 from ucst.regdata import Nfa
 from ucst.validate import (
     check_pep_roundtrips,
+    check_printed_languages,
     check_stage_equivalence,
     check_stage_trim,
     check_write_lossy_equivalence,
@@ -49,6 +50,18 @@ def test_stage_trim_row(monkeypatch):
 def test_roundtrips_clean():
     res = check_pep_roundtrips(2, 30)
     assert res.ok and res.passed >= 10
+
+
+def test_print_row(monkeypatch):
+    res = check_printed_languages(2, 30)
+    assert res.name == "print" and res.ok and res.passed == 60
+    # a printer that drops every star denotes smaller languages
+    printed = validate.nfa_to_regex
+    monkeypatch.setattr(validate, "nfa_to_regex",
+                        lambda lang: printed(lang).replace("*", ""))
+    broken = check_printed_languages(2, 30)
+    assert broken.failed >= 10
+    assert all(note.endswith("denotes another language") for note in broken.notes)
 
 
 def test_write_lossy_harness_clean():
