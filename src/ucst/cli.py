@@ -1,4 +1,12 @@
-"""Command line: parse instance files, explore, reduce, solve, validate, generate."""
+"""Command line: parse instance files, explore, reduce, solve, validate, generate.
+
+`validate` and `gen` import their modules (`validate`, which brings in
+`randomgen`, and `generators`) when they run, so that `reach` and `reduce`
+never compile them: on a small instance a `reach` process spends most of
+its time starting up and importing, not answering.  `reductions` and `pep`
+stay imported at the top, since `reach` runs them anyway and tests replace
+`bounded_oracle` and `run_from_postpone_stable` on this module.
+"""
 
 import argparse
 import os
@@ -7,14 +15,6 @@ import sys
 from .errors import FragmentError, InputError, OracleInconclusive
 from .explore import Bound, bounded_reach
 from .fileformat import check_symbols, parse_ucst, print_pep, print_ucst
-from .generators import (
-    SemiThueSystem,
-    gen_queue_head,
-    gen_queue_parity,
-    gen_thue_recurrent,
-    gen_writelossy_queue,
-    linear_queue_automaton,
-)
 from .model import LOSSY, MODES, ReachInstance, format_run
 from .pep import bounded_solve, postpone_stabilize, run_from_postpone_stable
 from .reductions import (
@@ -25,7 +25,6 @@ from .reductions import (
     run_pipeline,
 )
 from .regdata import Nfa
-from .validate import run_validation
 
 EXIT_REACHABLE = 0
 EXIT_NOT_WITHIN_BOUND = 1
@@ -105,6 +104,8 @@ def cmd_reduce(args):
 
 
 def cmd_validate(args):
+    from .validate import run_validation
+
     seed = args.seed
     env_seed = os.environ.get("UCST_SEED")
     if env_seed is not None:
@@ -156,6 +157,15 @@ def _parse_thue_rules(text):
 
 
 def cmd_gen(args):
+    from .generators import (
+        SemiThueSystem,
+        gen_queue_head,
+        gen_queue_parity,
+        gen_thue_recurrent,
+        gen_writelossy_queue,
+        linear_queue_automaton,
+    )
+
     if args.kind == "thue":
         rules = _parse_thue_rules(args.rules)
         alphabet = tuple(sorted({c for pair in rules for word in pair for c in word}))

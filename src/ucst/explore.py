@@ -22,13 +22,14 @@ j) found with j in the word table's `gained[w]`, since expanding a node
 asked its l word's losses.
 """
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import InputError
 from .model import (
     LOSSY,
     MODES,
+    RELIABLE,
     Run,
     step,
     step_layer,
@@ -39,18 +40,21 @@ NOT_WITHIN_BOUND = "not-within-bound"
 UNREACHABLE = "unreachable"
 
 
-@dataclass(frozen=True)
-class Bound:
+class _BoundFields(NamedTuple):
     max_channel_len: int
     max_steps: int = 0  # 0 = unlimited within the channel-bounded space
 
-    def __post_init__(self):
-        if self.max_channel_len < 0 or self.max_steps < 0:
+
+class Bound(_BoundFields):
+    __slots__ = ()
+
+    def __new__(cls, max_channel_len, max_steps=0):
+        if max_channel_len < 0 or max_steps < 0:
             raise InputError("bounds must be nonnegative")
+        return super().__new__(cls, max_channel_len, max_steps)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A bounded answer and why its search stopped: `reason` is "target",
     "closure" (finished, nothing pruned), "length-bound" (a successor was
     longer than the channel bound), "step-bound" or "initial-truncation"
@@ -190,15 +194,32 @@ def reachable_nodes(s, starts, bound, mode=LOSSY):
     return parents.keys()
 
 
-def bounded_graph(s, starts, bound, mode=LOSSY):
+def bounded_graph(s, starts, bound, mode=LOSSY, loss_closed=False):
     """One forward `_bfs` from the nodes `starts`, whose channels must fit
     the channel bound.  Returns the nodes found, in discovery order (as the
     keys of a dict); the reverse rule edges, each node mapped to the list
     of its rule predecessors, one entry per edge in expansion order, labels
     dropped; and, in lossy mode, the word table's `gained` lists, from
-    which `coreach_in` reads loss predecessors (None otherwise)."""
+    which `coreach_in` reads loss predecessors (None otherwise).
+
+    `loss_closed` says that the starts are closed under loss: one loss of a
+    start's l word gives the l word of a start with the same pair and r
+    word.  Their loss moves then find nothing new, so in lossy mode the
+    start layer steps its rules only, and the losses of its l words are
+    asked, in start order, for the `gained` lists alone."""
+    k = bound.max_channel_len
     edges = []
-    parents, _, _ = _bfs(starts, _stepper(s, mode, bound.max_channel_len, edges))
+    expand = _stepper(s, mode, k, edges)
+    first = expand
+    if loss_closed and mode == LOSSY:
+        lost, losses = s.words.lost, s.words.losses
+        for _, _, v in starts:
+            if lost[v] is None:
+                losses(v)
+        first = _stepper(s, RELIABLE, k, edges)
+    firsts = iter([first])  # `first` steps the start layer, `expand` the rest
+    parents, _, _ = _bfs(starts, lambda layer, parents: next(firsts, expand)(
+        layer, parents))
     rev = {}
     for n, _, succ in edges:
         rev.setdefault(succ, []).append(n)

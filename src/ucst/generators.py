@@ -7,7 +7,7 @@ enumerates rewriting steps of a length-preserving string rewriting system so
 that recurrent reachability matches the existence of a rewriting loop.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .model import (
@@ -27,26 +27,30 @@ from .model import (
 from .regdata import Nfa
 
 
-@dataclass(frozen=True)
-class QueueAutomaton:
-    """Finite control with one fifo queue; rules write or read one letter."""
-
+class _QueueFields(NamedTuple):
     states: tuple
     alphabet: tuple
     rules: tuple   # of (source, "write"|"read", letter, target)
     initial: str
     final: str
 
-    def __post_init__(self):
-        for src, kind, letter, dst in self.rules:
+
+class QueueAutomaton(_QueueFields):
+    """Finite control with one fifo queue; rules write or read one letter."""
+
+    __slots__ = ()
+
+    def __new__(cls, states, alphabet, rules, initial, final):
+        for src, kind, letter, dst in rules:
             if kind not in ("write", "read"):
                 raise InputError(f"unknown queue action {kind!r}")
-            if src not in self.states or dst not in self.states:
+            if src not in states or dst not in states:
                 raise InputError("queue rule endpoint outside states")
-            if letter not in self.alphabet:
+            if letter not in alphabet:
                 raise InputError("queue rule letter outside alphabet")
-        if self.initial not in self.states or self.final not in self.states:
+        if initial not in states or final not in states:
             raise InputError("distinguished queue states missing")
+        return super().__new__(cls, states, alphabet, rules, initial, final)
 
 
 def linear_queue_automaton(ops, alphabet=None):
@@ -182,16 +186,20 @@ def gen_writelossy_queue(qa):
 
 # -- string rewriting -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemiThueSystem:
+class _ThueFields(NamedTuple):
     alphabet: tuple
     rules: tuple  # of (lhs, rhs) strings
 
-    def __post_init__(self):
-        sigma = set(self.alphabet)
-        for lhs, rhs in self.rules:
+
+class SemiThueSystem(_ThueFields):
+    __slots__ = ()
+
+    def __new__(cls, alphabet, rules):
+        sigma = set(alphabet)
+        for lhs, rhs in rules:
             if not set(lhs) <= sigma or not set(rhs) <= sigma:
                 raise InputError("rewrite rule uses letters outside the alphabet")
+        return super().__new__(cls, alphabet, rules)
 
     def is_length_preserving(self):
         return all(len(a) == len(b) for a, b in self.rules)

@@ -21,7 +21,6 @@ write whose word would outgrow it before numbering that word, and says so.
 decodes.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ _KINDS = {(kind, ch): kind if kind == "nop" else f"{kind}-{ch}"
           for kind in ("write", "read", "test", "nop") for ch in CHANNELS}
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: str  # "write" | "read" | "test" | "nop"
     msg: object = None
     lang: Nfa = None
@@ -80,8 +78,7 @@ class Action:
         return "nop"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     source: str
     channel: str  # ignored for nop actions, stored as "r" by convention
     action: Action
@@ -108,8 +105,7 @@ class Configuration(NamedTuple):
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     start: Configuration
     steps: tuple = ()  # of (label, Configuration)
 
@@ -378,10 +374,7 @@ class Ucst:
                 f"|D2|={len(self.receiver_rules)})")
 
 
-@dataclass(frozen=True)
-class ReachInstance:
-    """A generalized reachability question with four regular constraints."""
-
+class _ReachFields(NamedTuple):
     system: Ucst
     p_in: str
     p_fi: str
@@ -392,7 +385,14 @@ class ReachInstance:
     Up: Nfa  # final r
     Vp: Nfa  # final l
 
-    def __post_init__(self):
+
+class ReachInstance(_ReachFields):
+    """A generalized reachability question with four regular constraints."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         s = self.system
         if self.p_in not in s.sender_states or self.p_fi not in s.sender_states:
             raise InputError("distinguished sender states missing from system")
@@ -401,6 +401,7 @@ class ReachInstance:
         for nfa in (self.U, self.V, self.Up, self.Vp):
             if set(nfa.alphabet) != set(s.alphabet):
                 raise InputError("constraint alphabet differs from system alphabet")
+        return self
 
     def constraints(self):
         return (self.U, self.V, self.Up, self.Vp)
@@ -436,8 +437,7 @@ TEST_LANGUAGES = (("Z", emptiness_test), ("N", nonemptiness_test),
                   ("Even", even_length_test), ("Odd", odd_length_test))
 
 
-@dataclass(frozen=True)
-class TestClass:
+class TestClass(NamedTuple):
     rule_id: int
     agent: int
     channel: str
@@ -452,8 +452,7 @@ class TestClass:
         return f"{sym}{self.agent}{self.channel}"
 
 
-@dataclass(frozen=True)
-class FragmentReport:
+class FragmentReport(NamedTuple):
     tests: tuple
 
     def fragment(self):

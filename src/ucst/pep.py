@@ -13,7 +13,7 @@ letters, and the replay turns a postpone-stable word back into a validating
 run by inserting head losses lazily.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, ReplayError
 from .model import (
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class PepInstance:
+class _PepFields(NamedTuple):
     sigma: tuple
     gamma: tuple
     u: dict  # letter -> word over gamma
@@ -44,18 +43,25 @@ class PepInstance:
     R: Nfa   # over sigma
     Rp: Nfa  # over sigma
 
-    def __post_init__(self):
-        self.sigma = tuple(dict.fromkeys(self.sigma))
-        self.gamma = tuple(dict.fromkeys(self.gamma))
-        sig, gam = set(self.sigma), set(self.gamma)
-        for mapping in (self.u, self.v):
+
+class PepInstance(_PepFields):
+    """Letters `sigma` and `gamma` keep their first occurrences, in order."""
+
+    __slots__ = ()
+
+    def __new__(cls, sigma, gamma, u, v, R, Rp):
+        sigma = tuple(dict.fromkeys(sigma))
+        gamma = tuple(dict.fromkeys(gamma))
+        sig, gam = set(sigma), set(gamma)
+        for mapping in (u, v):
             if set(mapping) != sig:
                 raise InputError("morphism must be total on sigma")
             for image in mapping.values():
                 if not set(image) <= gam:
                     raise InputError("morphism image outside gamma")
-        if set(self.R.alphabet) != sig or set(self.Rp.alphabet) != sig:
+        if set(R.alphabet) != sig or set(Rp.alphabet) != sig:
             raise InputError("constraint alphabets must equal sigma")
+        return super().__new__(cls, sigma, gamma, u, v, R, Rp)
 
     def image_u(self, word):
         return image(self.u, word)
@@ -168,8 +174,7 @@ def bounded_solve(inst, max_len):
 # -- pre-solutions ---------------------------------------------------------------
 
 
-@dataclass
-class PreSolutionContext:
+class PreSolutionContext(NamedTuple):
     """Per-letter projections of a channel-system instance onto the PEP side."""
 
     instance: object          # the source empty-to-empty ReachInstance

@@ -8,7 +8,7 @@ whose only remaining tests are Sender emptiness tests on the lossy channel
 maps to a Post embedding instance.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FragmentError, InputError, OracleInconclusive
 from .explore import bounded_graph, coreach_in
@@ -28,6 +28,7 @@ from .pep import PepInstance, PreSolutionContext
 from .regdata import (
     EPSILON,
     Nfa,
+    _explore,
     _product,
     cached_on_nfa,
     subword,
@@ -79,24 +80,28 @@ def config_below(c, d):
 _R_EMPTY_ONLY = "upward-closed sets live in the r-empty slice"
 
 
-@dataclass(frozen=True)
-class UpwardClosedSet:
+class _UpwardFields(NamedTuple):
+    minimal: tuple = ()
+
+
+class UpwardClosedSet(_UpwardFields):
     """Finite antichain of minimal configurations, all with empty r.
 
     Configurations with different control pairs are incomparable, so only
     elements with the same (p, q) are compared."""
 
-    minimal: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, minimal=()):
         pairs = {}
-        for c in self.minimal:
+        for c in minimal:
             if c.u != ():
                 raise InputError(_R_EMPTY_ONLY)
             vs = pairs.setdefault((c.p, c.q), [])
             if any(subword(v, c.v) or subword(c.v, v) for v in vs):
                 raise InputError("minimal elements must form an antichain")
             vs.append(c.v)
+        return super().__new__(cls, minimal)
 
     @staticmethod
     def of(configs):
@@ -111,10 +116,8 @@ class UpwardClosedSet:
                 if c.u != ():
                     raise InputError(_R_EMPTY_ONLY)
                 kept.append(c)
-        out = object.__new__(UpwardClosedSet)
-        object.__setattr__(out, "minimal",
-                           tuple(c for kept in mins.values() for c in kept))
-        return out
+        return tuple.__new__(UpwardClosedSet, (
+            tuple(c for kept in mins.values() for c in kept),))
 
     def contains(self, c):
         return any(config_below(m, c) for m in self.minimal)
@@ -408,7 +411,8 @@ def bounded_oracle(bound):
     `bounded_graph` once, from every control pair times every l word up to
     the bound, as start nodes (pair id, ε, l word id); the words are
     enumerated by length and then in `symkey` order, and `Words.up_to`
-    numbers them with their losses.  Each query is then answered backward
+    numbers them with their losses.  These starts are closed under loss, so
+    the graph steps no loss move from them.  Each query is then answered backward
     over that graph by `coreach_in`.  `decide_eereach_z1` hands it systems
     already trimmed to their start-to-goal states, so the graph holds only
     the trimmed pairs.
@@ -433,7 +437,7 @@ def bounded_oracle(bound):
             start_words = words.up_to(k, sorted(s.alphabet, key=symkey))
             latest[:] = s, pairs, bounded_graph(
                 s, [(c, 0, v) for c in pairs.values() for v in start_words],
-                bound, LOSSY)
+                bound, LOSSY, True)
         _, pairs, graph = latest
         if isinstance(target, UpwardClosedSet):
             nodes = [(pairs[m.p, m.q], 0, v) for m in target.minimal
@@ -449,24 +453,15 @@ def bounded_oracle(bound):
 def _on_paths(rules, never, start, goal):
     """The states on some `start`→`goal` path along `rules`, leaving out the
     rules whose action is of kind `never`: those reached forward from
-    `start` that also reach `goal`, by one search each way."""
+    `start` that also reach `goal`, by one `_explore` each way."""
     forward, backward = {}, {}
     for r in rules:
         if r.action.kind != never:
-            forward.setdefault(r.source, []).append(r.target)
-            backward.setdefault(r.target, []).append(r.source)
-
-    def search(edges, root):
-        seen = {root}
-        todo = [root]
-        for state in todo:
-            for nxt in edges.get(state, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return seen
-
-    return search(forward, start) & search(backward, goal)
+            forward.setdefault(r.source, []).append((r, r.target))
+            backward.setdefault(r.target, []).append((r, r.source))
+    ahead, _ = _explore([start], lambda state: forward.get(state, ()))
+    behind, _ = _explore([goal], lambda state: backward.get(state, ()))
+    return ahead.keys() & behind.keys()
 
 
 def control_trim(inst):
@@ -639,16 +634,16 @@ def _rule_projections(s):
 
 def bridge_context(inst):
     """Per-letter projections of an empty-to-empty Sender-l-emptiness
-    instance.  They are built once and kept on the instance, as a system
-    keeps its `test_report`; the context, which refers back to the
-    instance, is made per call."""
+    instance.  They depend on the system alone, so they are built once and
+    kept on it, as its `test_report` is; the context, which refers back to
+    the instance, is made per call."""
     s = inst.system
     if not s.test_report.only_z1l():
         raise FragmentError("PEP bridge expects Sender l-emptiness tests only")
     for nfa in inst.constraints():
         if not _is_eps_language(nfa):
             raise FragmentError("PEP bridge expects an empty-to-empty instance")
-    memo = vars(inst)
+    memo = vars(s)
     if "bridge_projections" not in memo:
         memo["bridge_projections"] = _rule_projections(s)
     return PreSolutionContext(instance=inst, **memo["bridge_projections"])
@@ -734,17 +729,29 @@ STAGES = (
 STAGE_ORDER = tuple(name for name, _, _, _ in STAGES) + ("eez1l", "pep")
 
 
-@dataclass
-class PipelineStage:
+class PipelineStage(NamedTuple):
     name: str
     instance: ReachInstance
     note: str
 
 
-@dataclass
 class PipelineTrace:
-    stages: list
-    pep: PepInstance = None
+    """The stages `run_pipeline` ran, in order, and the embedding instance
+    when it reduced that far; it grows as the pipeline runs."""
+
+    def __init__(self, stages, pep=None):
+        self.stages = stages
+        self.pep = pep
+
+    def __repr__(self):
+        return f"PipelineTrace(stages={self.stages!r}, pep={self.pep!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
 
     @property
     def final_instance(self):
@@ -796,6 +803,4 @@ def run_pipeline(inst, to="pep"):
             "r-emptiness tests require the saturation procedure instead")
     if to == "pep":
         trace.pep = ucst_to_pep(cur)
-    if trace.stages[-1].instance is not cur:
-        trace.stages.append(PipelineStage("eez1l", cur, ""))
     return trace

@@ -3,7 +3,6 @@ printed languages, and the lossy vs write-lossy equivalence harness.  Used
 by the command line and by the acceptance tests; seeded and deterministic."""
 
 import random
-from dataclasses import dataclass, field
 
 from .explore import Bound, UNREACHABLE, bounded_reach, reachable_nodes
 from .fileformat import nfa_to_regex
@@ -30,13 +29,27 @@ from .reductions import (
 from .regdata import language_equal, parse_regex
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    inconclusive: int = 0
-    notes: list = field(default_factory=list)
+    """The tally of one row of checks, with a note per failed check."""
+
+    def __init__(self, name, passed=0, failed=0, inconclusive=0, notes=None):
+        self.name = name
+        self.passed = passed
+        self.failed = failed
+        self.inconclusive = inconclusive
+        self.notes = [] if notes is None else notes
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+                f"failed={self.failed!r}, inconclusive={self.inconclusive!r}, "
+                f"notes={self.notes!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
 
     @property
     def ok(self):

@@ -1,15 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ucst
 from ucst import reductions
 from ucst.cli import main
-from ucst.errors import ReplayError
+from ucst.errors import InputError, ReplayError
+from ucst.explore import Bound, bounded_reach
 from ucst.fileformat import parse_ucst, print_ucst
-from ucst.model import LOSSY, validate_run
+from ucst.generators import SemiThueSystem, linear_queue_automaton
+from ucst.model import LOSSY, Configuration, ReachInstance, validate_run
 from ucst.pep import bounded_solve, postpone_stabilize, run_from_postpone_stable
 from ucst.randomgen import random_z1l_instance
-from ucst.reductions import bridge_context, run_pipeline
+from ucst.reductions import UpwardClosedSet, bridge_context, run_pipeline
 from tests.test_fileformat import FIG6_TEXT
 
 from support import parse_pep
@@ -349,3 +355,53 @@ class TestStageNamesAvoidReceiverStates:
         ctx = bridge_context(trace.final_instance)
         run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, word))
         assert validate_run(trace.final_instance.system, run, LOSSY)
+
+
+def _records():
+    """One value of each record type of the toolkit, by type name."""
+    inst, _ = parse_ucst(FIG6_TEXT)
+    trace = run_pipeline(inst, to="pep")
+    verdict = bounded_reach(inst, Bound(2, 1000))
+    rule = inst.system.rules[0]
+    report = inst.system.test_report
+    values = [rule, rule.action, verdict, verdict.witness, inst, report,
+              report.tests[0], Bound(2), trace.pep, trace.stages[0],
+              bridge_context(trace.final_instance),
+              UpwardClosedSet.of([Configuration("p_in", "q_in", (), ("a",))]),
+              linear_queue_automaton([("write", "a"), ("read", "a")]),
+              SemiThueSystem(("a", "b"), (("ab", "ba"),))]
+    return {type(v).__name__: v for v in values}
+
+
+class TestColdStart:
+    def test_reach_imports_no_unused_module(self):
+        # `-S` keeps whatever the site hooks import out of the count
+        src = os.path.dirname(os.path.dirname(ucst.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import ucst.cli; "
+                "print(' '.join(m for m in ('dataclasses', 'inspect', "
+                "'ucst.validate', 'ucst.generators', 'ucst.randomgen') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == []
+
+    @pytest.mark.parametrize("name", sorted(_records()))
+    def test_records_reject_assignment(self, name):
+        record = _records()[name]
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_records_keep_their_input_checks(self):
+        with pytest.raises(InputError, match="nonnegative"):
+            Bound(-1)
+        inst, _ = parse_ucst(FIG6_TEXT)
+        with pytest.raises(InputError, match="sender states missing"):
+            ReachInstance(inst.system, "p_in", "q_fi", inst.q_in, inst.q_fi,
+                          *inst.constraints())
+        low, high = (Configuration("p_in", "q_in", (), v)
+                     for v in (("a",), ("a", "b")))
+        with pytest.raises(InputError, match="antichain"):
+            UpwardClosedSet((low, high))
