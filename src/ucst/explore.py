@@ -1,10 +1,11 @@
 """Bounded explicit-state oracle: forward and backward reachability.
 
-All searches run one breadth-first core, `_bfs`, over nodes (pair id, r
-word id, l word id) of the system's numbered pairs and words, a whole layer
-at a time, stepped by `model.step_layer` within the channel bound: a write
-that would outgrow it is discarded, never truncated, so every witness is a
-genuine run, and its word is never numbered.  `_bfs` keeps only each node's
+All searches run one breadth-first core, `_bfs` (inlined in
+`bounded_graph`), over nodes (pair id, r word id, l word id) of the
+system's numbered pairs and words, a whole layer at a time, stepped by
+`model.step_layer` within the channel bound: a write that would outgrow it
+is discarded, never truncated, so every witness is a genuine run, and its
+word is never numbered.  `_bfs` keeps only each node's
 first finder; a witness gets each step's label back by stepping the finder
 again with `model.step`.  Nodes become `Configuration` values only at the
 edges: the configurations `reachable_nodes` starts from, and witness runs.
@@ -18,8 +19,8 @@ answers one set of target nodes backward over it, so a caller asking many
 targets of one (immutable) system explores it once.  The graph keeps
 reverse lists of rule moves only: a loss keeps the pair and r, so in a
 lossy graph the loss predecessors of node (c, u, w) are the nodes (c, u,
-j) found with j in the word table's `gained[w]`, since expanding a node
-asked its l word's losses.
+j) found with j in the word table's `gained[w]`, since the losses of the
+l words of the starts and of every node expanded were asked.
 """
 
 from itertools import product
@@ -194,32 +195,28 @@ def reachable_nodes(s, starts, bound, mode=LOSSY):
     return parents.keys()
 
 
-def bounded_graph(s, starts, bound, mode=LOSSY, loss_closed=False):
-    """One forward `_bfs` from the nodes `starts`, whose channels must fit
-    the channel bound.  Returns the nodes found, in discovery order (as the
-    keys of a dict); the reverse rule edges, each node mapped to the list
-    of its rule predecessors, one entry per edge in expansion order, labels
-    dropped; and, in lossy mode, the word table's `gained` lists, from
-    which `coreach_in` reads loss predecessors (None otherwise).
+def bounded_graph(s, starts, bound, mode=LOSSY):
+    """One forward breadth-first pass from the nodes `starts`, whose
+    channels must fit the channel bound.  Returns the nodes found, in
+    discovery order (as the keys of a dict); the reverse rule edges, each
+    node mapped to the list of its rule predecessors, one entry per edge in
+    expansion order, labels dropped; and, in lossy mode, the word table's
+    `gained` lists, from which `coreach_in` reads loss predecessors (None
+    otherwise).
 
-    `loss_closed` says that the starts are closed under loss: one loss of a
-    start's l word gives the l word of a start with the same pair and r
-    word.  Their loss moves then find nothing new, so in lossy mode the
-    start layer steps its rules only, and the losses of its l words are
-    asked, in start order, for the `gained` lists alone."""
+    In lossy mode the starts must be closed under loss, with their l words'
+    losses asked (as `Words.up_to` leaves them): one loss of a start's l
+    word gives the l word of a start with the same pair and r word.  Their
+    loss moves would find nothing new, so the start layer steps its rules
+    only, and the later layers run the layer loop of `_bfs`."""
     k = bound.max_channel_len
     edges = []
     expand = _stepper(s, mode, k, edges)
-    first = expand
-    if loss_closed and mode == LOSSY:
-        lost, losses = s.words.lost, s.words.losses
-        for _, _, v in starts:
-            if lost[v] is None:
-                losses(v)
-        first = _stepper(s, RELIABLE, k, edges)
-    firsts = iter([first])  # `first` steps the start layer, `expand` the rest
-    parents, _, _ = _bfs(starts, lambda layer, parents: next(firsts, expand)(
-        layer, parents))
+    parents = dict.fromkeys(starts)
+    layer, _ = step_layer(s, list(parents), RELIABLE if mode == LOSSY else mode,
+                          k, parents, edges)
+    while layer:
+        layer, _ = expand(layer, parents)
     rev = {}
     for n, _, succ in edges:
         rev.setdefault(succ, []).append(n)

@@ -411,8 +411,8 @@ def bounded_oracle(bound):
     `bounded_graph` once, from every control pair times every l word up to
     the bound, as start nodes (pair id, ε, l word id); the words are
     enumerated by length and then in `symkey` order, and `Words.up_to`
-    numbers them with their losses.  These starts are closed under loss, so
-    the graph steps no loss move from them.  Each query is then answered backward
+    numbers them with their losses.  These starts are closed under loss, as
+    `bounded_graph` requires.  Each query is then answered backward
     over that graph by `coreach_in`.  `decide_eereach_z1` hands it systems
     already trimmed to their start-to-goal states, so the graph holds only
     the trimmed pairs.
@@ -437,7 +437,7 @@ def bounded_oracle(bound):
             start_words = words.up_to(k, sorted(s.alphabet, key=symkey))
             latest[:] = s, pairs, bounded_graph(
                 s, [(c, 0, v) for c in pairs.values() for v in start_words],
-                bound, LOSSY, True)
+                bound, LOSSY)
         _, pairs, graph = latest
         if isinstance(target, UpwardClosedSet):
             nodes = [(pairs[m.p, m.q], 0, v) for m in target.minimal
@@ -742,16 +742,6 @@ class PipelineTrace:
     def __init__(self, stages, pep=None):
         self.stages = stages
         self.pep = pep
-
-    def __repr__(self):
-        return f"PipelineTrace(stages={self.stages!r}, pep={self.pep!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None
 
     @property
     def final_instance(self):

@@ -32,24 +32,10 @@ from .regdata import language_equal, parse_regex
 class CheckResult:
     """The tally of one row of checks, with a note per failed check."""
 
-    def __init__(self, name, passed=0, failed=0, inconclusive=0, notes=None):
+    def __init__(self, name):
         self.name = name
-        self.passed = passed
-        self.failed = failed
-        self.inconclusive = inconclusive
-        self.notes = [] if notes is None else notes
-
-    def __repr__(self):
-        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
-                f"failed={self.failed!r}, inconclusive={self.inconclusive!r}, "
-                f"notes={self.notes!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None
+        self.passed = self.failed = self.inconclusive = 0
+        self.notes = []
 
     @property
     def ok(self):

@@ -69,12 +69,30 @@ def reachable_set(s, starts, bound, mode=LOSSY):
     return {s.config(n) for n in reachable_nodes(s, starts, bound, mode)}
 
 
+def loss_closed(s, nodes):
+    """The nodes `nodes` and those that losses make of them, in discovery
+    order, with the losses of every l word asked: starts as `bounded_graph`
+    takes them in lossy mode."""
+    order = list(dict.fromkeys(nodes))
+    seen = set(order)
+    for c, u, v in order:  # grows while it is walked
+        for j in s.words.losses(v):
+            if (c, u, j) not in seen:
+                seen.add((c, u, j))
+                order.append((c, u, j))
+    return order
+
+
 def coreach_set(s, starts, targets, bound, mode=LOSSY):
     """`coreach_in` over the `bounded_graph` of the configurations `starts`
-    whose channels fit the bound, with the configurations `targets`: starts
-    and targets numbered, the answer decoded to configurations."""
+    whose channels fit the bound (closed under loss in lossy mode, which
+    adds only nodes that a loss reaches), with the configurations
+    `targets`: starts and targets numbered, the answer decoded to
+    configurations."""
     k = bound.max_channel_len
     nodes = [s.node(c) for c in starts if len(c.u) <= k and len(c.v) <= k]
+    if mode == LOSSY:
+        nodes = loss_closed(s, nodes)
     graph = bounded_graph(s, nodes, bound, mode)
     return {s.config(n)
             for n in coreach_in(graph, [s.node(c) for c in targets], bound)}

@@ -357,7 +357,16 @@ class TestStageNamesAvoidReceiverStates:
         assert validate_run(trace.final_instance.system, run, LOSSY)
 
 
-def _records():
+# The record types of the toolkit, by name; the `records` fixture builds
+# one value of each
+RECORD_NAMES = ("Action", "Bound", "FragmentReport", "PepInstance",
+                "PipelineStage", "PreSolutionContext", "QueueAutomaton",
+                "ReachInstance", "Rule", "Run", "SemiThueSystem", "TestClass",
+                "UpwardClosedSet", "Verdict")
+
+
+@pytest.fixture(scope="module")
+def records():
     """One value of each record type of the toolkit, by type name."""
     inst, _ = parse_ucst(FIG6_TEXT)
     trace = run_pipeline(inst, to="pep")
@@ -385,9 +394,12 @@ class TestColdStart:
                              capture_output=True, text=True, check=True).stdout
         assert out.split() == []
 
-    @pytest.mark.parametrize("name", sorted(_records()))
-    def test_records_reject_assignment(self, name):
-        record = _records()[name]
+    def test_record_names_cover_the_records(self, records):
+        assert sorted(records) == list(RECORD_NAMES)
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_records_reject_assignment(self, name, records):
+        record = records[name]
         field = record._fields[0]
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))

@@ -63,6 +63,7 @@ from ucst.regdata import Nfa, language_equal, parse_regex
 from support import (
     coreach_set,
     enumerate_solutions,
+    loss_closed,
     pep_to_ucst,
     shuffle_built_r,
     upward_closure,
@@ -537,7 +538,8 @@ def config_level_oracle(bound):
         words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
         starts = [Configuration(p, q, (), v) for v in words
                   for p in s.sender_states for q in s.receiver_states]
-        graph = bounded_graph(s, [s.node(c) for c in starts], bound, LOSSY)
+        graph = bounded_graph(s, loss_closed(s, map(s.node, starts)), bound,
+                              LOSSY)
         found = reachable_nodes(s, starts, Bound(bound.max_channel_len, 0))
         configs = {n: s.config(n) for n in found}
         co = coreach_in(graph, [n for n, c in configs.items() if is_target(c)],
@@ -637,16 +639,17 @@ def untrimmed_decide_eereach_z1(inst, stripped, oracle):
 
 def r_empty_nodes(s, k):
     """Every r-empty node of `s` whose l word fits `k`: every control pair
-    times every l word of at most `k` letters."""
+    times every l word of at most `k` letters, a set closed under loss,
+    with the losses of its l words asked."""
     words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(k)]
-    return [(s.pair(p, q), 0, v) for p in s.sender_states
-            for q in s.receiver_states for v in words]
+    return loss_closed(s, [(s.pair(p, q), 0, v) for p in s.sender_states
+                           for q in s.receiver_states for v in words])
 
 
 def graph_cases(fig1, rng, k, n):
     """(system, start nodes) pairs: a fresh copy of Figure 1 from its empty
     configuration, and `n` `saturation_system`s from every r-empty node whose
-    l word fits `k`."""
+    l word fits `k`.  Both start sets are closed under loss."""
     fig = Ucst(fig1.alphabet, fig1.sender_states, fig1.receiver_states,
                fig1.sender_rules, fig1.receiver_rules)
     cases = [(fig, [fig.node(Configuration("p1", "q1", (), ()))])]
