@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -272,6 +273,19 @@ class TestValidateCommand:
         assert main(["validate", "--samples", "3"]) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error: UCST_SEED") and out == ""
+
+    # sha256 prefixes of the whole printed battery, every row line and note;
+    # a refactor of the battery keeps these, a change of its checks updates
+    # them and says why
+    @pytest.mark.parametrize("args, digest", [
+        ((), "84d028199ace78a9"),
+        (("--seed", "7", "--samples", "5"), "d336b2bb3be1be3a"),
+    ])
+    def test_battery_text_is_pinned(self, capsys, monkeypatch, args, digest):
+        monkeypatch.delenv("UCST_SEED", raising=False)
+        assert main(["validate", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("samples", ["-3", "0"])
     def test_no_samples_exits_2(self, capsys, samples):
