@@ -70,7 +70,7 @@ class Verdict(NamedTuple):
         return self.status == REACHABLE
 
     def __str__(self):
-        return self.status.upper().replace("_", "-")
+        return self.status.upper()
 
 
 def _initial_nodes(inst, bound):

@@ -245,7 +245,7 @@ def parse_ucst(text):
     return inst, stage
 
 
-def _test_regex(system, rule_id, rule, report_by_id):
+def _test_regex(rule_id, rule, report_by_id):
     label = report_by_id.get(rule_id)
     if label is not None:
         name, head_sym = label
@@ -274,16 +274,11 @@ def print_ucst(inst, stage=None):
     lines.append("receiver: " + " ".join(s.receiver_states))
     for rid, rule in enumerate(s.rules):
         agent = "s" if rid < s.n_sender_rules else "r"
-        act = rule.action
-        if act.kind == "nop":
-            action = "nop"
-        elif act.kind == "write":
-            action = f"{rule.channel}!{act.msg}"
-        elif act.kind == "read":
-            action = f"{rule.channel}?{act.msg}"
+        if rule.action.kind == "test":
+            lines.append(f"rule {agent}: {rule.source} -> {rule.target} : "
+                         f"{rule.channel}={_test_regex(rid, rule, report)}")
         else:
-            action = f"{rule.channel}={_test_regex(s, rid, rule, report)}"
-        lines.append(f"rule {agent}: {rule.source} -> {rule.target} : {action}")
+            lines.append(f"rule {agent}: {rule}")
     lines.append(f"instance: {inst.p_in} {inst.p_fi} {inst.q_in} {inst.q_fi}")
     for name, nfa in zip(("U", "V", "Up", "Vp"), inst.constraints()):
         lines.append(f"{name}: {nfa_to_regex(nfa)}")

@@ -27,25 +27,15 @@ def test_language(label, alphabet, sym=None):
     return make(alphabet)
 
 
-def _test_action(rng, alphabet, tests):
-    label, channel = rng.choice(tests)
-    sym = rng.choice(alphabet) if label == "H" else None
-    return channel, Action.test(test_language(label, alphabet, sym))
-
-
-def _sender_action(rng, alphabet, tests, test_weight):
+def _action(rng, alphabet, tests, test_weight, move, move_weight):
+    """(channel, action): a test drawn from `tests`, else `move` (a write or
+    a read) of a random letter on a random channel, else a nop."""
     if tests and rng.random() < test_weight:
-        return _test_action(rng, alphabet, tests)
-    if rng.random() < 0.8:
-        return rng.choice((R, L)), Action.write(rng.choice(alphabet))
-    return R, Action.nop()
-
-
-def _receiver_action(rng, alphabet, tests, test_weight):
-    if tests and rng.random() < test_weight:
-        return _test_action(rng, alphabet, tests)
-    if rng.random() < 0.85:
-        return rng.choice((R, L)), Action.read(rng.choice(alphabet))
+        label, channel = rng.choice(tests)
+        sym = rng.choice(alphabet) if label == "H" else None
+        return channel, Action.test(test_language(label, alphabet, sym))
+    if rng.random() < move_weight:
+        return rng.choice((R, L)), move(rng.choice(alphabet))
     return R, Action.nop()
 
 
@@ -66,13 +56,15 @@ def random_ucst(rng, *, alphabet=("a", "b"), n_sender=3, n_receiver=3,
         else:
             src = rng.choice(sender_states)
             dst = rng.choice(sender_states)
-        channel, act = _sender_action(rng, alphabet, sender_tests, test_weight)
+        channel, act = _action(rng, alphabet, sender_tests, test_weight,
+                               Action.write, 0.8)
         srules.append(Rule(src, channel, act, dst))
     rrules = []
     for _ in range(n_receiver_rules):
         src = rng.choice(receiver_states)
         dst = rng.choice(receiver_states)
-        channel, act = _receiver_action(rng, alphabet, receiver_tests, test_weight)
+        channel, act = _action(rng, alphabet, receiver_tests, test_weight,
+                               Action.read, 0.85)
         rrules.append(Rule(src, channel, act, dst))
     return Ucst(alphabet, sender_states, receiver_states, srules, rrules)
 

@@ -1,6 +1,7 @@
-"""Cross-check suite: stage verdict agreement, run/solution round trips,
-printed languages, and the lossy vs write-lossy equivalence harness.  Used
-by the command line and by the acceptance tests; seeded and deterministic."""
+"""Cross-check suite: stage verdict agreement, stage trim, run/solution
+round trips, printed languages, and the lossy vs write-lossy equivalence
+harness.  Used by the command line and by the acceptance tests; seeded and
+deterministic."""
 
 import random
 
@@ -41,9 +42,12 @@ class CheckResult:
     def ok(self):
         return self.failed == 0
 
-    def record(self, ok, note):
-        """One check: passed, or failed with `note`."""
-        if ok:
+    def record(self, ok, note=None):
+        """One check: passed (True), inconclusive (None), or failed (False)
+        with `note`."""
+        if ok is None:
+            self.inconclusive += 1
+        elif ok:
             self.passed += 1
         else:
             self.failed += 1
@@ -66,76 +70,73 @@ def _receiver_test_steps(inst, run):
     return count
 
 
+# One row per stage family: row name, stage, the tests `random_ucst` draws,
+# whether initial constraints are empty, the (length, steps) slack of the
+# target bound from input to output, and the slacks of the source and target
+# bounds from output to input.  The forward target bound also grows by one
+# padding symbol per Receiver test step of the source witness; only
+# receiver-tests inputs have such steps, and its length slack of 1 is the
+# signal symbol.
+_STAGES = (
+    ("receiver-tests", elim_receiver_tests,
+     {"sender_tests": (("Z", "l"), ("N", "r")),
+      "receiver_tests": (("Z", "l"), ("N", "l"), ("Z", "r"))},
+     False, (1, 3000), ((1, 3000), (1, 3000))),
+    ("initial-constraints", elim_initial,
+     {"sender_tests": (("Z", "l"), ("N", "r"))},
+     False, (0, 1000), ((0, 0), (0, 0))),
+    ("buffering", elim_n1,
+     {"sender_tests": (("Z", "l"), ("N", "l"), ("N", "r"))},
+     True, (0, 2000), ((0, 0), (1, 1000))),
+    ("final-constraints", elim_final,
+     {"sender_tests": (("Z", "l"), ("Z", "r"))},
+     True, (1, 3000), ((1, 3000), (1, 1000))),
+)
+
+
+def _stage_samples(rng, samples):
+    """(table row, input, stage output) for `samples` random inputs of each
+    stage family in turn."""
+    for row in _STAGES:
+        _, stage, tests, empty_initial = row[:4]
+        for _ in range(samples):
+            inst = random_instance(rng, random_ucst(rng, **tests),
+                                   empty_initial=empty_initial,
+                                   bias_reachable=0.6)
+            yield row, inst, stage(inst)
+
+
 def _agree(result, src_inst, dst_inst, src_bound, dst_bound_of):
-    """One two-way verdict comparison; positive verdicts must transfer."""
+    """One verdict comparison, from source to target; positive verdicts
+    must transfer."""
     a = bounded_reach(src_inst, src_bound, LOSSY)
-    if a.reachable:
-        dst_bound = dst_bound_of(a)
-        b = bounded_reach(dst_inst, dst_bound, LOSSY)
-        if b.reachable:
-            result.passed += 1
-            if not validate_run(dst_inst.system, b.witness, LOSSY):
-                result.failed += 1
-                result.notes.append("transported witness does not validate")
-        elif b.status == UNREACHABLE:
-            result.failed += 1
-            result.notes.append(f"positive became certified-unreachable: {src_inst}")
-        else:
-            result.inconclusive += 1
+    if not a.reachable:
+        return
+    b = bounded_reach(dst_inst, dst_bound_of(a), LOSSY)
+    if b.reachable:
+        result.record(validate_run(dst_inst.system, b.witness, LOSSY),
+                      "transported witness does not validate")
+    elif b.status == UNREACHABLE:
+        result.record(False, f"positive became certified-unreachable: {src_inst}")
+    else:
+        result.record(None)
 
 
 def check_stage_equivalence(seed, samples, bound_len=3, max_steps=2500):
     """Bounded verdicts agree across each reduction stage, both directions."""
-    rng = random.Random(seed)
-    out = []
+    results = {row[0]: CheckResult(f"stage {row[0]}") for row in _STAGES}
 
-    def small_bound(extra_len=0, extra_steps=0):
-        return Bound(bound_len + extra_len, max_steps + extra_steps)
+    def bound(slack, extra_len=0):
+        return Bound(bound_len + slack[0] + extra_len, max_steps + slack[1])
 
-    # receiver-test elimination: forward bound grows by one signal symbol
-    # plus one padding symbol per traded receiver test step
-    res = CheckResult("stage receiver-tests")
-    for _ in range(samples):
-        s = random_ucst(rng, sender_tests=(("Z", "l"), ("N", "r")),
-                        receiver_tests=(("Z", "l"), ("N", "l"), ("Z", "r")))
-        inst = random_instance(rng, s, bias_reachable=0.6)
-        out_inst = elim_receiver_tests(inst)
-        _agree(res, inst, out_inst, small_bound(),
-               lambda a: small_bound(1 + _receiver_test_steps(inst, a.witness),
-                                     3000))
-        _agree(res, out_inst, inst, small_bound(1, 3000),
-               lambda a: small_bound(1, 3000))
-    out.append(res)
-
-    res = CheckResult("stage initial-constraints")
-    for _ in range(samples):
-        s = random_ucst(rng, sender_tests=(("Z", "l"), ("N", "r")))
-        inst = random_instance(rng, s, bias_reachable=0.6)
-        out_inst = elim_initial(inst)
-        _agree(res, inst, out_inst, small_bound(), lambda a: small_bound(0, 1000))
-        _agree(res, out_inst, inst, small_bound(), lambda a: small_bound())
-    out.append(res)
-
-    res = CheckResult("stage buffering")
-    for _ in range(samples):
-        s = random_ucst(rng, sender_tests=(("Z", "l"), ("N", "l"), ("N", "r")))
-        inst = random_instance(rng, s, empty_initial=True, bias_reachable=0.6)
-        out_inst = elim_n1(inst)
-        _agree(res, inst, out_inst, small_bound(), lambda a: small_bound(0, 2000))
-        _agree(res, out_inst, inst, small_bound(), lambda a: small_bound(1, 1000))
-    out.append(res)
-
-    res = CheckResult("stage final-constraints")
-    for _ in range(samples):
-        s = random_ucst(rng, sender_tests=(("Z", "l"), ("Z", "r")))
-        inst = random_instance(rng, s, empty_initial=True, bias_reachable=0.6)
-        out_inst = elim_final(inst)
-        _agree(res, inst, out_inst, small_bound(),
-               lambda a: small_bound(1, 3000))
-        _agree(res, out_inst, inst, small_bound(1, 3000),
-               lambda a: small_bound(1, 1000))
-    out.append(res)
-    return out
+    rows = _stage_samples(random.Random(seed), samples)
+    for (name, _, _, _, forward, backward), inst, out_inst in rows:
+        res = results[name]
+        _agree(res, inst, out_inst, bound((0, 0)),
+               lambda a: bound(forward, _receiver_test_steps(inst, a.witness)))
+        _agree(res, out_inst, inst, bound(backward[0]),
+               lambda a: bound(backward[1]))
+    return list(results.values())
 
 
 def check_stage_trim(seed, samples, bound_len=3, max_steps=3000):
@@ -145,81 +146,56 @@ def check_stage_trim(seed, samples, bound_len=3, max_steps=3000):
     witness on both or on neither (in particular, never REACHABLE on one
     and UNREACHABLE on the other), and a witness on the trim validates
     there."""
-    rng = random.Random(seed)
     res = CheckResult("stage trim")
-    families = (
-        (elim_receiver_tests, {"sender_tests": (("Z", "l"), ("N", "r")),
-                               "receiver_tests": (("Z", "l"), ("N", "l"),
-                                                  ("Z", "r"))}, False),
-        (elim_initial, {"sender_tests": (("Z", "l"), ("N", "r"))}, False),
-        (elim_n1, {"sender_tests": (("Z", "l"), ("N", "l"), ("N", "r"))}, True),
-        (elim_final, {"sender_tests": (("Z", "l"), ("Z", "r"))}, True),
-    )
     bound = Bound(bound_len + 1, max_steps)
-    for stage, tests, empty_initial in families:
-        for _ in range(samples):
-            s = random_ucst(rng, **tests)
-            inst = random_instance(rng, s, empty_initial=empty_initial,
-                                   bias_reachable=0.6)
-            whole = stage(inst)
-            trimmed = restrict(whole, *control_trim(whole))
-            a = bounded_reach(whole, bound, LOSSY)
-            b = bounded_reach(trimmed, bound, LOSSY)
-            if a.reachable != b.reachable:
-                res.failed += 1
-                res.notes.append(f"{stage.__name__}: untrimmed {a}, trimmed {b}")
-            elif b.reachable and not validate_run(trimmed.system, b.witness,
-                                                  LOSSY):
-                res.failed += 1
-                res.notes.append(f"{stage.__name__}: witness on the trim "
-                                 "does not validate")
-            else:
-                res.passed += 1
+    for (_, stage, *_), _, whole in _stage_samples(random.Random(seed), samples):
+        trimmed = restrict(whole, *control_trim(whole))
+        a = bounded_reach(whole, bound, LOSSY)
+        b = bounded_reach(trimmed, bound, LOSSY)
+        if a.reachable != b.reachable:
+            res.record(False, f"{stage.__name__}: untrimmed {a}, trimmed {b}")
+        else:
+            res.record(not b.reachable
+                       or validate_run(trimmed.system, b.witness, LOSSY),
+                       f"{stage.__name__}: witness on the trim does not "
+                       "validate")
     return res
 
 
-def check_pep_roundtrips(seed, samples, bound_len=4, max_steps=400):
-    """Witness runs become solutions; solved words replay into runs."""
+def check_z1l_embedding(seed, samples, bound_len=4, max_steps=400):
+    """Two rows over one draw of random Z1l instances and their embedding
+    instances.  Round trips: witness runs become solutions, and solved words
+    replay into runs.  Print: the expressions that `print_pep` writes for R
+    and R′ denote the languages they were printed from."""
     rng = random.Random(seed)
-    res = CheckResult("run/solution round trips")
+    trips, printed = CheckResult("run/solution round trips"), CheckResult("print")
     for _ in range(samples):
         inst = random_z1l_instance(rng)
         pep = ucst_to_pep(inst)
+        for lang in (pep.R, pep.Rp):
+            text = nfa_to_regex(lang)
+            printed.record(language_equal(parse_regex(text, pep.sigma), lang),
+                           f"{text!r} denotes another language")
         ctx = bridge_context(inst)
         verdict = bounded_reach(inst, Bound(bound_len, max_steps), LOSSY)
         if verdict.reachable:
             word = run_to_presolution(ctx, verdict.witness)
             stable = advance_stabilize(ctx, word)
-            res.record(is_solution(pep, stable),
-                       f"stabilized word {stable} is not a solution")
+            trips.record(is_solution(pep, stable),
+                         f"stabilized word {stable} is not a solution")
             solved = bounded_solve(pep, len(word))
         else:
             solved = bounded_solve(pep, 4)
         if solved is None:
             if not verdict.reachable:
-                res.inconclusive += 1
+                trips.record(None)
             continue
         run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, solved))
-        res.record(validate_run(inst.system, run, LOSSY)
-                   and run.start == Configuration(inst.p_in, inst.q_in, (), ())
-                   and run.end == Configuration(inst.p_fi, inst.q_fi, (), ()),
-                   f"solved word {solved} did not replay")
-    return res
-
-
-def check_printed_languages(seed, samples):
-    """The expressions that `print_pep` writes for R and R′ denote the
-    languages they were printed from, on the samples that
-    `check_pep_roundtrips` draws from the same seed."""
-    rng = random.Random(seed)
-    res = CheckResult("print")
-    for _ in range(samples):
-        pep = ucst_to_pep(random_z1l_instance(rng))
-        for lang in (pep.R, pep.Rp):
-            text = nfa_to_regex(lang)
-            res.record(language_equal(parse_regex(text, pep.sigma), lang),
-                       f"{text!r} denotes another language")
-    return res
+        trips.record(validate_run(inst.system, run, LOSSY)
+                     and run.start == Configuration(inst.p_in, inst.q_in, (), ())
+                     and run.end == Configuration(inst.p_fi, inst.q_fi, (), ()),
+                     f"solved word {solved} did not replay")
+    return trips, printed
 
 
 def check_write_lossy_equivalence(seed, samples, bound_len=4):
@@ -250,8 +226,7 @@ def run_validation(seed, samples, bound_len=3):
     """The complete cross-check battery; deterministic for a fixed seed."""
     results = []
     results.extend(check_stage_equivalence(seed, samples, bound_len))
-    results.append(check_pep_roundtrips(seed + 1, samples * 2))
-    results.append(check_printed_languages(seed + 1, samples * 2))
+    results.extend(check_z1l_embedding(seed + 1, samples * 2))
     results.append(check_write_lossy_equivalence(seed + 2, max(samples, 10)))
     results.append(check_stage_trim(seed + 3, samples, bound_len))
     return results

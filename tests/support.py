@@ -288,20 +288,15 @@ def check_solution_transport(ctx, pep, max_len):
     for word in enumerate_solutions(pep, max_len):
         ok, tag = is_pre_solution(ctx, word)
         if not ok:
-            result.failed += 1
-            result.notes.append(f"solution {word} violates {tag}")
+            result.record(False, f"solution {word} violates {tag}")
             continue
         try:
             run = run_from_postpone_stable(ctx, postpone_stabilize(ctx, word))
         except Exception as exc:  # replay failures are findings, not crashes
-            result.failed += 1
-            result.notes.append(f"solution {word}: {exc}")
+            result.record(False, f"solution {word}: {exc}")
             continue
-        if validate_run(ctx.instance.system, run, LOSSY):
-            result.passed += 1
-        else:
-            result.failed += 1
-            result.notes.append(f"solution {word}: replay does not validate")
+        result.record(validate_run(ctx.instance.system, run, LOSSY),
+                      f"solution {word}: replay does not validate")
     return result
 
 

@@ -4,11 +4,10 @@ from ucst.pep import PepInstance
 from ucst.reductions import bridge_context, ucst_to_pep
 from ucst.regdata import Nfa
 from ucst.validate import (
-    check_pep_roundtrips,
-    check_printed_languages,
     check_stage_equivalence,
     check_stage_trim,
     check_write_lossy_equivalence,
+    check_z1l_embedding,
     run_validation,
 )
 
@@ -35,6 +34,16 @@ def test_stage_equivalence_counts():
     assert all(r.ok for r in results)
 
 
+def test_failed_transport_counts_once(monkeypatch):
+    # a transported witness that does not validate is one failed check, not
+    # also a passed one
+    monkeypatch.setattr(validate, "validate_run", lambda *args: False)
+    res = check_stage_equivalence(1, 10)[0]
+    assert res.name == "stage receiver-tests"
+    assert (res.passed, res.failed) == (0, 6)
+    assert res.notes == ["transported witness does not validate"] * 6
+
+
 def test_stage_trim_row(monkeypatch):
     res = check_stage_trim(1, 10)
     assert res.name == "stage trim" and res.ok and res.passed == 40
@@ -48,18 +57,19 @@ def test_stage_trim_row(monkeypatch):
 
 
 def test_roundtrips_clean():
-    res = check_pep_roundtrips(2, 30)
+    res, _ = check_z1l_embedding(2, 30)
+    assert res.name == "run/solution round trips"
     assert res.ok and res.passed >= 10
 
 
 def test_print_row(monkeypatch):
-    res = check_printed_languages(2, 30)
+    _, res = check_z1l_embedding(2, 30)
     assert res.name == "print" and res.ok and res.passed == 60
     # a printer that drops every star denotes smaller languages
     printed = validate.nfa_to_regex
     monkeypatch.setattr(validate, "nfa_to_regex",
                         lambda lang: printed(lang).replace("*", ""))
-    broken = check_printed_languages(2, 30)
+    _, broken = check_z1l_embedding(2, 30)
     assert broken.failed >= 10
     assert all(note.endswith("denotes another language") for note in broken.notes)
 
