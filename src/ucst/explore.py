@@ -82,12 +82,11 @@ def _initial_nodes(inst, bound):
     k = bound.max_channel_len
     s = inst.system
     number = s.words.id
-    us = map(number, inst.U.words_up_to(k))
-    vs = map(number, inst.V.words_up_to(k))
-    dropped = inst.U.has_word_longer_than(k) or inst.V.has_word_longer_than(k)
+    us, u_longer = inst.U.words_up_to(k)
+    vs, v_longer = inst.V.words_up_to(k)
     c = s.pair(inst.p_in, inst.q_in)
-    nodes = [(c, u, v) for u, v in product(us, vs)]
-    return nodes, dropped
+    nodes = [(c, u, v) for u, v in product(map(number, us), map(number, vs))]
+    return nodes, u_longer or v_longer
 
 
 def _stepper(s, mode, k, edges=None):

@@ -56,7 +56,7 @@ class _Names:
 @cached_on_nfa
 def _is_eps_language(nfa):
     """L(nfa) is exactly {ε}: ε is accepted and no longer word is."""
-    return nfa.accepts(()) and not nfa.has_word_longer_than(0)
+    return nfa.words_up_to(0) == ([()], False)
 
 
 def _require_reserved_free(alphabet, symbols):

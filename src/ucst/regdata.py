@@ -8,8 +8,11 @@ tokens), so every deterministic enumeration sorts them with `symkey`.
 
 Every language query steps one lazy subset memo per automaton (`Nfa._subsets`):
 `accepts`, `determinize` (a total DFA), `minimal_dfa` (a trim one, with no
-dead state), `words_up_to`, `has_word_longer_than`, `language_equal` and the
-embedding solver's `live_moves`.
+dead state), `words_up_to` (which also tells whether a longer word exists),
+`language_equal` and the embedding solver's `live_moves`.
+
+`parse_regex` compiles the surface syntax of tests and constraints by
+Thompson's construction in one pass, building a single automaton per text.
 
 Every product of automata is one `_product`: the embedding problem's R
 (`reductions.ucst_to_pep`), `intersect` and `shuffle` differ only in their
@@ -101,10 +104,6 @@ class Nfa:
         return Nfa(alphabet, n, {0}, {n - 1}, trans)
 
     @staticmethod
-    def nothing(alphabet):
-        return Nfa(alphabet, 1, {0}, set(), ())
-
-    @staticmethod
     def one_of(symbols, alphabet):
         """Accepts every single-letter word drawn from `symbols`."""
         return Nfa(alphabet, 2, {0}, {1}, [(0, s, 1) for s in symbols])
@@ -148,8 +147,7 @@ class Nfa:
         to the next subset as each step is first taken, by `accepts` and
         `live_moves` alike; `live_moves` keeps its answers per subset.
         `determinize` (total), `minimal_dfa` (trim), `words_up_to` and
-        `language_equal` step through `live_moves`; `has_word_longer_than`
-        starts from the initial subset and ends in `distance`.
+        `language_equal` step through `live_moves`.
         """
         if self._steps is None:
             object.__setattr__(self, "_steps", (
@@ -253,16 +251,6 @@ class Nfa:
         if set(self.alphabet) != set(other.alphabet):
             raise InputError("operation requires equal alphabets")
 
-    def union(self, other):
-        self._require_same_alphabet(other)
-        off = self.n_states
-        trans = list(self.transitions)
-        trans += [(a + off, sym, b + off) for a, sym, b in other.transitions]
-        return Nfa(self.alphabet, off + other.n_states,
-                   set(self.initial) | {s + off for s in other.initial},
-                   set(self.accepting) | {s + off for s in other.accepting},
-                   trans)
-
     def concat(self, other):
         self._require_same_alphabet(other)
         off = self.n_states
@@ -279,9 +267,6 @@ class Nfa:
         trans += [(off, EPSILON, i) for i in sorted(self.initial)]
         trans += [(f, EPSILON, off) for f in sorted(self.accepting)]
         return Nfa(self.alphabet, off + 1, {off}, {off}, trans)
-
-    def plus(self):
-        return self.concat(self.star())
 
     def intersect(self, other):
         """Each pair steps the letters of the side with fewer, looked up in
@@ -377,7 +362,13 @@ class Nfa:
     # -- enumeration -----------------------------------------------------------
 
     def words_up_to(self, max_len):
-        """Accepted words of length <= max_len, by length then lexicographic."""
+        """(the accepted words of length <= max_len, by length then
+        lexicographic; whether a longer accepted word exists).
+
+        The second answer is read from the last layer of the walk: a longer
+        word exists iff some word of length max_len has a live move to a
+        subset from which an accepting state can be reached.
+        """
         level = [((), self.initial_subset())]
         out = []
         for length in range(max_len + 1):
@@ -385,17 +376,10 @@ class Nfa:
             if length < max_len:
                 level = [(word + (sym,), nxt) for word, cur in level
                          for sym, nxt in self.live_moves(cur).items()]
-        return out
-
-    def has_word_longer_than(self, k):
-        """True iff L contains a word of length strictly greater than k."""
-        eps, out = _letter_index(self)
-        layer = self.initial_subset()
-        for _ in range(k + 1):  # the states after exactly k+1 letters
-            layer = self._eps_closure(
-                [t for s in layer for dsts in out.get(s, {}).values()
-                 for t in dsts], eps)
-        return self.distance(layer) is not None
+        longer = any(self.distance(nxt) is not None
+                     for cur in {cur for _, cur in level}
+                     for nxt in self.live_moves(cur).values())
+        return out, longer
 
 
 class Dfa:
@@ -452,10 +436,10 @@ def _explore(starts, moves):
 @cached_on_nfa
 def _letter_index(nfa):
     """(state -> epsilon targets, state -> {letter: [dst]}): the one source
-    of subset steps, for `accepts`, `live_moves` and `has_word_longer_than`,
-    and of the letters `intersect` steps (only perfbench's tracer calls it).
-    Letters and targets keep transition order, which in a normal form is
-    `symkey` order."""
+    of subset steps, for `accepts` and `live_moves`, and of the letters
+    `intersect` steps (only perfbench's tracer calls it).  Letters and
+    targets keep transition order, which in a normal form is `symkey`
+    order."""
     out = {}
     for src, sym, dst in nfa.transitions:
         if sym is not EPSILON:
@@ -548,8 +532,9 @@ def subword(w1, w2):
 # Grammar:  alt  := cat ('|' cat)*
 #           cat  := rep+
 #           rep  := atom ('*' | '+')*
-#           atom := literal | EPS | ANY | '(' alt ')'
-# Literals are whitespace-separated tokens; ANY is any single alphabet letter.
+#           atom := literal | EPS | NONE | ANY | '(' alt ')'
+# Literals are whitespace-separated tokens; ANY is any single alphabet letter
+# and NONE the empty language.
 # The keywords are never literals, so no alphabet may use them as letters.
 
 KEYWORDS = ("EPS", "ANY", "NONE")
@@ -574,67 +559,85 @@ def _tokenize(text):
 
 
 def parse_regex(text, alphabet):
-    """Build an Nfa from the textual regex syntax used in instance files."""
+    """Compile the textual regex syntax of instance files into an `Nfa`.
+
+    Thompson's construction in one left-to-right pass over the tokens, with
+    a stack of open parentheses in place of recursion.  States and
+    transitions are appended to one list in the order that `literal`,
+    `one_of`, `concat` and `star` would build them, and one automaton is
+    built at the end: alternation unites initial and accepting states,
+    concatenation links them by epsilon moves, ``x*`` adds one state after
+    x's, and ``x+`` is ``x x*``, a shifted copy of x's states and
+    transitions (the last ones appended) followed by the star state.
+
+    Malformed texts raise `InputError` at the first token that a recursive
+    descent over the grammar above would reject.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise InputError("empty regular expression")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_alt():
-        nonlocal pos
-        parts = [parse_cat()]
-        while peek() == "|":
-            pos += 1
-            parts.append(parse_cat())
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
-        return out
-
-    def parse_cat():
-        out = None
-        while peek() is not None and peek() not in (")", "|"):
-            piece = parse_rep()
-            out = piece if out is None else out.concat(piece)
-        if out is None:
-            raise InputError("empty alternative in regular expression")
-        return out
-
-    def parse_rep():
-        nonlocal pos
-        out = parse_atom()
-        while peek() in ("*", "+"):
-            out = out.star() if peek() == "*" else out.plus()
-            pos += 1
-        return out
-
-    def parse_atom():
-        nonlocal pos
-        tok = peek()
-        if tok == "(":
-            pos += 1
-            inner = parse_alt()
-            if peek() != ")":
-                raise InputError("unbalanced parenthesis in regular expression")
-            pos += 1
-            return inner
-        if tok in ("*", "+", ")", "|", None):
-            raise InputError(f"unexpected token {tok!r} in regular expression")
-        pos += 1
-        if tok == "EPS":
-            return Nfa.literal((), alphabet)
-        if tok == "NONE":
-            return Nfa.nothing(alphabet)
-        if tok == "ANY":
-            return Nfa.one_of(alphabet, alphabet)
-        if tok not in alphabet:
-            raise InputError(f"regex literal {tok!r} not in alphabet")
-        return Nfa.literal((tok,), alphabet)
-
-    out = parse_alt()
-    if pos != len(tokens):
-        raise InputError(f"trailing regex tokens at {tokens[pos]!r}")
-    return out
+    letters = set(alphabet)
+    trans = []
+    n = 0
+    # this level: the alternatives so far (initial and accepting states,
+    # united), the concatenation in progress (initial, accepting) and the
+    # piece that a following '*' or '+' repeats (first state, first
+    # transition, initial, accepting); `groups` keeps the levels around the
+    # open parentheses, each with its group's first state and transition
+    alt_init, alt_acc, cat, piece = set(), set(), None, None
+    groups = []
+    for tok in [*tokens, None]:  # None ends the text
+        if tok == "*" or tok == "+":
+            if piece is None:
+                raise InputError(f"unexpected token {tok!r} in regular expression")
+            s0, t0, init, acc = piece
+            m = n - s0 if tok == "+" else 0
+            if m:  # x+ is x x*: a shifted copy of x, then x*'s star state
+                trans += [(a + m, sym, b + m) for a, sym, b in trans[t0:]]
+            z = n + m
+            trans += [(z, EPSILON, i + m) for i in sorted(init)]
+            trans += [(f + m, EPSILON, z) for f in sorted(acc)]
+            if m:
+                trans += [(f, EPSILON, z) for f in sorted(acc)]
+            piece = (s0, t0, init if m else {z}, {z})
+            n = z + 1
+            continue
+        if piece is not None:
+            if cat is None:
+                cat = (piece[2], piece[3])
+            else:
+                trans += [(f, EPSILON, i) for f in sorted(cat[1])
+                          for i in sorted(piece[2])]
+                cat = (cat[0], piece[3])
+            piece = None
+        if tok is None or tok == "|" or tok == ")":
+            if cat is None:
+                raise InputError("empty alternative in regular expression")
+            alt_init |= cat[0]
+            alt_acc |= cat[1]
+            cat = None
+            if tok == ")":
+                if not groups:
+                    raise InputError(f"trailing regex tokens at {tok!r}")
+                group = (alt_init, alt_acc)
+                alt_init, alt_acc, cat, s0, t0 = groups.pop()
+                piece = (s0, t0, *group)
+        elif tok == "(":
+            groups.append((alt_init, alt_acc, cat, n, len(trans)))
+            alt_init, alt_acc, cat = set(), set(), None
+        elif tok == "EPS" or tok == "NONE":
+            piece = (n, len(trans), {n}, {n} if tok == "EPS" else set())
+            n += 1
+        else:
+            t0 = len(trans)
+            if tok == "ANY":
+                trans += [(n, sym, n + 1) for sym in alphabet]
+            elif tok in letters:
+                trans.append((n, tok, n + 1))
+            else:
+                raise InputError(f"regex literal {tok!r} not in alphabet")
+            piece = (n, t0, {n}, {n + 1})
+            n += 2
+    if groups:
+        raise InputError("unbalanced parenthesis in regular expression")
+    return Nfa(alphabet, n, alt_init, alt_acc, trans)

@@ -108,9 +108,11 @@ def _stage_samples(rng, samples):
 
 def _agree(result, src_inst, dst_inst, src_bound, dst_bound_of):
     """One verdict comparison, from source to target; positive verdicts
-    must transfer."""
+    must transfer.  A source with no witness within its bound compares
+    nothing, so it counts as inconclusive."""
     a = bounded_reach(src_inst, src_bound, LOSSY)
     if not a.reachable:
+        result.record(None)
         return
     b = bounded_reach(dst_inst, dst_bound_of(a), LOSSY)
     if b.reachable:

@@ -1,10 +1,10 @@
 """Helpers that only the tests use: brute-force references, random walks,
-the total minimal DFA that `Nfa.minimal_dfa` trims, and walks over total
-DFAs.  It also holds the paper's results that no command runs, as
-references for the code that does: the commutation lemma and the head-lossy
-normal form, the lasso search, a reader for `.pep` files and the reverse
-reduction from the embedding problem to channel systems.  None of them is
-part of the toolkit."""
+the total minimal DFA that `Nfa.minimal_dfa` trims, walks over total DFAs,
+and the combinator regex parser that `parse_regex` must match.  It also
+holds the paper's results that no command runs, as references for the code
+that does: the commutation lemma and the head-lossy normal form, the lasso
+search, a reader for `.pep` files and the reverse reduction from the
+embedding problem to channel systems.  None of them is part of the toolkit."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -52,6 +52,8 @@ from ucst.regdata import (
     Nfa,
     _distances,
     _explore,
+    _letter_index,
+    _tokenize,
     cached_on_nfa,
     language_equal,
     parse_regex,
@@ -377,6 +379,112 @@ def thue_find_loop(t, max_len, max_steps):
             if word in seen:
                 return word
     return None
+
+
+# -- references: the combinator regex parser and the longer-word walk ---------
+
+# `combinator_parse_regex` is what `parse_regex` must build field for field,
+# and `has_word_longer_than` what the flag of `Nfa.words_up_to` must say.
+# `union`, `plus` and `has_word_longer_than` take the automaton as `self`, in
+# the form of the `Nfa` methods they were.
+
+
+def nothing(alphabet):
+    return Nfa(alphabet, 1, {0}, set(), ())
+
+
+def union(self, other):
+    self._require_same_alphabet(other)
+    off = self.n_states
+    trans = list(self.transitions)
+    trans += [(a + off, sym, b + off) for a, sym, b in other.transitions]
+    return Nfa(self.alphabet, off + other.n_states,
+               set(self.initial) | {s + off for s in other.initial},
+               set(self.accepting) | {s + off for s in other.accepting},
+               trans)
+
+
+def plus(self):
+    return self.concat(self.star())
+
+
+def has_word_longer_than(self, k):
+    """True iff L contains a word of length strictly greater than k."""
+    eps, out = _letter_index(self)
+    layer = self.initial_subset()
+    for _ in range(k + 1):  # the states after exactly k+1 letters
+        layer = self._eps_closure(
+            [t for s in layer for dsts in out.get(s, {}).values()
+             for t in dsts], eps)
+    return self.distance(layer) is not None
+
+
+def combinator_parse_regex(text, alphabet):
+    """`parse_regex` by recursive descent, one `Nfa` per atom, `|`, `*`,
+    `+` and concatenation, each built from the ones below it."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise InputError("empty regular expression")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def parse_alt():
+        nonlocal pos
+        parts = [parse_cat()]
+        while peek() == "|":
+            pos += 1
+            parts.append(parse_cat())
+        out = parts[0]
+        for p in parts[1:]:
+            out = union(out, p)
+        return out
+
+    def parse_cat():
+        out = None
+        while peek() is not None and peek() not in (")", "|"):
+            piece = parse_rep()
+            out = piece if out is None else out.concat(piece)
+        if out is None:
+            raise InputError("empty alternative in regular expression")
+        return out
+
+    def parse_rep():
+        nonlocal pos
+        out = parse_atom()
+        while peek() in ("*", "+"):
+            out = out.star() if peek() == "*" else plus(out)
+            pos += 1
+        return out
+
+    def parse_atom():
+        nonlocal pos
+        tok = peek()
+        if tok == "(":
+            pos += 1
+            inner = parse_alt()
+            if peek() != ")":
+                raise InputError("unbalanced parenthesis in regular expression")
+            pos += 1
+            return inner
+        if tok in ("*", "+", ")", "|", None):
+            raise InputError(f"unexpected token {tok!r} in regular expression")
+        pos += 1
+        if tok == "EPS":
+            return Nfa.literal((), alphabet)
+        if tok == "NONE":
+            return nothing(alphabet)
+        if tok == "ANY":
+            return Nfa.one_of(alphabet, alphabet)
+        if tok not in alphabet:
+            raise InputError(f"regex literal {tok!r} not in alphabet")
+        return Nfa.literal((tok,), alphabet)
+
+    out = parse_alt()
+    if pos != len(tokens):
+        raise InputError(f"trailing regex tokens at {tokens[pos]!r}")
+    return out
 
 
 # -- the head-lossy normal form and the commutation lemma ------------------------
@@ -723,7 +831,7 @@ def parse_pep(text):
 
     def constraint(text_):
         if text_ == "NONE":
-            return Nfa.nothing(sigma)
+            return nothing(sigma)
         return parse_regex(text_, sigma)
 
     return PepInstance(sigma, gamma, u, v, constraint(r_text),

@@ -36,7 +36,13 @@ from ucst.model import (
 from ucst.randomgen import random_instance, random_ucst
 from ucst.regdata import Nfa, parse_regex
 
-from support import LassoWitness, bounded_recurrent, coreach_set, reachable_set
+from support import (
+    LassoWitness,
+    bounded_recurrent,
+    coreach_set,
+    has_word_longer_than,
+    reachable_set,
+)
 
 
 def eps(m):
@@ -296,7 +302,7 @@ def reference_reach(inst, bound, mode):
     """(status, witness) of the bounded reachability question `inst`."""
     k = bound.max_channel_len
     starts = [Configuration(inst.p_in, inst.q_in, u, v)
-              for u in inst.U.words_up_to(k) for v in inst.V.words_up_to(k)]
+              for u in inst.U.words_up_to(k)[0] for v in inst.V.words_up_to(k)[0]]
 
     def goal(c):
         return (c.p == inst.p_fi and c.q == inst.q_fi
@@ -310,7 +316,7 @@ def reference_reach(inst, bound, mode):
             steps.append((label, hit))
             hit = prev
         return REACHABLE, Run(hit, tuple(reversed(steps)))
-    dropped = inst.U.has_word_longer_than(k) or inst.V.has_word_longer_than(k)
+    dropped = has_word_longer_than(inst.U, k) or has_word_longer_than(inst.V, k)
     return (UNREACHABLE if finished and not dropped else NOT_WITHIN_BOUND), None
 
 
@@ -475,13 +481,13 @@ def previous_search(s, starts, bound, mode, goal=None):
 
 def initial_configurations(inst, k):
     return [Configuration(inst.p_in, inst.q_in, u, v)
-            for u in inst.U.words_up_to(k) for v in inst.V.words_up_to(k)]
+            for u in inst.U.words_up_to(k)[0] for v in inst.V.words_up_to(k)[0]]
 
 
 def previous_reach(inst, bound, mode):
     """(status, reason, witness) of the previous `bounded_reach`."""
     s, k = inst.system, bound.max_channel_len
-    dropped = inst.U.has_word_longer_than(k) or inst.V.has_word_longer_than(k)
+    dropped = has_word_longer_than(inst.U, k) or has_word_longer_than(inst.V, k)
     up, vp = s.words.column(inst.Up), s.words.column(inst.Vp)
 
     def goal(n):

@@ -15,7 +15,7 @@ from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import run_pipeline, ucst_to_pep
 from ucst.regdata import Nfa, language_equal, parse_regex
 
-from support import instance_equal, parse_pep, pep_equal
+from support import instance_equal, nothing, parse_pep, pep_equal
 
 FIG6_TEXT = """\
 // the six-rule worked example
@@ -46,7 +46,7 @@ class TestNfaToRegex:
             assert language_equal(lang, back), rex
 
     def test_empty_language(self):
-        assert nfa_to_regex(Nfa.nothing(("a",))) == "NONE"
+        assert nfa_to_regex(nothing(("a",))) == "NONE"
         none = parse_regex("NONE", ("a",))
         assert none.distance(none.initial_subset()) is None
 
@@ -204,7 +204,7 @@ class TestPepFormat:
         from ucst.pep import PepInstance
 
         pep = PepInstance(sigma, ("g",), {"x": ("g",)}, {"x": ()},
-                          parse_regex("x", sigma), Nfa.nothing(sigma))
+                          parse_regex("x", sigma), nothing(sigma))
         back = parse_pep(print_pep(pep))
         assert pep_equal(back, pep)
 
@@ -225,7 +225,7 @@ class TestPrintPepPins:
     # sha256 prefixes of `print_pep` on seeded Sender Z/N instances with
     # regular constraints, reduced to PEP: (stages run, digest) per instance.
     # The first six are control-cut: the trimmed stages keep no rule, so R
-    # is empty and each prints the same text; the last six are not.
+    # is empty and each prints the same text; the last eight are not.
     CUT = "71ae747194d254a6"
     PINS = {0: (("input", "eg", "eez1"), CUT),
             2: (("input", "eg", "eez1"), CUT),
@@ -234,6 +234,8 @@ class TestPrintPepPins:
             10: (("input", "eg", "eez1"), CUT),
             11: (("input", "eg", "eez1"), CUT),
             13: (("input", "eg", "eez1"), "767dbe8f21a78dda"),
+            15: (("input", "eg", "egz1", "eez1"), "6d47ce7f9e40e9d0"),
+            16: (("input", "eg", "eez1"), "e80a87486c6d5d81"),
             17: (("input", "eg", "eez1"), "5381ea3e62a94ccf"),
             21: (("input", "eg", "eez1"), "9e861ae3660cc593"),
             22: (("input", "eg", "eez1"), "4a77903ee494f489"),

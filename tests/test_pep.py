@@ -19,7 +19,7 @@ from ucst.randomgen import random_instance, random_ucst, random_z1l_instance
 from ucst.reductions import bridge_context, run_pipeline, ucst_to_pep
 from ucst.regdata import Nfa, parse_regex, subword, symkey
 
-from support import dfa_accepts, dfa_distances, enumerate_solutions
+from support import dfa_accepts, dfa_distances, enumerate_solutions, nothing
 
 SOL = ("d0", "d4", "d1", "d5", "d2", "d3")       # writes interleaved with reads
 RUNW = ("d0", "d1", "d2", "d4", "d3", "d5")      # the witness run's rule order
@@ -47,7 +47,7 @@ class TestSolutionChecking:
     def test_empty_word_with_eps_constraint(self):
         sigma = ("a",)
         inst = PepInstance(sigma, ("x",), {"a": ("x",)}, {"a": ()},
-                           Nfa.literal((), sigma), Nfa.nothing(sigma))
+                           Nfa.literal((), sigma), nothing(sigma))
         assert is_solution(inst, ())
 
     def test_suffix_condition_bites(self):
@@ -68,7 +68,7 @@ class TestSolutionChecking:
         # lazy membership steps `is_solution` takes
         rng = random.Random(7406)
         sigma, gammas = ("a", "b"), ("x", "y")
-        words = Nfa.all_words(sigma).words_up_to(4)
+        words = Nfa.all_words(sigma).words_up_to(4)[0]
         for _ in range(60):
             u = {a: tuple(rng.choices(gammas, k=rng.randrange(0, 2))) for a in sigma}
             v = {a: tuple(rng.choices(gammas, k=rng.randrange(0, 3))) for a in sigma}
@@ -92,14 +92,14 @@ class TestBoundedSolve:
     def test_unembeddable_instance(self):
         sigma = ("a",)
         inst = PepInstance(sigma, ("x",), {"a": ("x",)}, {"a": ()},
-                           parse_regex("a a*", sigma), Nfa.nothing(sigma))
+                           parse_regex("a a*", sigma), nothing(sigma))
         assert bounded_solve(inst, 10) is None
 
     def test_returns_least_solution(self):
         sigma = ("a", "b")
         inst = PepInstance(sigma, ("x",),
                            {"a": (), "b": ()}, {"a": ("x",), "b": ()},
-                           parse_regex("a a | b", sigma), Nfa.nothing(sigma))
+                           parse_regex("a a | b", sigma), nothing(sigma))
         assert bounded_solve(inst, 4) == ("b",)
 
     def test_agrees_with_brute_force(self):

@@ -64,6 +64,7 @@ from support import (
     coreach_set,
     enumerate_solutions,
     loss_closed,
+    nothing,
     pep_to_ucst,
     shuffle_built_r,
     upward_closure,
@@ -179,8 +180,8 @@ class TestIsEpsLanguage:
         m = ("a", "b")
         rng = random.Random(3301)
         langs = [eps(m), Nfa(m, 3, {0}, {0}, [(0, "a", 1), (1, None, 2)]),
-                 Nfa.nothing(m).star(), parse_regex("EPS | EPS EPS", m),
-                 parse_regex("a*", m), Nfa.nothing(m), Nfa.all_words(m)]
+                 nothing(m).star(), parse_regex("EPS | EPS EPS", m),
+                 parse_regex("a*", m), nothing(m), Nfa.all_words(m)]
         langs += [random_nfa(rng, m) for _ in range(400)]
         positives = 0
         for lang in langs:
@@ -535,7 +536,7 @@ def config_level_oracle(bound):
 
             def is_target(c):
                 return c in goals
-        words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)
+        words = Nfa.all_words(s.alphabet).words_up_to(bound.max_channel_len)[0]
         starts = [Configuration(p, q, (), v) for v in words
                   for p in s.sender_states for q in s.receiver_states]
         graph = bounded_graph(s, loss_closed(s, map(s.node, starts)), bound,
@@ -641,7 +642,7 @@ def r_empty_nodes(s, k):
     """Every r-empty node of `s` whose l word fits `k`: every control pair
     times every l word of at most `k` letters, a set closed under loss,
     with the losses of its l words asked."""
-    words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(k)]
+    words = [s.words.id(v) for v in Nfa.all_words(s.alphabet).words_up_to(k)[0]]
     return loss_closed(s, [(s.pair(p, q), 0, v) for p in s.sender_states
                            for q in s.receiver_states for v in words])
 
@@ -1245,7 +1246,7 @@ class TestPepBridges:
     def test_trivial_eps_instance(self):
         sigma = ("a",)
         pep = PepInstance(sigma, ("x",), {"a": ("x",)}, {"a": ("x",)},
-                          Nfa.literal((), sigma), Nfa.nothing(sigma))
+                          Nfa.literal((), sigma), nothing(sigma))
         back = pep_to_ucst(pep)
         verdict = bounded_reach(back, Bound(2, 50), LOSSY)
         assert verdict.reachable
@@ -1255,7 +1256,7 @@ class TestPepBridges:
     def test_no_solution_instance_unreachable(self):
         sigma = ("a",)
         pep = PepInstance(sigma, ("x",), {"a": ("x",)}, {"a": ()},
-                          Nfa.literal(("a",), sigma), Nfa.nothing(sigma))
+                          Nfa.literal(("a",), sigma), nothing(sigma))
         back = pep_to_ucst(pep)
         assert not bounded_reach(back, Bound(4, 0), LOSSY).reachable
 

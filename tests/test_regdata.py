@@ -17,6 +17,7 @@ from ucst.model import (
     nonemptiness_test,
     odd_length_test,
 )
+from ucst.randomgen import random_z1l_instance
 from ucst.reductions import ucst_to_pep
 from ucst.regdata import (
     Dfa,
@@ -30,14 +31,18 @@ import support
 from support import (
     dfa_accepts,
     dfa_distances,
+    combinator_parse_regex,
     dfa_run,
     downward_closure,
     is_downward_closed,
     is_upward_closed,
+    has_word_longer_than,
     language_subset,
+    nothing,
     quotient,
     subword_one,
     total_minimal_dfa,
+    union,
     upward_closure,
 )
 
@@ -216,8 +221,9 @@ class TestBooleanOps:
         assert not joined.accepts(("a",))
 
     def test_alphabet_mismatch(self):
-        with pytest.raises(InputError):
-            Nfa.literal(t("a"), ("a",)).union(Nfa.literal(t("b"), ("b",)))
+        for op in (union, Nfa.concat):
+            with pytest.raises(InputError):
+                op(Nfa.literal(t("a"), ("a",)), Nfa.literal(t("b"), ("b",)))
 
 
 class TestShuffle:
@@ -390,16 +396,149 @@ class TestComplementExhaustive:
                     assert comp.accepts(w) == (not lang.accepts(w))
 
 
+# -- the one-pass compiler against the combinator parser it replaced ----------
+
+# every regex text that perfbench's corpora write, as `perfbench/corpus.py`
+# lists them, and literal words as its Figure 1 targets write them
+CORPUS_REGEXES = (
+    "EPS", "ANY", "ANY*", "ANY ANY*", "(ANY ANY)*", "ANY (ANY ANY)*",
+    "a | EPS", "a b | b", "EPS | b a", "a ANY*", "ANY* b", "b*", "a", "b",
+    "a b c a b c", "c a b b a c a")
+
+REGEX_PUNCT = ("(", ")", "|", "*", "+")
+
+
+def random_regex_tokens(rng, letters, depth):
+    """Tokens of a random tree of letters, EPS, NONE, ANY, alternation,
+    concatenation and stacked `*`/`+`, parenthesised at random."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        tokens = [rng.choice(letters + ("EPS", "NONE", "ANY"))]
+    else:
+        parts = [random_regex_tokens(rng, letters, depth - 1)
+                 for _ in range(rng.randint(2, 3))]
+        sep = ["|"] if roll < 0.6 else []
+        tokens = parts[0]
+        for part in parts[1:]:
+            tokens = tokens + sep + part
+    if rng.random() < 0.35:
+        tokens = ["(", *tokens, ")"]
+    if tokens[-1] in (")", "EPS", "NONE", "ANY") or len(tokens) == 1:
+        while rng.random() < 0.3:
+            tokens.append(rng.choice("*+"))
+    return tokens
+
+
+def regex_text(rng, tokens):
+    """`tokens` joined with random spacing; adjacent words keep a space."""
+    out = tokens[0]
+    for prev, tok in zip(tokens, tokens[1:]):
+        words = prev not in REGEX_PUNCT and tok not in REGEX_PUNCT
+        out += (" " if words or rng.random() < 0.5 else "") + tok
+    return out
+
+
+def compile_both(text, alphabet):
+    """(fields or error message) of `parse_regex` and of the reference."""
+    def outcome(parse):
+        try:
+            return fields(parse(text, alphabet))
+        except InputError as exc:
+            return str(exc)
+    return outcome(parse_regex), outcome(combinator_parse_regex)
+
+
+class TestOnePassCompile:
+    """`parse_regex` builds, field for field, the automaton that the
+    combinator parser of `support` builds, and raises its messages."""
+
+    def test_corpus_regexes(self):
+        for alphabet in (("a", "b", "c"), ("c", "b", "a"), ("a", "b", "c", "b")):
+            for text in CORPUS_REGEXES:
+                new, ref = compile_both(text, alphabet)
+                assert not isinstance(new, str) and new == ref, text
+
+    def test_random_trees(self):
+        rng = random.Random(3001)
+        alphabets = (AB, ("b", "a", "c"), ("a", "b", "a"))
+        for i in range(2400):
+            alphabet = alphabets[i % 3]
+            tokens = random_regex_tokens(rng, tuple(dict.fromkeys(alphabet)),
+                                         rng.randint(1, 4))
+            text = regex_text(rng, tokens)
+            new, ref = compile_both(text, alphabet)
+            assert not isinstance(ref, str), (text, ref)
+            assert new == ref, text
+
+    def test_malformed_texts_raise_the_same_message(self):
+        rng = random.Random(3002)
+        extra = REGEX_PUNCT + ("a", "z", "EPS")
+        messages = set()
+        for _ in range(1500):
+            tokens = random_regex_tokens(rng, AB, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2)):
+                i = rng.randrange(len(tokens) + 1)
+                if tokens and rng.random() < 0.5:
+                    del tokens[min(i, len(tokens) - 1)]
+                else:
+                    tokens.insert(i, rng.choice(extra))
+            text = regex_text(rng, tokens) if tokens else " "
+            new, ref = compile_both(text, AB)
+            assert new == ref, text
+            if isinstance(ref, str):
+                messages.add(ref.split(" at ")[0].split(" '")[0])
+        assert messages == {
+            "empty regular expression", "empty alternative in regular expression",
+            "unbalanced parenthesis in regular expression",
+            "unexpected token", "regex literal", "trailing regex tokens"}
+
+    def test_reparsed_embedding_languages(self):
+        rng = random.Random(3003)
+        for _ in range(50):
+            pep = ucst_to_pep(random_z1l_instance(rng))
+            for lang in (pep.R, pep.Rp):
+                text = nfa_to_regex(lang)
+                new, ref = compile_both(text, pep.sigma)
+                assert not isinstance(new, str) and new == ref, text
+
+    def test_one_automaton_per_call(self, monkeypatch):
+        built = []
+        init = Nfa.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Nfa, "__init__", counted)
+        sigma = ("a", "b", "c")
+        for text in ("a", "NONE", "ANY ANY*", "((a | b)+ c)* | NONE EPS"):
+            built.clear()
+            parse_regex(text, sigma)
+            assert len(built) == 1, text
+        combinator_parse_regex("((a | b)+ c)* | NONE EPS", sigma)
+        assert len(built) > 2
+
+    def test_deep_nesting(self):
+        deep = "(" * 5000 + "a" + ")" * 5000
+        assert fields(parse_regex(deep, AB)) == fields(parse_regex("a", AB))
+        with pytest.raises(InputError, match="unbalanced parenthesis"):
+            parse_regex(deep[:-1], AB)
+
+
 class TestEnumeration:
     def test_words_up_to(self):
         lang = parse_regex("a* b", AB)
-        assert lang.words_up_to(3) == [
-            t("b"), t("ab"), t("aab")]
+        assert lang.words_up_to(3) == ([t("b"), t("ab"), t("aab")], True)
 
     def test_longer_word_detection(self):
-        assert parse_regex("a*", AB).has_word_longer_than(10)
-        assert not parse_regex("a | a b", AB).has_word_longer_than(2)
-        assert parse_regex("(a a)*", AB).has_word_longer_than(2)
+        for rex, k, longer in [("a*", 10, True), ("a | a b", 2, False),
+                               ("a | a b", 1, True), ("(a a)*", 2, True),
+                               ("EPS", 0, False), ("NONE", 0, False),
+                               ("a (b | NONE)", 0, True),
+                               ("a (b NONE)*", 1, False)]:
+            lang = parse_regex(rex, AB)
+            assert lang.words_up_to(k)[1] == longer, (rex, k)
+            assert has_word_longer_than(lang, k) == longer, (rex, k)
 
     def test_normalize_invariants(self):
         lang = parse_regex("(a | EPS) b*", AB).normalize()
@@ -473,8 +612,8 @@ class TestProducts:
                 assert both.accepts(w) == (a.accepts(w) and b.accepts(w)), w
             mixed = a.shuffle(b)
             want = set()
-            for w1 in a.words_up_to(4):
-                for w2 in b.words_up_to(4 - len(w1)):
+            for w1 in a.words_up_to(4)[0]:
+                for w2 in b.words_up_to(4 - len(w1))[0]:
                     want |= brute_interleavings(w1, w2)
             assert {w for w in words_over(AB, 4) if mixed.accepts(w)} == want
             for product in (both, mixed):
@@ -661,14 +800,14 @@ class TestMinimalDfa:
     def test_empty_language_and_empty_alphabet(self, random_nfa):
         rng = random.Random(1402)
         for sigma in (AB, ()):
-            self.assert_same(Nfa.nothing(sigma))
+            self.assert_same(nothing(sigma))
             self.assert_same(Nfa(sigma, 2, (), {0}, ()))  # no initial state
             for _ in range(40):
                 nfa = random_nfa(rng, sigma, 5)
                 self.assert_same(nfa)
                 self.assert_same(Nfa(sigma, nfa.n_states, nfa.initial, (),
                                      nfa.transitions))
-        assert nfa_to_regex(Nfa.nothing(())) == "NONE"
+        assert nfa_to_regex(nothing(())) == "NONE"
         assert nfa_to_regex(Nfa.literal((), ())) == "EPS"
 
     def test_trim_edge_cases(self):
@@ -678,7 +817,7 @@ class TestMinimalDfa:
         assert pin(every.minimal_dfa()) == pin(total_minimal_dfa(every)) == (
             1, 0, {0}, {(0, "a"): 0, (0, "b"): 0})
         # an empty language, and no initial state: no states at all
-        for empty in (Nfa.nothing(AB), Nfa(AB, 2, (), {0}, [(0, "a", 1)])):
+        for empty in (nothing(AB), Nfa(AB, 2, (), {0}, [(0, "a", 1)])):
             self.assert_same(empty)
             assert pin(empty.minimal_dfa()) == (0, None, set(), {})
             assert pin(total_minimal_dfa(empty)) == (
@@ -876,9 +1015,10 @@ def drawn_automata(random_nfa, rng, count):
 
 
 class TestLazySubsetQueries:
-    """`determinize`, `words_up_to`, `has_word_longer_than` and
+    """`determinize`, `words_up_to` (with its longer-word flag) and
     `language_equal` step the lazy subset memo; each must give exactly what
-    the eager construction it replaced gives."""
+    the eager construction it replaced gives, and so must the layer walk of
+    `support.has_word_longer_than`."""
 
     def test_determinize_is_the_same_dfa(self, random_nfa):
         for nfa in drawn_automata(random_nfa, random.Random(1201), 500):
@@ -887,10 +1027,10 @@ class TestLazySubsetQueries:
 
     def test_words_and_lengths_agree(self, random_nfa):
         for nfa in drawn_automata(random_nfa, random.Random(1202), 500):
-            for k in range(5):
-                assert nfa.words_up_to(k) == eager_words_up_to(nfa, k)
-                assert (nfa.has_word_longer_than(k)
-                        == eager_has_word_longer_than(nfa, k))
+            for k in range(7):
+                longer = eager_has_word_longer_than(nfa, k)
+                assert nfa.words_up_to(k) == (eager_words_up_to(nfa, k), longer)
+                assert has_word_longer_than(nfa, k) == longer
 
     def test_language_equal_agrees(self, random_nfa):
         rng = random.Random(1203)
@@ -911,4 +1051,4 @@ class TestLazySubsetQueries:
         assert not language_equal(every_a, all_but_aaaa)
         assert not language_equal(all_but_aaaa, every_a)
         assert language_equal(
-            every_a, all_but_aaaa.union(Nfa.literal(("a",) * 4, AB)))
+            every_a, union(all_but_aaaa, Nfa.literal(("a",) * 4, AB)))
